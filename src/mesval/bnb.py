@@ -277,8 +277,10 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
 
 def _node_gradient(node_lp, M, sol, method) -> GradientResult:
     if method == "auto":
-        folded = node_lp.fold_bounds()
-        dim = folded.n_vars + folded.n_ineq + folded.n_eq
+        # size of the folded system: every finite bound becomes a row
+        bound_rows = int(np.isfinite(node_lp.lb).sum()
+                         + np.isfinite(node_lp.ub).sum())
+        dim = node_lp.n_vars + node_lp.n_ineq + bound_rows + node_lp.n_eq
         method = "kkt" if dim <= KKT_AUTO_LIMIT else "envelope"
     if method == "envelope":
         return dual_gradient_result(node_lp, sol)

@@ -6,7 +6,7 @@ standalone produce identical numbers, and rerunning any subcommand
 reproduces its CSV artifacts byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 infeasible dispatch, 4 internal invariant failure.
+3 scheduling infeasibility or solver failure, 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ import numpy as np
 import yaml
 
 from .batteries import run_all_batteries
+from .bnb import NodeLimitError
 from .config import (ConfigError, ExperimentConfig, dataset_from_config,
                      experiment_config_from_dict, fan_out, series_from_config,
                      split_dataset)
 from .data import DataError, write_series_csv
 from .dispatch import DispatchBuildError, verify_dispatch
 from .hub import SECTORS, HubConfigError, load_hub_config
+from .lp import LPNumericalError
 from .lstm import ForecastError, save_model, train_mse
 from .valuation import (LETTERS, DispatchInfeasible, ValuationError,
                         allocation_rows, coalition_label, coalition_value,
@@ -469,7 +471,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except DispatchInfeasible as exc:
+    except (DispatchInfeasible, NodeLimitError, LPNumericalError) as exc:
         print(_qualified(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, HubConfigError, ValuationError) as exc:

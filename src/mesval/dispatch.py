@@ -23,15 +23,30 @@ Three builders share one variable/row vocabulary:
     actual slots only in recourse balance rows, which is what makes the
     optimal cost differentiable with respect to the forecast.
 
+Templates: loads enter a problem only through its parameter vector, so
+each stage is compiled once per hub (``LinearProgram`` ->
+``to_standard_form``, constraint matrices stored as CSR) on the first build
+and reused for every later day. A day-ahead or joint build only checks the
+loads and sets ``M0``. An intra-day build also writes the committed flows
+into the right-hand sides of the ``id.link``, ``id.cres_up`` and
+``id.cres_dn`` rows and the committed cost into ``c0``. Templates are kept
+per ``HubConfig`` object and dropped when it is collected. Every day's
+problem shares the template's matrices, bounds, cost split and
+``var_index``; these are read-only.
+
 Variable names follow ``<stage>.<kind>[...]`` with stages ``da``/``id``;
 `DispatchProblem.var_index` maps them to primal positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
+from scipy import sparse
 
 from .bnb import MILPProblem
 from .hub import SECTORS, HubConfig, HubMatrices, build_hub_matrices
@@ -93,6 +108,11 @@ class DispatchCheck:
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
+
+# variable-name stages of each problem, and the parameter block whose loads
+# each one balances
+_PARTS = {"day_ahead": ("da",), "intra_day": ("id",), "joint": ("da", "id")}
+_LOAD_PREFIX = {"da": "fc", "id": "act"}
 
 def _check_loads(loads, config: HubConfig, label: str) -> np.ndarray:
     arr = np.asarray(loads, dtype=float)
@@ -253,8 +273,9 @@ def _add_stage(prog: LinearProgram, s: str, config: HubConfig,
                 ">=", st.initial_soc_kwh, name=f"{s}.terminal[{st.name}]")
 
 
-def _add_balance_rows(prog: LinearProgram, s: str, config: HubConfig,
-                      param_of, include_temp: bool) -> None:
+def _add_balance_rows(prog: LinearProgram, s: str,
+                      config: HubConfig) -> None:
+    prefix = _LOAD_PREFIX[s]
     for sector in SECTORS:
         out = config.output_for_sector(sector)
         if out is None:
@@ -268,18 +289,50 @@ def _add_balance_rows(prog: LinearProgram, s: str, config: HubConfig,
                 if st.carrier == sector:
                     coeffs[f"{s}.q_dis[{st.name}][{t}]"] = 1.0
                     coeffs[f"{s}.q_ch[{st.name}][{t}]"] = -1.0
-            if include_temp and sector == "electricity" and \
+            if s == "id" and sector == "electricity" and \
                     config.temporary_purchase_kw > 0:
                 coeffs[f"id.temp[{t}]"] = 1.0
             prog.add_constraint(
-                coeffs, "==", 0.0, params={param_of(sector, t): 1.0},
+                coeffs, "==", 0.0, params={f"{prefix}[{sector}][{t}]": 1.0},
                 name=f"{s}.balance[{sector}][{t}]")
+
+
+def _commitment_rhs(config: HubConfig, da_reference) -> tuple[dict, dict]:
+    """Right-hand sides of the recourse rows that carry committed flows.
+
+    Returns ``(link, reserve)``: the ``id.link`` equality rows and the
+    ``id.cres_up``/``id.cres_dn`` inequality rows, each a row-name -> RHS
+    mapping in row order. With every committed flow at zero these are the
+    joint problem's right-hand sides, where the flows are variables.
+    """
+    H = config.horizon
+    link, reserve = {}, {}
+    for inp in config.inputs:
+        branches = [b for b in config.branches if b.source == inp.name]
+        for t in range(H):
+            link[f"id.link[{inp.name}][{t}]"] = sum(
+                da_reference[f"da.flow[{b.name}][{t}]"] for b in branches)
+    for c in config.converters:
+        if c.reserve_up_kw is None and c.reserve_down_kw is None:
+            continue
+        feed, _ = _conv_ports(config, c)
+        for t in range(H):
+            base = da_reference[f"da.flow[{feed.name}][{t}]"]
+            if c.reserve_up_kw is not None:
+                reserve[f"id.cres_up[{c.name}][{t}]"] = c.reserve_up_kw + base
+            if c.reserve_down_kw is not None:
+                reserve[f"id.cres_dn[{c.name}][{t}]"] = \
+                    c.reserve_down_kw - base
+    return link, reserve
 
 
 def _add_intra_links(prog: LinearProgram, config: HubConfig,
                      cost_class: dict, da_reference: dict | None) -> None:
     H = config.horizon
     prices = config.prices
+    coupled = da_reference is None
+    link_rhs, reserve_rhs = _commitment_rhs(
+        config, defaultdict(float) if coupled else da_reference)
     for inp in config.inputs:
         branches = [b for b in config.branches if b.source == inp.name]
         for t in range(H):
@@ -296,15 +349,11 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
             coeffs = {f"id.flow[{b.name}][{t}]": 1.0 for b in branches}
             coeffs[upn] = -1.0
             coeffs[dnn] = 1.0
-            rhs = 0.0
-            if da_reference is None:
+            if coupled:
                 for b in branches:
                     coeffs[f"da.flow[{b.name}][{t}]"] = -1.0
-            else:
-                rhs = sum(da_reference[f"da.flow[{b.name}][{t}]"]
-                          for b in branches)
-            prog.add_constraint(coeffs, "==", rhs,
-                                name=f"id.link[{inp.name}][{t}]")
+            name = f"id.link[{inp.name}][{t}]"
+            prog.add_constraint(coeffs, "==", link_rhs[name], name=name)
 
     if config.temporary_purchase_kw > 0:
         if "electricity" not in prices.intra_day:
@@ -323,25 +372,28 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
         for t in range(H):
             idf = f"id.flow[{feed.name}][{t}]"
             daf = f"da.flow[{feed.name}][{t}]"
-            base = 0.0 if da_reference is None else da_reference[daf]
             if c.reserve_up_kw is not None:
+                name = f"id.cres_up[{c.name}][{t}]"
                 coeffs = {idf: 1.0}
-                if da_reference is None:
+                if coupled:
                     coeffs[daf] = -1.0
-                prog.add_constraint(coeffs, "<=", c.reserve_up_kw + base,
-                                    name=f"id.cres_up[{c.name}][{t}]")
+                prog.add_constraint(coeffs, "<=", reserve_rhs[name],
+                                    name=name)
             if c.reserve_down_kw is not None:
+                name = f"id.cres_dn[{c.name}][{t}]"
                 coeffs = {idf: -1.0}
-                if da_reference is None:
+                if coupled:
                     coeffs[daf] = 1.0
-                prog.add_constraint(coeffs, "<=", c.reserve_down_kw - base,
-                                    name=f"id.cres_dn[{c.name}][{t}]")
+                prog.add_constraint(coeffs, "<=", reserve_rhs[name],
+                                    name=name)
 
 
 def _finish(prog: LinearProgram, stage: str, config: HubConfig,
-            M0: np.ndarray, integers: list, cost_class: dict,
-            da_reference: dict | None = None) -> DispatchProblem:
+            integers: list, cost_class: dict,
+            da_reference: dict | None) -> DispatchProblem:
     sf = to_standard_form(prog)
+    sf = replace(sf, A_f=sparse.csr_array(sf.A_f),
+                 A_h=sparse.csr_array(sf.A_h))
     var_index = {n: i for i, n in enumerate(sf.var_names)}
     milp = MILPProblem(lp=sf, integer_vars=tuple(var_index[n]
                                                  for n in integers))
@@ -356,7 +408,7 @@ def _finish(prog: LinearProgram, stage: str, config: HubConfig,
         raise DispatchBuildError("objective entries left unclassified")
     return DispatchProblem(
         stage=stage, config=config, matrices=build_hub_matrices(config),
-        milp=milp, M0=np.asarray(M0, dtype=float),
+        milp=milp, M0=np.zeros(sf.param_dim),
         param_names=sf.param_names, var_index=var_index,
         cost_day_ahead=split["day_ahead"], cost_intra=split["intra"],
         cost_storage=split["storage"], da_reference=da_reference)
@@ -368,22 +420,91 @@ def _add_params(prog: LinearProgram, prefix: str) -> None:
             prog.add_param(f"{prefix}[{sector}][{t}]")
 
 
+def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
+             commitment: float = 0.0) -> DispatchProblem:
+    """One stage through ``LinearProgram`` -> ``to_standard_form``.
+
+    The problem holds for any day: loads enter only through ``M``, and
+    ``M0`` is left at zero. The intra-day stage takes the committed flows
+    ``da_reference`` and cost ``commitment`` as constants.
+    """
+    parts = _PARTS[stage]
+    prog = LinearProgram()
+    for s in parts:
+        _add_params(prog, _LOAD_PREFIX[s])
+    integers: list = []
+    cost_class: dict = {}
+    for s in parts:
+        _add_stage(prog, s, config, integers, cost_class,
+                   day_ahead_prices=s == "da", storage_fees=s == "id")
+    if "id" in parts:
+        _add_intra_links(prog, config, cost_class, da_reference)
+    for s in parts:
+        _add_balance_rows(prog, s, config)
+    if stage == "intra_day":
+        prog.add_constant(commitment)
+    return _finish(prog, stage, config, integers, cost_class, da_reference)
+
+
+# ---------------------------------------------------------------------------
+# templates: one compile per (hub, stage)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Template:
+    problem: DispatchProblem
+    link_rows: np.ndarray      # A_h rows of the id.link constraints
+    reserve_rows: np.ndarray   # A_f rows of the id.cres_* constraints
+
+
+# id(config) -> (weak reference to the config, {stage: _Template}); an entry
+# leaves with its config, before the id can be reused
+_TEMPLATES: dict = {}
+
+
+def _template(config: HubConfig, stage: str) -> _Template:
+    key = id(config)
+    entry = _TEMPLATES.get(key)
+    if entry is None or entry[0]() is not config:
+        entry = (weakref.ref(config), {})
+        _TEMPLATES[key] = entry
+        weakref.finalize(config, _TEMPLATES.pop, key, None)
+    templates = entry[1]
+    if stage not in templates:
+        templates[stage] = _compile_template(config, stage)
+    return templates[stage]
+
+
+def _compile_template(config: HubConfig, stage: str) -> _Template:
+    # the intra-day template is compiled against zero committed flows;
+    # each build writes the day's flows into the rows found here
+    sequential = stage == "intra_day"
+    prob = _compile(config, stage,
+                    defaultdict(float) if sequential else None)
+    lp = prob.milp.lp
+    link, reserve = (_commitment_rhs(config, defaultdict(float))
+                     if sequential else ({}, {}))
+    eq = {n: i for i, n in enumerate(lp.eq_names)}
+    ineq = {n: i for i, n in enumerate(lp.ineq_names)}
+    for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
+              prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
+        a.flags.writeable = False
+    # the cache must not keep its key alive: builds put the config back
+    return _Template(
+        problem=replace(prob, config=None, da_reference=None,
+                        var_index=MappingProxyType(prob.var_index)),
+        link_rows=np.array([eq[n] for n in link], dtype=int),
+        reserve_rows=np.array([ineq[n] for n in reserve], dtype=int))
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
 def build_day_ahead(forecasts, config: HubConfig) -> DispatchProblem:
     fc = _check_loads(forecasts, config, "forecasts")
-    prog = LinearProgram()
-    _add_params(prog, "fc")
-    integers: list = []
-    cost_class: dict = {}
-    _add_stage(prog, "da", config, integers, cost_class,
-               day_ahead_prices=True, storage_fees=False)
-    _add_balance_rows(prog, "da", config,
-                      lambda sec, t: f"fc[{sec}][{t}]", include_temp=False)
-    return _finish(prog, "day_ahead", config, fc.reshape(-1), integers,
-                   cost_class)
+    return replace(_template(config, "day_ahead").problem, config=config,
+                   M0=fc.reshape(-1))
 
 
 def build_intra_day(da_problem: DispatchProblem, da_result,
@@ -399,39 +520,24 @@ def build_intra_day(da_problem: DispatchProblem, da_result,
     da_ref = {name: float(da_result.primal[i])
               for name, i in da_problem.var_index.items()
               if name.startswith("da.flow[")}
-    prog = LinearProgram()
-    _add_params(prog, "act")
-    integers: list = []
-    cost_class: dict = {}
-    _add_stage(prog, "id", config, integers, cost_class,
-               day_ahead_prices=False, storage_fees=True)
-    _add_intra_links(prog, config, cost_class, da_ref)
-    _add_balance_rows(prog, "id", config,
-                      lambda sec, t: f"act[{sec}][{t}]", include_temp=True)
-    prog.add_constant(float(da_result.objective))
-    return _finish(prog, "intra_day", config, act.reshape(-1), integers,
-                   cost_class, da_reference=da_ref)
+    tpl = _template(config, "intra_day")
+    lp = tpl.problem.milp.lp
+    link, reserve = _commitment_rhs(config, da_ref)
+    b_h0 = lp.b_h0.copy()
+    b_h0[tpl.link_rows] = list(link.values())
+    b_f0 = lp.b_f0.copy()
+    b_f0[tpl.reserve_rows] = list(reserve.values())
+    lp = replace(lp, c0=float(da_result.objective), b_f0=b_f0, b_h0=b_h0)
+    return replace(tpl.problem, config=config,
+                   milp=replace(tpl.problem.milp, lp=lp),
+                   M0=act.reshape(-1), da_reference=da_ref)
 
 
 def build_joint(forecasts, actual, config: HubConfig) -> DispatchProblem:
     fc = _check_loads(forecasts, config, "forecasts")
     act = _check_loads(actual, config, "actual loads")
-    prog = LinearProgram()
-    _add_params(prog, "fc")
-    _add_params(prog, "act")
-    integers: list = []
-    cost_class: dict = {}
-    _add_stage(prog, "da", config, integers, cost_class,
-               day_ahead_prices=True, storage_fees=False)
-    _add_stage(prog, "id", config, integers, cost_class,
-               day_ahead_prices=False, storage_fees=True)
-    _add_intra_links(prog, config, cost_class, None)
-    _add_balance_rows(prog, "da", config,
-                      lambda sec, t: f"fc[{sec}][{t}]", include_temp=False)
-    _add_balance_rows(prog, "id", config,
-                      lambda sec, t: f"act[{sec}][{t}]", include_temp=True)
-    M0 = np.concatenate([fc.reshape(-1), act.reshape(-1)])
-    return _finish(prog, "joint", config, M0, integers, cost_class)
+    return replace(_template(config, "joint").problem, config=config,
+                   M0=np.concatenate([fc.reshape(-1), act.reshape(-1)]))
 
 
 def storage_repair(problem: DispatchProblem):
@@ -445,10 +551,8 @@ def storage_repair(problem: DispatchProblem):
     The search verifies each proposal by substitution before accepting it,
     so a proposal this function gets wrong only costs one branch.
     """
-    stages = {"day_ahead": ("da",), "intra_day": ("id",),
-              "joint": ("da", "id")}[problem.stage]
     triples = []
-    for s in stages:
+    for s in _PARTS[problem.stage]:
         for store in problem.config.storages:
             for t in range(problem.config.horizon):
                 triples.append((
@@ -530,8 +634,7 @@ def verify_dispatch(problem: DispatchProblem, result, M=None,
         if amount > limit:
             violations.append((name, amount))
 
-    stages = {"day_ahead": ("da",), "intra_day": ("id",),
-              "joint": ("da", "id")}[problem.stage]
+    stages = _PARTS[problem.stage]
 
     lp = problem.milp.lp
     over = np.maximum(z - lp.ub, 0.0)
@@ -570,7 +673,7 @@ def verify_dispatch(problem: DispatchProblem, result, M=None,
                         g(f"{s}.flow[{hb.name}][{t}]")
                     record(f"{s}.ratio[{c.name}][{t}]", abs(res))
 
-        load_prefix = "fc" if s == "da" else "act"
+        load_prefix = _LOAD_PREFIX[s]
         for sector in SECTORS:
             out = config.output_for_sector(sector)
             if out is None:

@@ -344,12 +344,6 @@ class HubConfig:
 
     # lookup helpers -------------------------------------------------------
 
-    def input_by_name(self, name: str) -> InputSpec:
-        return {i.name: i for i in self.inputs}[name]
-
-    def converter_by_name(self, name: str) -> ConverterSpec:
-        return {c.name: c for c in self.converters}[name]
-
     def output_for_sector(self, sector: str) -> OutputSpec | None:
         for o in self.outputs:
             if o.sector == sector:
@@ -466,11 +460,24 @@ class HubConfig:
 
 
 def load_hub_config(path) -> HubConfig:
-    with open(Path(path)) as fh:
-        data = yaml.safe_load(fh)
+    """Read a hub YAML file. An unreadable file, bad YAML, or a misspelled
+    or missing key raises :class:`HubConfigError` naming the file."""
+    try:
+        with open(Path(path)) as fh:
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise HubConfigError(f"{path}: cannot read hub file "
+                             f"({exc.strerror})") from exc
+    except yaml.YAMLError as exc:
+        raise HubConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise HubConfigError(f"{path}: expected a mapping at top level")
-    return HubConfig.from_dict(data)
+    try:
+        return HubConfig.from_dict(data)
+    except KeyError as exc:
+        raise HubConfigError(f"{path}: missing key {exc}") from exc
+    except TypeError as exc:    # unknown or missing component fields
+        raise HubConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ Canonical form
 
 The right-hand sides are affine in a parameter vector M:
 ``b_f(M) = b_f0 + B_f M`` and ``b_h(M) = b_h0 + B_h M``; the jacobians
-``B_f = d b_f / d M`` and ``B_h = d b_h / d M`` are constant. The matrices
-``A_f``/``A_h`` never depend on M, and neither does the objective.
+``B_f = d b_f / d M`` and ``B_h = d b_h / d M`` are constant and dense. The
+matrices ``A_f``/``A_h`` never depend on M, and neither does the objective.
+They are dense arrays as :func:`to_standard_form` returns them, or scipy
+sparse matrices where a caller stores them that way (the dispatch problems
+keep theirs in CSR).
 
 Dual convention
 ---------------
@@ -30,10 +33,16 @@ smallest-index rule, fixed variable ordering and no randomization, so repeated
 solves of identical inputs are bit-identical. Intended for desk-scale
 instances; this is also the engine whose pivoting the tests pin down.
 
-``engine="highs"``: scipy.optimize.linprog (HiGHS) behind the same contract,
-with duals remapped onto the folded rows. Used for the larger dispatch
-problems where a dense tableau would be needlessly slow. Deterministic for
-identical inputs as well.
+``engine="highs"``: scipy.optimize.linprog (HiGHS) behind the same contract.
+It receives ``A_f``/``A_h`` as they are, dense or sparse, and the bounds as
+bounds; the bound duals are mapped onto the folded rows through the indices
+of the finite bounds, so no folded matrix is built. Used for the larger
+dispatch problems where a dense tableau would be needlessly slow.
+Deterministic for identical inputs as well.
+
+The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
+the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
+expands a sparse ``A_f``/``A_h``, and each of them folds first.
 
 Infeasible and unbounded problems are reported through
 :attr:`LPSolution.status`, never as exceptions.
@@ -44,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "LinearProgram",
@@ -71,10 +81,6 @@ class LPBuildError(ValueError):
 
 class LPNumericalError(RuntimeError):
     """Numerical breakdown inside a solver engine."""
-
-
-class LPEvaluationError(RuntimeError):
-    """A solve that was required to succeed came back infeasible/unbounded."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +227,15 @@ class LPStandardForm:
         finite lower bound (ascending j), then ``z_j <= ub_j`` for every
         finite upper bound (ascending j). Bound rows have zero parameter
         jacobian. ``lb_row_vars``/``ub_row_vars`` record which variable each
-        appended row constrains. Idempotent on already-folded forms.
+        appended row constrains. Idempotent on already-folded forms. The
+        folded ``A_f``/``A_h`` are dense, whatever the input held.
         """
         if self.lb_row_vars is not None:
             return self
         n = self.n_vars
         lo_idx = np.flatnonzero(np.isfinite(self.lb))
         hi_idx = np.flatnonzero(np.isfinite(self.ub))
-        rows = [self.A_f]
+        rows = [_dense(self.A_f)]
         rhs = [self.b_f0]
         names = list(self.ineq_names)
         if lo_idx.size:
@@ -252,11 +259,16 @@ class LPStandardForm:
         free = np.full(n, -np.inf), np.full(n, np.inf)
         return LPStandardForm(
             c=self.c, c0=self.c0, A_f=A_f, b_f0=b_f0, B_f=B_f,
-            A_h=self.A_h, b_h0=self.b_h0, B_h=self.B_h,
+            A_h=_dense(self.A_h), b_h0=self.b_h0, B_h=self.B_h,
             lb=free[0], ub=free[1],
             var_names=self.var_names, ineq_names=tuple(names),
             eq_names=self.eq_names, param_names=self.param_names,
             lb_row_vars=lo_idx, ub_row_vars=hi_idx)
+
+
+def _dense(a):
+    """A constraint block as a dense array."""
+    return a.toarray() if sparse.issparse(a) else a
 
 
 def to_standard_form(prog: LinearProgram) -> LPStandardForm:
@@ -490,7 +502,7 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
         lp.c,
         A_ub=lp.A_f if q else None, b_ub=lp.b_f(M) if q else None,
         A_eq=lp.A_h if m else None, b_eq=lp.b_h(M) if m else None,
-        bounds=list(zip(lp.lb, lp.ub)),
+        bounds=np.column_stack([lp.lb, lp.ub]),
         method="highs", options=dict(_HIGHS_OPTIONS))
     if res.status == 2:
         return LPSolution("infeasible", None, None, None, None, None)
@@ -499,16 +511,15 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
     if res.status != 0:
         raise LPNumericalError(f"linprog failed: {res.message}")
 
-    folded = lp.fold_bounds()
-    lam = np.zeros(folded.n_ineq)
+    # folded row order (see fold_bounds): declared rows, finite lower
+    # bounds, finite upper bounds
+    lo = np.flatnonzero(np.isfinite(lp.lb))
+    hi = np.flatnonzero(np.isfinite(lp.ub))
+    lam = np.zeros(q + lo.size + hi.size)
     if q:
-        lam[:q] = -res.ineqlin.marginals
-    n_lb = folded.lb_row_vars.size
-    if n_lb:
-        lam[q:q + n_lb] = np.maximum(res.lower.marginals[folded.lb_row_vars], 0.0)
-    if folded.ub_row_vars.size:
-        lam[q + n_lb:] = np.maximum(-res.upper.marginals[folded.ub_row_vars], 0.0)
-    lam[:q] = np.maximum(lam[:q], 0.0)
+        lam[:q] = np.maximum(-res.ineqlin.marginals, 0.0)
+    lam[q:q + lo.size] = np.maximum(res.lower.marginals[lo], 0.0)
+    lam[q + lo.size:] = np.maximum(-res.upper.marginals[hi], 0.0)
     mu = -res.eqlin.marginals if m else np.zeros(0)
     z = np.asarray(res.x, dtype=float)
     interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)

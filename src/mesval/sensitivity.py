@@ -11,7 +11,8 @@ residual map
 
 the implicit-function theorem gives ``dw/dM = -G_w^{-1} G_M``.  All bound
 constraints are folded into inequality rows before assembly so the system
-covers every active set uniformly.
+covers every active set uniformly; folding also turns a sparse ``A_f`` or
+``A_h`` into a dense one, which these dense factorizations need.
 
 The cost slope ``dC*/dM`` is available two ways, and they must agree away
 from degeneracy:
@@ -187,9 +188,8 @@ def dual_gradient_result(lp: LPStandardForm, sol: LPSolution) -> GradientResult:
     ``conditioning.cond`` is NaN.
     """
     dcost = envelope_gradient(lp, sol)
-    folded = lp.fold_bounds()
     return GradientResult(
-        dz_dM=np.zeros((folded.n_vars, folded.param_dim)),
+        dz_dM=np.zeros((lp.n_vars, lp.param_dim)),
         dcost_dM=dcost,
         conditioning=Conditioning(cond=float("nan"), regularization=0.0,
                                   degenerate=False))
@@ -200,7 +200,6 @@ def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
     """Cost slope via the implicit-function solve, dual fallback on failure."""
     if jac is None:
         jac = assemble_kkt_jacobians(lp, M, sol)
-    folded = lp.fold_bounds()
     try:
         S, cond = solution_sensitivity(jac)
     except DegenerateSolutionError as err:
@@ -211,7 +210,7 @@ def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
             conditioning=Conditioning(cond=err.cond, regularization=DAMPING,
                                       degenerate=True))
     dz = S[:jac.n]
-    return GradientResult(dz_dM=dz, dcost_dM=folded.c @ dz, conditioning=cond)
+    return GradientResult(dz_dM=dz, dcost_dM=lp.c @ dz, conditioning=cond)
 
 
 def finite_difference_gradient(lp: LPStandardForm, M: np.ndarray,

@@ -5,6 +5,7 @@ are asserted directly. The experiment fixtures use a small single-bus
 hub whose dispatches solve in milliseconds.
 """
 
+import copy
 import csv
 import subprocess
 import sys
@@ -14,10 +15,12 @@ import numpy as np
 import pytest
 import yaml
 
+from mesval.bnb import NodeLimitError
 from mesval.cli import main
 from mesval.config import fan_out
 from mesval.data import LoadSeries, load_series_csv, synth_data, \
     write_series_csv
+from mesval.lp import LPNumericalError
 from mesval.lstm import TrainingConfig, load_model, train_mse
 
 FLAT_HUB = {
@@ -123,6 +126,27 @@ def test_usage_exit_codes(tmp_path):
     assert main(["run-fto", "--config", str(tmp_path / "missing.yaml")]) == 1
     assert main(["train-e2e", "--coalition", "zz",
                  "--config", str(tmp_path / "missing.yaml")]) == 1
+
+
+def test_missing_hub_file_is_usage_error(workdir, capsys):
+    tmp, config = workdir
+    missing = tmp / "absent_hub.yaml"
+    assert main(["run-fto", "--config", str(config),
+                 "--hub", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hub: ") and "absent_hub.yaml" in err
+
+
+def test_misspelled_hub_key_is_usage_error(workdir, capsys):
+    tmp, config = workdir
+    hub = copy.deepcopy(FLAT_HUB)
+    hub["inputs"][0]["capacty_kw"] = hub["inputs"][0].pop("capacity_kw")
+    path = tmp / "typo_hub.yaml"
+    path.write_text(yaml.safe_dump(hub))
+    assert main(["run-fto", "--config", str(config),
+                 "--hub", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "typo_hub.yaml" in err and "capacty_kw" in err
 
 
 def test_bad_coalition_label_is_usage_error(workdir):
@@ -304,6 +328,23 @@ def test_unservable_day_is_infeasibility_error(workdir):
                                 source="file"), spiked)
     assert main(["run-fto", "--config", str(config),
                  "--data", str(spiked)]) == 3
+
+
+@pytest.mark.parametrize("error", [
+    NodeLimitError("node budget 100000 exhausted"),
+    LPNumericalError("linprog failed: numerical trouble"),
+], ids=["node-limit", "lp-numerical"])
+def test_solver_failure_is_exit_3(workdir, monkeypatch, capsys, error):
+    tmp, config = workdir
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("mesval.valuation.branch_and_bound", fail)
+    assert main(["run-fto", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    module = type(error).__module__.rsplit(".", 1)[-1]
+    assert err.strip() == f"{module}: {error}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ equally explicit expectations for perturbed actuals.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from mesval import dispatch
 from mesval.bnb import branch_and_bound
 from mesval.dispatch import (
     DispatchBuildError,
@@ -624,3 +627,116 @@ def _shipped(fname):
     import mesval
     from pathlib import Path
     return Path(mesval.__file__).parent / "configs" / fname
+
+
+# ---------------------------------------------------------------------------
+# templates: compiled once per hub, filled in per day
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _assert_bitwise_equal(got, want):
+    a, b = got.milp.lp, want.milp.lp
+    for field in ("c", "c0", "b_f0", "B_f", "b_h0", "B_h", "lb", "ub"):
+        assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
+    for field in ("A_f", "A_h"):
+        assert _bits(getattr(a, field).toarray()) == \
+            _bits(getattr(b, field).toarray()), field
+    for field in ("var_names", "ineq_names", "eq_names", "param_names"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("M0", "cost_day_ahead", "cost_intra", "cost_storage"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), \
+            field
+    assert dict(got.var_index) == dict(want.var_index)
+    assert got.milp.integer_vars == want.milp.integer_vars
+    assert got.param_names == want.param_names
+    assert got.stage == want.stage
+    assert got.config is want.config
+    assert got.da_reference == want.da_reference
+
+
+def _reserve_toy():
+    base = tri_toy(storage=True, grid_ru=60.0, grid_rd=60.0)
+    return dataclasses.replace(base, converters=tuple(
+        dataclasses.replace(c, reserve_up_kw=40.0, reserve_down_kw=30.0)
+        if c.name == "boiler" else c for c in base.converters))
+
+
+def _hub_day_loads(rng, hub):
+    if hub == "toy":
+        fc = toy_loads(rng)
+    else:
+        fc = np.vstack([rng.uniform(1500.0, 2500.0, 24),
+                        rng.uniform(800.0, 1600.0, 24),
+                        rng.uniform(300.0, 900.0, 24)])
+    return fc, np.maximum(fc + rng.normal(0.0, 0.05 * fc.mean(), fc.shape),
+                          0.0)
+
+
+@pytest.mark.parametrize("hub", ["toy", "hub_experiment.yaml",
+                                 "hub_showcase.yaml"])
+def test_template_builds_equal_one_off_compiles(hub):
+    cfg = _reserve_toy() if hub == "toy" else load_hub_config(_shipped(hub))
+    rng = np.random.default_rng(RNG_SEED + 18)
+    for day in range(3):
+        fc, act = _hub_day_loads(rng, hub)
+        da = build_day_ahead(fc, cfg)
+        _assert_bitwise_equal(da, dataclasses.replace(
+            dispatch._compile(cfg, "day_ahead"), M0=fc.reshape(-1)))
+        joint = build_joint(fc, act, cfg)
+        _assert_bitwise_equal(joint, dataclasses.replace(
+            dispatch._compile(cfg, "joint"),
+            M0=np.concatenate([fc.reshape(-1), act.reshape(-1)])))
+        res = solve(da)
+        assert res.status == "optimal"
+        da_ref = {name: float(res.primal[i])
+                  for name, i in da.var_index.items()
+                  if name.startswith("da.flow[")}
+        intra = build_intra_day(da, res, act)
+        if hub != "hub_experiment.yaml":    # converter reserve boxes
+            assert any(n.startswith("id.cres_dn[")
+                       for n in intra.milp.lp.ineq_names)
+        _assert_bitwise_equal(intra, dataclasses.replace(
+            dispatch._compile(cfg, "intra_day", da_ref,
+                              float(res.objective)),
+            M0=act.reshape(-1)))
+
+
+def test_repeated_builds_compile_each_stage_once(monkeypatch):
+    compiled = []
+    real = dispatch.to_standard_form
+
+    def counting(prog):
+        compiled.append(prog)
+        return real(prog)
+
+    monkeypatch.setattr(dispatch, "to_standard_form", counting)
+    cfg = tri_toy(storage=True, grid_ru=60.0, grid_rd=60.0)
+    rng = np.random.default_rng(RNG_SEED + 19)
+    for day in range(4):
+        fc, act = _hub_day_loads(rng, "toy")
+        da = build_day_ahead(fc, cfg)
+        build_intra_day(da, solve(da), act)
+        build_joint(fc, act, cfg)
+    assert len(compiled) == 3
+
+
+def test_templates_belong_to_one_config_object():
+    path = _shipped("hub_experiment.yaml")
+    a, b = load_hub_config(path), load_hub_config(path)
+    fc, _ = _hub_day_loads(np.random.default_rng(RNG_SEED + 20), "shipped")
+    pa, pb = build_day_ahead(fc, a), build_day_ahead(fc, b)
+    assert pa.config is a and pb.config is b
+    assert pb.milp is not pa.milp
+    assert build_day_ahead(fc, a).milp is pa.milp
+    with pytest.raises(ValueError):
+        pa.milp.lp.lb[0] = 1.0      # shared by every day: read-only
+    # the template goes with its config
+    gone, key = weakref.ref(b), id(b)
+    del pb, b
+    gc.collect()
+    assert gone() is None
+    assert key not in dispatch._TEMPLATES

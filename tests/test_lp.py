@@ -14,8 +14,11 @@ mathematical definition (enumerate active sets, solve, filter feasible,
 take the best) and shares no code with the solver under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from _util import folded_arrays, oracle_min_objective, random_box_lp
 from mesval.lp import (
@@ -283,6 +286,45 @@ def test_highs_engine_agrees_with_bland():
         assert a.status == b.status == "optimal"
         assert abs(a.objective - b.objective) < 1e-8 * (1 + abs(a.objective))
         assert check_kkt(lp, M0, b).ok, f"trial {trial}"
+
+
+def test_engines_agree_on_folded_and_unfolded_forms():
+    # a folded form has no bounds left, so its duals are its own rows
+    rng = np.random.default_rng(RNG_SEED + 4)
+    for trial in range(10):
+        prog, M0 = random_box_lp(rng, 3, 3, 1, 2)
+        lp = to_standard_form(prog)
+        sols = [solve_lp(form, M0, engine=engine)
+                for form in (lp, lp.fold_bounds())
+                for engine in ("bland", "highs")]
+        ref = sols[0]
+        assert all(s.status == "optimal" for s in sols), f"trial {trial}"
+        for s in sols[1:]:
+            assert abs(s.objective - ref.objective) < \
+                1e-8 * (1 + abs(ref.objective))
+            assert s.ineq_duals.shape == ref.ineq_duals.shape
+            assert s.eq_duals.shape == ref.eq_duals.shape
+
+
+def test_sparse_constraint_matrices_solve_like_dense():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    prog, M0 = random_box_lp(rng, 4, 3, 1, 2)
+    lp = to_standard_form(prog)
+    sp = replace(lp, A_f=sparse.csr_array(lp.A_f),
+                 A_h=sparse.csr_array(lp.A_h))
+    for engine in ("bland", "highs"):
+        a = solve_lp(lp, M0, engine=engine)
+        b = solve_lp(sp, M0, engine=engine)
+        assert a.status == b.status == "optimal"
+        assert a.objective == b.objective
+        for got, want in ((b.primal, a.primal), (b.ineq_duals, a.ineq_duals),
+                          (b.eq_duals, a.eq_duals)):
+            np.testing.assert_array_equal(got, want)
+        assert check_kkt(sp, M0, b).ok
+    folded = sp.fold_bounds()
+    assert isinstance(folded.A_f, np.ndarray)
+    np.testing.assert_array_equal(folded.A_f, lp.fold_bounds().A_f)
+    np.testing.assert_array_equal(folded.A_h, lp.A_h)
 
 
 def test_highs_statuses():
