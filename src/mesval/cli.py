@@ -16,23 +16,20 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-import yaml
-
 from .batteries import run_all_batteries
 from .bnb import NodeLimitError
-from .config import (ConfigError, ExperimentConfig, dataset_from_config,
-                     experiment_config_from_dict, fan_out, series_from_config,
-                     split_dataset)
-from .data import DataError, write_series_csv
+from .config import (ConfigError, ExperimentConfig,
+                     experiment_config_from_dict, read_config_file,
+                     series_from_config, split_dataset)
+from .data import DataError, DayDataset, write_series_csv
 from .dispatch import DispatchBuildError, verify_dispatch
 from .hub import SECTORS, HubConfigError, load_hub_config
 from .lp import LPNumericalError
-from .lstm import ForecastError, save_model, train_mse
+from .lstm import ForecastError, save_model
 from .valuation import (LETTERS, DispatchInfeasible, ValuationError,
                         allocation_rows, coalition_label, coalition_value,
                         evaluate_cost, full_valuation, ledger_rows,
-                        parse_coalition, sector_metrics, subsets_in_order,
+                        parse_coalition, sector_metrics, train_base_models,
                         train_end_to_end)
 
 __all__ = ["main"]
@@ -123,18 +120,8 @@ def _config_from_args(args) -> ExperimentConfig:
     raw = {}
     base_dir = Path(".")
     if args.config is not None:
-        path = Path(args.config)
-        try:
-            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"bad YAML in {path}: {exc}") from exc
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path} does not hold a mapping")
-        base_dir = path.resolve().parent
+        raw = read_config_file(args.config)
+        base_dir = Path(args.config).resolve().parent
     overrides = {
         "seed": args.seed, "hub": args.hub, "mode": args.mode,
         "engine": args.engine, "data_csv": args.data,
@@ -144,28 +131,16 @@ def _config_from_args(args) -> ExperimentConfig:
     for key, val in overrides.items():
         if val is not None:
             raw[key] = val
-    if "seed" not in raw:
-        raw["seed"] = 0
+    raw.setdefault("seed", 0)
     return experiment_config_from_dict(raw, base_dir)
 
 
 def _experiment_inputs(config: ExperimentConfig):
     series = series_from_config(config)
-    ds = dataset_from_config(config)
-    hub = load_hub_config(config.hub_path())
+    ds = DayDataset.from_series(series)
     train, test = split_dataset(ds, config)
+    hub = load_hub_config(config.hub_path())
     return series, ds, train, test, hub
-
-
-def _train_base_models(config: ExperimentConfig, train):
-    seeds = fan_out(config.seed)
-    models, traces = {}, {}
-    for i, sector in enumerate(SECTORS):
-        model, trace = train_mse(train.loads[:, i, :], train.dows,
-                                 config.training, seed=seeds.sectors[i])
-        models[sector] = model
-        traces[sector] = trace
-    return models, traces
 
 
 def _month_of(series, absolute_day: int) -> str:
@@ -202,7 +177,7 @@ def cmd_train_base(args) -> int:
     config = _config_from_args(args)
     _, _, train, test, hub = _experiment_inputs(config)
     out = _out_dir(config.output_dir)
-    models, traces = _train_base_models(config, train)
+    models, traces = train_base_models(train, config)
     trace_rows = []
     for sector in SECTORS:
         for epoch, loss in enumerate(traces[sector]):
@@ -227,7 +202,7 @@ def cmd_run_fto(args) -> int:
     config = _config_from_args(args)
     series, _, train, test, hub = _experiment_inputs(config)
     out = _out_dir(config.output_dir)
-    models, _ = _train_base_models(config, train)
+    models, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
     total = evaluate_cost(models, test, hub, config.mode, config.engine,
                           on_dispatch=monitor)
@@ -264,7 +239,7 @@ def cmd_train_e2e(args) -> int:
     label = coalition_label(U)
     _, _, train, test, hub = _experiment_inputs(config)
     out = _out_dir(config.output_dir)
-    base, _ = _train_base_models(config, train)
+    base, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
     trained = train_end_to_end(U, base, train, hub, config.training,
                                mode=config.mode, engine=config.engine,
@@ -347,7 +322,7 @@ def cmd_metrics(args) -> int:
     config = _config_from_args(args)
     _, _, train, test, hub = _experiment_inputs(config)
     out = _out_dir(config.output_dir)
-    base, _ = _train_base_models(config, train)
+    base, _ = train_base_models(train, config)
     trained = train_end_to_end(frozenset(LETTERS), base, train, hub,
                                config.training, mode=config.mode,
                                engine=config.engine)

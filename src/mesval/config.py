@@ -79,17 +79,26 @@ class ExperimentConfig:
         return self.train_days + self.test_days
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def read_config_file(path) -> dict:
+    """The mapping a YAML config file holds; an empty file holds {}."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+        raise ConfigError(f"bad YAML in {path}: {exc}") from exc
+    if raw is None:
+        return {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must hold a mapping")
-    return experiment_config_from_dict(raw, base_dir=path.parent)
+        raise ConfigError(f"{path} does not hold a mapping")
+    return raw
+
+
+def load_experiment_config(path) -> ExperimentConfig:
+    path = Path(path)
+    return experiment_config_from_dict(read_config_file(path),
+                                       base_dir=path.parent)
 
 
 def experiment_config_from_dict(raw: dict,

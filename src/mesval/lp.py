@@ -168,9 +168,6 @@ class LinearProgram:
     def param_dim(self) -> int:
         return len(self._params)
 
-    def var_id(self, name: str) -> int:
-        return self._var_index[name]
-
 
 # ---------------------------------------------------------------------------
 # canonical form

@@ -17,6 +17,14 @@ Two training paths share the same unrolled network:
 
 The backward pass is exact reverse-mode differentiation of the unrolled
 cell; clamped forecast slots contribute zero gradient.
+
+The four gates share one stacked layout, as in PyTorch's ``nn.LSTM``:
+``W_x`` is ``(4, H, D)``, ``W_h`` is ``(4, H, H)`` and ``b`` is ``(4, H)``,
+row ``k`` of each belonging to gate ``GATES[k]`` (forget, input, output,
+candidate). Raveled in field order this is the order of the saved
+``flat`` payload, which format version 1 wrote one gate array at a time
+(input weights gate by gate, then recurrent weights, then biases, then
+the head), so those files load unchanged.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from scipy.special import expit as _sigmoid
 
 HORIZON = 24
 FEATURES = ("load", "sin_hour", "cos_hour", "sin_dow", "cos_dow")
+GATES = ("forget", "input", "output", "candidate")
 FORMAT_VERSION = 1
 
 
@@ -85,24 +94,15 @@ def fit_normalization(values: np.ndarray) -> Normalization:
 class LstmParams:
     """All weights of the network; also reused as the gradient container."""
 
-    W_xf: np.ndarray
-    W_xi: np.ndarray
-    W_xo: np.ndarray
-    W_xg: np.ndarray
-    W_hf: np.ndarray
-    W_hi: np.ndarray
-    W_ho: np.ndarray
-    W_hg: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    W_x: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
     W_out: np.ndarray
     b_out: np.ndarray
 
     def __post_init__(self):
-        H = self.b_f.shape[0] if self.b_f.ndim == 1 else -1
-        D = self.W_xf.shape[1] if self.W_xf.ndim == 2 else -1
+        H = self.b.shape[1] if self.b.ndim == 2 else -1
+        D = self.W_x.shape[2] if self.W_x.ndim == 3 else -1
         T = self.b_out.shape[0] if self.b_out.ndim == 1 else -1
         want = _field_shapes(H, D, T)
         for name in self.field_names():
@@ -120,11 +120,11 @@ class LstmParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.b_f.shape[0]
+        return self.b.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_xf.shape[1]
+        return self.W_x.shape[2]
 
     @property
     def horizon(self) -> int:
@@ -132,15 +132,9 @@ class LstmParams:
 
 
 def _field_shapes(hidden: int, input_dim: int, horizon: int) -> dict:
-    gate_x = (hidden, input_dim)
-    gate_h = (hidden, hidden)
-    bias = (hidden,)
-    return {
-        "W_xf": gate_x, "W_xi": gate_x, "W_xo": gate_x, "W_xg": gate_x,
-        "W_hf": gate_h, "W_hi": gate_h, "W_ho": gate_h, "W_hg": gate_h,
-        "b_f": bias, "b_i": bias, "b_o": bias, "b_g": bias,
-        "W_out": (horizon, hidden), "b_out": (horizon,),
-    }
+    n = len(GATES)
+    return {"W_x": (n, hidden, input_dim), "W_h": (n, hidden, hidden),
+            "b": (n, hidden), "W_out": (horizon, hidden), "b_out": (horizon,)}
 
 
 def init_params(seed: int, hidden_size: int = 32,
@@ -177,19 +171,20 @@ def lstm_cell_forward(x: np.ndarray, state: LstmState,
         raise ForecastError(f"state shape {state.h.shape}/{state.c.shape} "
                             f"does not match hidden size "
                             f"({params.hidden_size},)")
-    f, i, o, g, c, tc, h = _step(params, x, state.h, state.c)
+    _, c, _, h = _step(params, x, state.h, state.c)
     new = LstmState(h=h, c=c)
     return new, h.copy()
 
 
 def _step(params, x, h_prev, c_prev):
-    f = _sigmoid(params.W_xf @ x + params.W_hf @ h_prev + params.b_f)
-    i = _sigmoid(params.W_xi @ x + params.W_hi @ h_prev + params.b_i)
-    o = _sigmoid(params.W_xo @ x + params.W_ho @ h_prev + params.b_o)
-    g = np.tanh(params.W_xg @ x + params.W_hg @ h_prev + params.b_g)
+    """Stacked gate activations (rows in GATES order), c, tanh(c) and h."""
+    z = params.W_x @ x + params.W_h @ h_prev + params.b
+    z[:3] = _sigmoid(z[:3])
+    z[3] = np.tanh(z[3])
+    f, i, o, g = z
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    return f, i, o, g, c, tc, o * tc
+    return z, c, tc, o * tc
 
 
 def _unroll(params: LstmParams, window: np.ndarray):
@@ -200,8 +195,8 @@ def _unroll(params: LstmParams, window: np.ndarray):
     steps = []
     for t in range(window.shape[0]):
         x = window[t]
-        f, i, o, g, c_new, tc, h_new = _step(params, x, h, c)
-        steps.append((x, f, i, o, g, c, tc, h))
+        z, c_new, tc, h_new = _step(params, x, h, c)
+        steps.append((x, z, c, tc, h))
         h, c = h_new, c_new
     out = params.W_out @ h + params.b_out
     return steps, h, out
@@ -266,35 +261,30 @@ def backward_day(model: ForecastModel, window: np.ndarray,
 
 def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
     """Reverse-mode sweep from a gradient at the (normalized) head output."""
-    g_acc = {name: np.zeros_like(getattr(params, name))
-             for name in params.field_names()}
-    g_acc["W_out"] = np.outer(dout, h_final)
-    g_acc["b_out"] = dout.copy()
+    g_x = np.zeros_like(params.W_x)
+    g_h = np.zeros_like(params.W_h)
+    g_b = np.zeros_like(params.b)
+    W_hT = params.W_h.transpose(0, 2, 1)
     dh = params.W_out.T @ dout
     dc = np.zeros(params.hidden_size)
-    for x, f, i, o, g, c_prev, tc, h_prev in reversed(steps):
-        do = dh * tc
+    for x, z, c_prev, tc, h_prev in reversed(steps):
+        f, i, o, g = z
         dc = dc + dh * o * (1.0 - tc * tc)
-        daf = dc * c_prev * f * (1.0 - f)
-        dai = dc * g * i * (1.0 - i)
-        dag = dc * i * (1.0 - g * g)
-        dao = do * o * (1.0 - o)
-        g_acc["W_xf"] += np.outer(daf, x)
-        g_acc["W_xi"] += np.outer(dai, x)
-        g_acc["W_xo"] += np.outer(dao, x)
-        g_acc["W_xg"] += np.outer(dag, x)
-        g_acc["W_hf"] += np.outer(daf, h_prev)
-        g_acc["W_hi"] += np.outer(dai, h_prev)
-        g_acc["W_ho"] += np.outer(dao, h_prev)
-        g_acc["W_hg"] += np.outer(dag, h_prev)
-        g_acc["b_f"] += daf
-        g_acc["b_i"] += dai
-        g_acc["b_o"] += dao
-        g_acc["b_g"] += dag
-        dh = (params.W_hf.T @ daf + params.W_hi.T @ dai
-              + params.W_ho.T @ dao + params.W_hg.T @ dag)
+        # gradient at the gate outputs, then through sigmoid' = s (1 - s)
+        # for forget, input and output and tanh' = 1 - g^2 for the candidate
+        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i])
+        da[:3] *= z[:3]
+        da[:3] *= 1.0 - z[:3]
+        da[3] *= 1.0 - g * g
+        g_x += da[:, :, None] * x
+        g_h += da[:, :, None] * h_prev
+        g_b += da
+        # one product per gate, summed in gate order: a single 4H-term
+        # product would reorder the sum and move the last bits
+        dh = (W_hT @ da[:, :, None])[:, :, 0].sum(axis=0)
         dc = dc * f
-    return g_acc
+    return {"W_x": g_x, "W_h": g_h, "b": g_b,
+            "W_out": np.outer(dout, h_final), "b_out": dout.copy()}
 
 
 def apply_external_gradient(model: ForecastModel, dloss_dforecast: np.ndarray,
@@ -356,8 +346,6 @@ class TrainingConfig:
     e2e_lr: float = 1e-6
     window: int = HORIZON
     hidden_size: int = 32
-    features: tuple = FEATURES
-    normalization: Optional[Normalization] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0.0):
@@ -391,7 +379,7 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
         raise ForecastError("need at least two days to form one "
                             "window/target pair")
 
-    norm = config.normalization or fit_normalization(loads)
+    norm = fit_normalization(loads)
     windows = [build_window(loads[d - 1], int(dows[d - 1]), norm,
                             config.window)
                for d in range(1, loads.shape[0])]

@@ -52,6 +52,7 @@ __all__ = [
     "parse_coalition",
     "sector_metrics",
     "subsets_in_order",
+    "train_base_models",
     "train_end_to_end",
     "zero_shapley",
 ]
@@ -231,33 +232,26 @@ def _check_models(models) -> None:
         raise ValuationError(f"models missing for sectors: {missing}")
 
 
+def _solve_stage(prob, engine, day, stage, on_dispatch):
+    res = branch_and_bound(prob.milp, prob.M0, engine=engine,
+                           round_repair=storage_repair(prob))
+    if res.status != "optimal":
+        raise DispatchInfeasible(f"day {day}: {stage} is {res.status}")
+    if on_dispatch is not None:
+        on_dispatch(day, prob, res)
+    return res
+
+
 def _dispatch_day(fc, act, hub, mode, engine, day, on_dispatch) -> float:
     if mode == "joint":
-        prob = build_joint(fc, act, hub)
-        res = branch_and_bound(prob.milp, prob.M0, engine=engine,
-                               round_repair=storage_repair(prob))
-        if res.status != "optimal":
-            raise DispatchInfeasible(f"day {day}: joint dispatch is "
-                                     f"{res.status}")
-        if on_dispatch is not None:
-            on_dispatch(day, prob, res)
+        res = _solve_stage(build_joint(fc, act, hub), engine, day,
+                           "joint dispatch", on_dispatch)
         return float(res.objective)
     da = build_day_ahead(fc, hub)
-    res_da = branch_and_bound(da.milp, da.M0, engine=engine,
-                              round_repair=storage_repair(da))
-    if res_da.status != "optimal":
-        raise DispatchInfeasible(f"day {day}: day-ahead commitment is "
-                                 f"{res_da.status}")
-    if on_dispatch is not None:
-        on_dispatch(day, da, res_da)
-    intra = build_intra_day(da, res_da, act)
-    res_id = branch_and_bound(intra.milp, intra.M0, engine=engine,
-                              round_repair=storage_repair(intra))
-    if res_id.status != "optimal":
-        raise DispatchInfeasible(f"day {day}: intra-day recourse is "
-                                 f"{res_id.status}")
-    if on_dispatch is not None:
-        on_dispatch(day, intra, res_id)
+    res_da = _solve_stage(da, engine, day, "day-ahead commitment",
+                          on_dispatch)
+    res_id = _solve_stage(build_intra_day(da, res_da, act), engine, day,
+                          "intra-day recourse", on_dispatch)
     # the recourse objective carries the commitment cost as its constant
     return float(res_id.objective)
 
@@ -305,8 +299,19 @@ def sector_metrics(models, dataset: DayDataset) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# coalition training
+# training
 # ---------------------------------------------------------------------------
+
+def train_base_models(train: DayDataset, config: ExperimentConfig) -> tuple:
+    """Per-sector benchmark forecasters on squared error and their
+    per-epoch loss traces, each sector seeded from the config seed."""
+    seeds = fan_out(config.seed).sectors
+    models, traces = {}, {}
+    for i, sector in enumerate(SECTORS):
+        models[sector], traces[sector] = train_mse(
+            train.loads[:, i, :], train.dows, config.training, seed=seeds[i])
+    return models, traces
+
 
 def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                      hub: HubConfig, training, mode: str = "sequential",
@@ -413,12 +418,7 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
     if hub is None:
         hub = load_hub_config(config.hub_path())
     train, test = split_dataset(dataset, config)
-    seeds = fan_out(config.seed)
-    base = {}
-    for i, sector in enumerate(SECTORS):
-        model, _ = train_mse(train.loads[:, i, :], train.dows,
-                             config.training, seed=seeds.sectors[i])
-        base[sector] = model
+    base, _ = train_base_models(train, config)
 
     costs = {}
     coalition_models = {}

@@ -20,15 +20,15 @@ from mesval.batteries import (bptt_battery, equivalence_battery,
                               lp_gradient_battery, milp_optimality_battery)
 from mesval.bnb import branch_and_bound
 from mesval.cli import DispatchMonitor
-from mesval.config import (ExperimentConfig, dataset_from_config, fan_out,
+from mesval.config import (ExperimentConfig, dataset_from_config,
                            split_dataset)
 from mesval.dispatch import build_joint, storage_repair
 from mesval.hub import SECTORS, load_hub_config
-from mesval.lstm import train_mse
 from mesval.valuation import (LETTERS, ORACLE_FORECASTS, evaluate_cost,
                               normalize_allocation, parse_coalition,
                               sector_metrics, subsets_in_order,
-                              train_end_to_end, zero_shapley)
+                              train_base_models, train_end_to_end,
+                              zero_shapley)
 
 # held-out coalition costs and savings from the reference experiment, CNY/1e3
 PUBLISHED_COSTS = {
@@ -152,13 +152,8 @@ def _run_seed(seed):
     train, test = split_dataset(ds, config)
     hub = load_hub_config(config.hub_path())
     monitor = DispatchMonitor()
-    seeds = fan_out(seed)
 
-    base = {}
-    for i, sector in enumerate(SECTORS):
-        model, _ = train_mse(train.loads[:, i, :], train.dows,
-                             config.training, seed=seeds.sectors[i])
-        base[sector] = model
+    base, _ = train_base_models(train, config)
     coop = train_end_to_end(frozenset(LETTERS), base, train, hub,
                             config.training, mode=config.mode,
                             engine=config.engine, on_dispatch=monitor)
@@ -167,14 +162,16 @@ def _run_seed(seed):
         return evaluate_cost(models, split, hub, mode, config.engine,
                              monitor)
 
+    base_scores = sector_metrics(base, test)
+    coop_scores = sector_metrics(coop, test)
     return SeedRun(
         seed=seed,
         base_train=cost(base, train), base_test=cost(base, test),
         coop_train=cost(coop, train), coop_test=cost(coop, test),
         ideal_train=cost(ORACLE_FORECASTS, train, mode="joint"),
         ideal_test=cost(ORACLE_FORECASTS, test, mode="joint"),
-        base_mape={s: sector_metrics(base, test)[s][2] for s in SECTORS},
-        coop_mape={s: sector_metrics(coop, test)[s][2] for s in SECTORS},
+        base_mape={s: base_scores[s][2] for s in SECTORS},
+        coop_mape={s: coop_scores[s][2] for s in SECTORS},
         monitor=monitor)
 
 

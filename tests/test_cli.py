@@ -7,6 +7,7 @@ hub whose dispatches solve in milliseconds.
 
 import copy
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
+import mesval
 from mesval.bnb import NodeLimitError
 from mesval.cli import main
 from mesval.config import fan_out
@@ -149,6 +151,30 @@ def test_misspelled_hub_key_is_usage_error(workdir, capsys):
     assert "typo_hub.yaml" in err and "capacty_kw" in err
 
 
+def test_list_valued_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "listed.yaml"
+    path.write_text("- seed: 1\n- train_days: 3\n")
+    assert main(["train-base", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "listed.yaml" in err
+
+
+def test_empty_config_reads_as_defaults_under_the_flags(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    # the flags layer over the empty mapping before validation
+    assert main(["train-base", "--config", str(path),
+                 "--train-days", "1"]) == 1
+    assert "train_days" in capsys.readouterr().err
+    # with a valid split the run takes the default seed 0 and training
+    assert main(["train-base", "--config", str(path), "--train-days", "2",
+                 "--test-days", "1", "--out", str(tmp_path / "out")]) == 0
+    trace = read_rows(tmp_path / "out" / "training_trace.csv")
+    assert len(trace) == 1 + 3 * TrainingConfig().mse_epochs
+    assert load_model(tmp_path / "out" / "model_base_heat.npz").seed == \
+        fan_out(0).sectors[1]
+
+
 def test_bad_coalition_label_is_usage_error(workdir):
     tmp, config = workdir
     assert main(["train-e2e", "--coalition", "xq",
@@ -198,6 +224,19 @@ def test_run_fto_monthly_report_conserves_total(workdir):
     total = float(line.split(":")[1].split()[0])
     assert total_from_months == pytest.approx(total, abs=1e-6)
     assert total > 0.0
+
+
+def test_run_fto_synthesizes_the_series_once(workdir, monkeypatch):
+    tmp, config = workdir
+    calls = []
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return synth_data(**kwargs)
+
+    monkeypatch.setattr("mesval.config.synth_data", counted)
+    assert main(["run-fto", "--config", str(config)]) == 0
+    assert calls == [{"seed": fan_out(7).synth, "days": 5}]
 
 
 def test_run_fto_is_byte_reproducible(workdir):
@@ -366,7 +405,12 @@ def test_gradcheck_quick_passes(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_module_invocation():
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(mesval.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "mesval", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "valuate" in proc.stdout

@@ -102,3 +102,21 @@ def test_split_rejects_short_dataset():
     short = DayDataset(loads=np.ones((5, 3, 24)), dows=np.zeros(5, dtype=int))
     with pytest.raises(ConfigError, match="5 days"):
         split_dataset(short, cfg)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "seed"),                       # an empty file holds no seed
+    ("- seed: 1\n", "mapping"),
+    ("seed: [1\n", "YAML"),
+], ids=["empty", "list", "bad-yaml"])
+def test_unusable_config_files_raise_config_error(tmp_path, text, match):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match) as info:
+        load_experiment_config(path)
+    assert text == "" or "exp.yaml" in str(info.value)
+
+
+def test_unreadable_config_file_names_the_file(tmp_path):
+    with pytest.raises(ConfigError, match="absent.yaml"):
+        load_experiment_config(tmp_path / "absent.yaml")

@@ -44,11 +44,8 @@ RNG_SEED = 77031
 def zero_params(hidden, input_dim, horizon=24):
     H, D = hidden, input_dim
     z = np.zeros
-    return LstmParams(
-        W_xf=z((H, D)), W_xi=z((H, D)), W_xo=z((H, D)), W_xg=z((H, D)),
-        W_hf=z((H, H)), W_hi=z((H, H)), W_ho=z((H, H)), W_hg=z((H, H)),
-        b_f=z(H), b_i=z(H), b_o=z(H), b_g=z(H),
-        W_out=z((horizon, H)), b_out=z(horizon))
+    return LstmParams(W_x=z((4, H, D)), W_h=z((4, H, H)), b=z((4, H)),
+                      W_out=z((horizon, H)), b_out=z(horizon))
 
 
 def identity_model(params, window=24):
@@ -58,16 +55,19 @@ def identity_model(params, window=24):
 
 def reference_forward(window, params, norm):
     """Naive unrolled forward pass, straight off the cell equations."""
-    H = params.b_f.shape[0]
+    W_xf, W_xi, W_xo, W_xg = params.W_x
+    W_hf, W_hi, W_ho, W_hg = params.W_h
+    b_f, b_i, b_o, b_g = params.b
+    H = b_f.shape[0]
     h = np.zeros(H)
     c = np.zeros(H)
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
     for t in range(window.shape[0]):
         x = window[t]
-        f = sig(params.W_xf @ x + params.W_hf @ h + params.b_f)
-        i = sig(params.W_xi @ x + params.W_hi @ h + params.b_i)
-        o = sig(params.W_xo @ x + params.W_ho @ h + params.b_o)
-        g = np.tanh(params.W_xg @ x + params.W_hg @ h + params.b_g)
+        f = sig(W_xf @ x + W_hf @ h + b_f)
+        i = sig(W_xi @ x + W_hi @ h + b_i)
+        o = sig(W_xo @ x + W_ho @ h + b_o)
+        g = np.tanh(W_xg @ x + W_hg @ h + b_g)
         c = f * c + i * g
         h = o * np.tanh(c)
     out = params.W_out @ h + params.b_out
@@ -100,7 +100,9 @@ def test_cell_zero_weights_carries_half_the_memory():
 
 
 def test_cell_saturated_forget_gate_keeps_memory():
-    p = dataclasses.replace(zero_params(2, 2), b_f=np.full(2, 40.0))
+    b = np.zeros((4, 2))
+    b[0] = 40.0                             # forget gate bias
+    p = dataclasses.replace(zero_params(2, 2), b=b)
     state = LstmState(h=np.zeros(2), c=np.array([2.0, -1.0]))
     new, _ = lstm_cell_forward(np.zeros(2), state, p)
     # forget ~ 1, input 0.5, candidate 0: c ~ c_prev exactly
@@ -300,7 +302,7 @@ def test_apply_external_gradient_single_slot_sparsity():
     assert db[7] != 0.0
     np.testing.assert_allclose(np.delete(db, 7), 0.0, atol=0)
     # recurrent parameters are shared by every slot, so they may all move
-    assert np.any(stepped.params.W_xg != model.params.W_xg)
+    assert np.any(stepped.params.W_x[3] != model.params.W_x[3])
 
 
 def test_apply_external_gradient_zero_cases():
@@ -338,7 +340,6 @@ def test_training_config_validation():
     cfg = TrainingConfig()
     assert cfg.lr == 1e-3 and cfg.mse_epochs == 50 and cfg.e2e_epochs == 5
     assert cfg.window == 24 and cfg.hidden_size == 32
-    assert cfg.features == FEATURES
     with pytest.raises(ForecastError, match="lr"):
         TrainingConfig(lr=0.0)
     with pytest.raises(ForecastError, match="window"):
@@ -481,6 +482,67 @@ def test_save_load_roundtrip(tmp_path):
     window = build_window(loads[0], 0, model.norm)
     np.testing.assert_array_equal(forward_day(back, window),
                                   forward_day(model, window))
+
+
+# format version 1 as first written: one array per gate, in this order
+V1_GATES = "fiog"                       # forget, input, output, candidate
+
+
+def v1_shapes(hidden, input_dim, horizon):
+    H, D = hidden, input_dim
+    return {**{f"W_x{k}": (H, D) for k in V1_GATES},
+            **{f"W_h{k}": (H, H) for k in V1_GATES},
+            **{f"b_{k}": (H,) for k in V1_GATES},
+            "W_out": (horizon, H), "b_out": (horizon,)}
+
+
+def v1_arrays(params):
+    """The stacked parameters under their v1 per-gate names."""
+    out = {}
+    for k, gate in enumerate(V1_GATES):
+        out[f"W_x{gate}"] = params.W_x[k]
+        out[f"W_h{gate}"] = params.W_h[k]
+        out[f"b_{gate}"] = params.b[k]
+    out["W_out"] = params.W_out
+    out["b_out"] = params.b_out
+    return out
+
+
+def test_v1_payload_loads_each_gate_into_its_slot(tmp_path):
+    H, D, T = 3, len(FEATURES), 24
+    shapes = v1_shapes(H, D, T)
+    # distinct values per gate and per element: field index plus a ramp
+    v1 = {name: n + 0.001 * np.arange(np.prod(shape)).reshape(shape)
+          for n, (name, shape) in enumerate(shapes.items())}
+    path = tmp_path / "v1.npz"
+    np.savez(path, format_version=np.array(1),
+             flat=np.concatenate([v1[name].ravel() for name in shapes]),
+             hidden_size=np.array(H), input_dim=np.array(D),
+             horizon=np.array(T), window=np.array(24), seed=np.array(5),
+             norm_lo=np.array(10.0), norm_hi=np.array(90.0))
+    model = load_model(path)
+    np.testing.assert_array_equal(model.params.b[0], v1["b_f"])
+    np.testing.assert_array_equal(model.params.W_h[3], v1["W_hg"])
+    np.testing.assert_array_equal(model.params.W_x[2], v1["W_xo"])
+    got = v1_arrays(model.params)
+    for name in shapes:
+        np.testing.assert_array_equal(got[name], v1[name], err_msg=name)
+    # and the model writes the same payload back
+    save_model(model, tmp_path / "again.npz")
+    with np.load(path) as first, np.load(tmp_path / "again.npz") as again:
+        np.testing.assert_array_equal(again["flat"], first["flat"])
+        assert int(again["format_version"]) == 1
+
+
+def test_init_draws_in_v1_gate_order():
+    seed, H = 2024, 6
+    rng = np.random.default_rng(seed)
+    lim = 1.0 / math.sqrt(H)
+    want = {name: rng.uniform(-lim, lim, shape)
+            for name, shape in v1_shapes(H, len(FEATURES), 24).items()}
+    got = v1_arrays(init_params(seed, hidden_size=H))
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 def test_load_rejects_wrong_version(tmp_path):
