@@ -13,19 +13,19 @@ Search rules, all deliberately plain:
     finite without any extra termination argument.
 
 ``round_repair`` adds one shortcut on top of those rules: before branching
-a fractional node, propose an integral point and test it against the node's
-own constraints by direct substitution. If it is feasible and costs no more
+a fractional node, a callable ``(node_lp, M, sol, int_idx) -> point or
+None`` proposes an integral point, which is tested against the node's own
+constraints by direct substitution. If it is feasible and costs no more
 than the relaxation bound (within a machine tie window), the node is closed
 with the proposed point as an incumbent instead of being split. Scheduling
 models whose exclusivity binaries carry no objective weight sit on flat LP
 plateaus where vertices report fractional binaries; without the repair the
-search grinds through thousands of equal-cost nodes. ``True`` proposes the
-nearest-integer rounding; a callable ``(node_lp, M, sol, int_idx) -> point
-or None`` supplies a problem-aware proposal instead (for example netting a
-storage unit's simultaneous charge and discharge before picking the binary
-side). Either way acceptance is decided only by the verification, so a bad
-proposal costs one branch and the returned optimum is unchanged; only the
-node trace differs. Off by default to keep the plain search rules.
+search grinds through thousands of equal-cost nodes. A problem-aware
+proposal (for example netting a storage unit's simultaneous charge and
+discharge before picking the binary side) closes such nodes at once.
+Acceptance is decided only by the verification, so a bad proposal costs
+one branch and the returned optimum is unchanged; only the node trace
+differs. Off (``False``) by default to keep the plain search rules.
 
 A node whose relaxation is unbounded makes the whole problem report
 ``unbounded`` without certifying that an integer point realizes the ray;
@@ -34,14 +34,14 @@ only arises on malformed inputs.
 
 Gradients: the optimal cost inherits the winning node's LP geometry, so its
 parameter slope is obtained by differentiating that node's relaxation with
-the branching bounds pinned. Two equivalent routes are provided and tested
-against each other: :func:`backward_optimal_subproblem` re-solves the winning
-node after the search, while :func:`embedded_gradient` differentiates each
-new incumbent during the search and keeps the last. The search is
-deterministic, so both differentiate the same LP at the same point. Both
-take a ``method``: "kkt" solves the implicit system (primal sensitivities
-included), "envelope" takes the dual slope only, and "auto" picks "kkt"
-while the folded system stays small enough to factor comfortably.
+the branching bounds pinned. The search returns the winner's own relaxation
+solution (``MILPResult.relaxation``), and :func:`embedded_gradient`
+differentiates it once the search ends. :func:`backward_optimal_subproblem`
+re-solves the winning node instead; the search is deterministic, so both
+routes differentiate the same LP at the same point, and the batteries test
+them against each other. A folded system of at most ``KKT_AUTO_LIMIT`` rows
+is differentiated by the implicit-function solve (primal sensitivities
+included); a larger one takes the dual (envelope) slope only.
 
 :func:`enumerate_integer_assignments` is the brute-force reference used by
 the acceptance battery: it pins every integer assignment in lexicographic
@@ -56,13 +56,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPStandardForm, solve_lp
+from .lp import LPSolution, LPStandardForm, solve_lp
 from .sensitivity import GradientResult, cost_gradient, dual_gradient_result
 
 INT_TOL = 1e-6
 MAX_NODES = 100_000
 MAX_ASSIGNMENTS = 1 << 20
-KKT_AUTO_LIMIT = 600      # folded system rows beyond which auto -> envelope
+KKT_AUTO_LIMIT = 600      # folded system rows above which: envelope only
 
 
 class MILPBuildError(ValueError):
@@ -116,6 +116,7 @@ class MILPResult:
     node_count: int
     trail: tuple[BranchStep, ...] | None       # path of the winning node
     subproblem: LPStandardForm | None = None   # winning node's relaxation
+    relaxation: LPSolution | None = None       # that relaxation's solution
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,6 @@ def subproblem_for_trail(problem: MILPProblem,
         else:
             raise ValueError(f"unknown branch side {step.side!r}")
     return replace(problem.lp, lb=lb, ub=ub)
-
-
-def nearest_integer_point(node_lp, M, sol, int_idx):
-    """Default repair proposal: round the integer variables in place."""
-    ints = np.asarray(int_idx, dtype=int)
-    z = sol.primal.copy()
-    z[ints] = np.clip(np.round(z[ints]), node_lp.lb[ints], node_lp.ub[ints])
-    return z
 
 
 def _verified_point(node_lp, M, sol, z, int_idx, int_tol):
@@ -183,14 +176,12 @@ def _verified_point(node_lp, M, sol, z, int_idx, int_tol):
     return z
 
 
-def _search(problem, M, engine, int_tol, max_nodes, node_log, on_incumbent,
-            round_repair=False):
+def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
     M = np.asarray(M, dtype=float)
     int_idx = list(problem.integer_vars)
     stack: list[tuple[BranchStep, ...]] = [()]
     best_obj = math.inf
     best: tuple | None = None
-    grad = None
     count = 0
     while stack:
         if count >= max_nodes:
@@ -202,7 +193,7 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, on_incumbent,
         if sol.status == "unbounded":
             return MILPResult(status="unbounded", objective=None, primal=None,
                               integer_values=None, node_count=count,
-                              trail=None), None
+                              trail=None)
         if sol.status != "optimal":
             _log(node_log, count, trail, sol.status, None, "infeasible", None)
             continue
@@ -215,25 +206,19 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, on_incumbent,
         loose = np.flatnonzero(frac > int_tol)
         if loose.size == 0:
             best_obj = sol.objective
-            best = (sol, trail)
-            if on_incumbent is not None:
-                grad = on_incumbent(node_lp, sol)
+            best = (sol, sol, trail)
             _log(node_log, count, trail, sol.status, sol.objective,
                  "incumbent", None)
             continue
         if round_repair:
-            propose = (round_repair if callable(round_repair)
-                       else nearest_integer_point)
-            cand = propose(node_lp, M, sol, int_idx)
+            cand = round_repair(node_lp, M, sol, int_idx)
             z = (None if cand is None else
                  _verified_point(node_lp, M, sol, cand, int_idx, int_tol))
             if z is not None:
                 obj = float(node_lp.c @ z) + node_lp.c0
                 if obj < best_obj:
                     best_obj = obj
-                    best = (replace(sol, primal=z, objective=obj), trail)
-                    if on_incumbent is not None:
-                        grad = on_incumbent(node_lp, sol)
+                    best = (replace(sol, primal=z, objective=obj), sol, trail)
                 _log(node_log, count, trail, sol.status, obj, "rounded", None)
                 continue
         j = int_idx[loose[0]]
@@ -244,13 +229,14 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, on_incumbent,
     if best is None:
         return MILPResult(status="infeasible", objective=None, primal=None,
                           integer_values=None, node_count=count,
-                          trail=None), None
-    sol, trail = best
+                          trail=None)
+    sol, relaxation, trail = best
     ints = np.round(sol.primal[int_idx]).astype(float)
     return MILPResult(status="optimal", objective=sol.objective,
                       primal=sol.primal, integer_values=ints,
                       node_count=count, trail=trail,
-                      subproblem=subproblem_for_trail(problem, trail)), grad
+                      subproblem=subproblem_for_trail(problem, trail),
+                      relaxation=relaxation)
 
 
 def _log(node_log, index, trail, status, objective, outcome, branch_var):
@@ -267,52 +253,45 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
                      round_repair=False) -> MILPResult:
     """Solve the integer-constrained problem at parameter vector ``M``.
 
-    ``round_repair``: False (plain search), True (nearest-integer repair
-    proposals), or a callable proposal (see module docstring).
+    ``round_repair``: False (plain search) or a callable repair proposal
+    (see module docstring).
     """
-    result, _ = _search(problem, M, engine, int_tol, max_nodes, node_log,
-                        None, round_repair)
-    return result
-
-
-def _node_gradient(node_lp, M, sol, method) -> GradientResult:
-    if method == "auto":
-        # size of the folded system: every finite bound becomes a row
-        bound_rows = int(np.isfinite(node_lp.lb).sum()
-                         + np.isfinite(node_lp.ub).sum())
-        dim = node_lp.n_vars + node_lp.n_ineq + bound_rows + node_lp.n_eq
-        method = "kkt" if dim <= KKT_AUTO_LIMIT else "envelope"
-    if method == "envelope":
-        return dual_gradient_result(node_lp, sol)
-    if method == "kkt":
-        return cost_gradient(node_lp, M, sol)
-    raise ValueError(f"unknown gradient method {method!r}")
-
-
-def embedded_gradient(problem: MILPProblem, M: np.ndarray,
-                      engine: str = "bland", method: str = "auto",
-                      int_tol: float = INT_TOL, max_nodes: int = MAX_NODES,
-                      node_log: list | None = None,
-                      round_repair=False
-                      ) -> tuple[MILPResult, GradientResult | None]:
-    """Search while differentiating every incumbent; keep the last gradient.
-
-    Returns ``(result, gradient)``; the gradient is None when the search
-    ends without an incumbent. A rounded incumbent differentiates its node's
-    relaxation, the same LP the two-stage route re-solves.
-    """
-    M = np.asarray(M, dtype=float)
-
-    def hook(node_lp, sol):
-        return _node_gradient(node_lp, M, sol, method)
-
-    return _search(problem, M, engine, int_tol, max_nodes, node_log, hook,
+    return _search(problem, M, engine, int_tol, max_nodes, node_log,
                    round_repair)
 
 
+def _node_gradient(node_lp, M, sol) -> GradientResult:
+    # size of the folded system: every finite bound becomes a row
+    bound_rows = int(np.isfinite(node_lp.lb).sum()
+                     + np.isfinite(node_lp.ub).sum())
+    dim = node_lp.n_vars + node_lp.n_ineq + bound_rows + node_lp.n_eq
+    if dim <= KKT_AUTO_LIMIT:
+        return cost_gradient(node_lp, M, sol)
+    return dual_gradient_result(node_lp, sol)
+
+
+def embedded_gradient(problem: MILPProblem, M: np.ndarray,
+                      engine: str = "bland", int_tol: float = INT_TOL,
+                      max_nodes: int = MAX_NODES,
+                      node_log: list | None = None,
+                      round_repair=False
+                      ) -> tuple[MILPResult, GradientResult | None]:
+    """Search, then differentiate the winning node's relaxation once.
+
+    Returns ``(result, gradient)``; the gradient is None when the search
+    ends without an optimum. A rounded incumbent differentiates its node's
+    relaxation, the same LP the two-stage route re-solves.
+    """
+    M = np.asarray(M, dtype=float)
+    result = _search(problem, M, engine, int_tol, max_nodes, node_log,
+                     round_repair)
+    if result.status != "optimal":
+        return result, None
+    return result, _node_gradient(result.subproblem, M, result.relaxation)
+
+
 def backward_optimal_subproblem(result: MILPResult, M: np.ndarray,
-                                engine: str = "bland",
-                                method: str = "auto") -> GradientResult:
+                                engine: str = "bland") -> GradientResult:
     """Differentiate a finished search: re-solve the winning node's
     relaxation (branching bounds pinned), then take its cost slope."""
     if result.status != "optimal":
@@ -324,7 +303,7 @@ def backward_optimal_subproblem(result: MILPResult, M: np.ndarray,
     if sol.status != "optimal":
         raise RuntimeError(
             f"winning node failed to re-solve (status {sol.status})")
-    return _node_gradient(result.subproblem, M, sol, method)
+    return _node_gradient(result.subproblem, M, sol)
 
 
 def enumerate_integer_assignments(problem: MILPProblem, M: np.ndarray,

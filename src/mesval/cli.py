@@ -139,8 +139,7 @@ def _experiment_inputs(config: ExperimentConfig):
     series = series_from_config(config)
     ds = DayDataset.from_series(series)
     train, test = split_dataset(ds, config)
-    hub = load_hub_config(config.hub_path())
-    return series, ds, train, test, hub
+    return series, ds, train, test
 
 
 def _month_of(series, absolute_day: int) -> str:
@@ -175,7 +174,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train_base(args) -> int:
     config = _config_from_args(args)
-    _, _, train, test, hub = _experiment_inputs(config)
+    _, _, train, _ = _experiment_inputs(config)
     out = _out_dir(config.output_dir)
     models, traces = train_base_models(train, config)
     trace_rows = []
@@ -200,7 +199,8 @@ def cmd_train_base(args) -> int:
 
 def cmd_run_fto(args) -> int:
     config = _config_from_args(args)
-    series, _, train, test, hub = _experiment_inputs(config)
+    series, _, train, test = _experiment_inputs(config)
+    hub = load_hub_config(config.hub_path())
     out = _out_dir(config.output_dir)
     models, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
@@ -237,7 +237,8 @@ def cmd_train_e2e(args) -> int:
     config = _config_from_args(args)
     U = parse_coalition(args.coalition)
     label = coalition_label(U)
-    _, _, train, test, hub = _experiment_inputs(config)
+    _, _, train, test = _experiment_inputs(config)
+    hub = load_hub_config(config.hub_path())
     out = _out_dir(config.output_dir)
     base, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
@@ -278,7 +279,8 @@ def cmd_train_e2e(args) -> int:
 
 def cmd_valuate(args) -> int:
     config = _config_from_args(args)
-    _, ds, train, test, hub = _experiment_inputs(config)
+    _, ds, train, test = _experiment_inputs(config)
+    hub = load_hub_config(config.hub_path())
     out = _out_dir(config.output_dir)
     monitor = DispatchMonitor()
     report = full_valuation(ds, config, hub=hub, on_dispatch=monitor)
@@ -320,7 +322,8 @@ def cmd_valuate(args) -> int:
 
 def cmd_metrics(args) -> int:
     config = _config_from_args(args)
-    _, _, train, test, hub = _experiment_inputs(config)
+    _, _, train, test = _experiment_inputs(config)
+    hub = load_hub_config(config.hub_path())
     out = _out_dir(config.output_dir)
     base, _ = train_base_models(train, config)
     trained = train_end_to_end(frozenset(LETTERS), base, train, hub,
@@ -348,11 +351,11 @@ def cmd_gradcheck(args) -> int:
     out = _out_dir(Path(args.out))
     results = run_all_batteries(quick=args.quick)
     rows = [(r.name, r.n_instances, r.n_checks, r.n_failures,
-             f"{r.worst:.3e}", f"{r.seconds:.2f}",
-             "PASS" if r.passed else "FAIL") for r in results]
+             f"{r.worst:.3e}", "PASS" if r.passed else "FAIL")
+            for r in results]
     _write_csv(out / "gradcheck_report.csv",
                ("battery", "instances", "checks", "failures", "worst",
-                "seconds", "status"), rows)
+                "status"), rows)
     lines = [r.line() for r in results]
     for r in results:
         lines += [f"    {note}" for note in r.failures]

@@ -39,6 +39,11 @@ CONVERTER_PORTS = {
 
 MAX_EFFICIENCY = 1.5
 
+_TOP_KEYS = frozenset({"schema_version", "name", "options", "inputs",
+                       "outputs", "nodes", "converters", "storages",
+                       "branches", "prices", "temporary_purchase_kw"})
+_OPTION_KEYS = frozenset({"enforce_price_order", "require_terminal_soc"})
+
 
 class HubConfigError(ValueError):
     """Raised when a hub description is malformed or inconsistent."""
@@ -294,6 +299,12 @@ class PriceSchedule:
 # hub config
 # ---------------------------------------------------------------------------
 
+def _reject_unknown(d: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise HubConfigError(f"unknown key {unknown[0]!r} {where}")
+
+
 @dataclass(frozen=True)
 class HubConfig:
     name: str
@@ -314,17 +325,16 @@ class HubConfig:
             raise HubConfigError(
                 f"unsupported schema_version {d.get('schema_version')!r}, "
                 f"expected {SCHEMA_VERSION}")
+        _reject_unknown(d, _TOP_KEYS, "at top level")
         options = d.get("options", {})
+        _reject_unknown(options, _OPTION_KEYS, "under options")
         inputs = tuple(InputSpec(**i) for i in d.get("inputs", []))
         outputs = tuple(OutputSpec(**o) for o in d.get("outputs", []))
         junctions = tuple(JunctionSpec(**j) for j in d.get("nodes", []))
-        converters = tuple(ConverterSpec(
-            name=c["name"], kind=c["kind"], capacity_kw=c["capacity_kw"],
-            efficiency_curve=tuple(tuple(p) for p in c["efficiency_curve"]),
-            heat_to_power_ratio=c.get("heat_to_power_ratio"),
-            reserve_up_kw=c.get("reserve_up_kw"),
-            reserve_down_kw=c.get("reserve_down_kw"),
-            segments=c.get("segments")) for c in d.get("converters", []))
+        converters = tuple(
+            ConverterSpec(**{**c, "efficiency_curve": tuple(
+                map(tuple, c["efficiency_curve"]))})
+            for c in d.get("converters", []))
         storages = tuple(StorageSpec(**s) for s in d.get("storages", []))
         branches = tuple(Branch(name=b["name"], source=b["from"],
                                 target=b["to"], carrier=b["carrier"])
@@ -460,8 +470,9 @@ class HubConfig:
 
 
 def load_hub_config(path) -> HubConfig:
-    """Read a hub YAML file. An unreadable file, bad YAML, or a misspelled
-    or missing key raises :class:`HubConfigError` naming the file."""
+    """Read a hub YAML file. An unreadable file, bad YAML, an unknown,
+    misspelled or missing key, or an invalid hub raises
+    :class:`HubConfigError` naming the file."""
     try:
         with open(Path(path)) as fh:
             data = yaml.safe_load(fh)
@@ -476,7 +487,7 @@ def load_hub_config(path) -> HubConfig:
         return HubConfig.from_dict(data)
     except KeyError as exc:
         raise HubConfigError(f"{path}: missing key {exc}") from exc
-    except TypeError as exc:    # unknown or missing component fields
+    except (TypeError, HubConfigError) as exc:  # TypeError: component fields
         raise HubConfigError(f"{path}: {exc}") from exc
 
 

@@ -78,13 +78,15 @@ class Conditioning:
 class GradientResult:
     """Cost and primal slopes with the conditioning of the solve behind them.
 
-    ``dz_dM`` is all zeros when ``conditioning.degenerate`` is set: the primal
-    sensitivity does not exist at such points, only the cost slope does.
+    ``dz_dM`` is None wherever no implicit-function solve succeeded: on the
+    dual route, and when ``conditioning.degenerate`` is set. Only the cost
+    slope exists there. The dual route solves no system, so its
+    ``conditioning`` is None too.
     """
 
-    dz_dM: np.ndarray     # (n, p)
-    dcost_dM: np.ndarray  # (p,)
-    conditioning: Conditioning
+    dz_dM: np.ndarray | None          # (n, p)
+    dcost_dM: np.ndarray              # (p,)
+    conditioning: Conditioning | None
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,11 @@ def dual_gradient_result(lp: LPStandardForm, sol: LPSolution) -> GradientResult:
     """Package the envelope slope as a GradientResult.
 
     The dual route never solves the implicit system, so no primal
-    sensitivity and no condition number exist: ``dz_dM`` is zeros and
-    ``conditioning.cond`` is NaN.
+    sensitivity and no condition number exist: ``dz_dM`` and
+    ``conditioning`` are None.
     """
-    dcost = envelope_gradient(lp, sol)
-    return GradientResult(
-        dz_dM=np.zeros((lp.n_vars, lp.param_dim)),
-        dcost_dM=dcost,
-        conditioning=Conditioning(cond=float("nan"), regularization=0.0,
-                                  degenerate=False))
+    return GradientResult(dz_dM=None, dcost_dM=envelope_gradient(lp, sol),
+                          conditioning=None)
 
 
 def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
@@ -203,10 +201,8 @@ def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
     try:
         S, cond = solution_sensitivity(jac)
     except DegenerateSolutionError as err:
-        dcost = envelope_gradient(lp, sol)
         return GradientResult(
-            dz_dM=np.zeros((jac.n, jac.G_M.shape[1])),
-            dcost_dM=dcost,
+            dz_dM=None, dcost_dM=envelope_gradient(lp, sol),
             conditioning=Conditioning(cond=err.cond, regularization=DAMPING,
                                       degenerate=True))
     dz = S[:jac.n]

@@ -367,13 +367,6 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                 continue
             if on_dispatch is not None:
                 on_dispatch(d, prob, res)
-            if grad is None:
-                log.warning("day %d: no usable cost slope, update skipped",
-                            d)
-                continue
-            if grad.conditioning.degenerate:
-                log.debug("day %d: degenerate vertex, envelope slope used",
-                          d)
             slope = grad.dcost_dM[:len(SECTORS) * horizon]
             slope = slope.reshape(len(SECTORS), horizon)
             for i, sector in members:

@@ -4,9 +4,9 @@ Hand-frozen fixtures (knapsack optimum, node-by-node search trace) pin the
 search rules: depth-first, floor child before ceil child, strict bound prune,
 lowest-index fractional branching. The randomized battery checks objectives
 against exhaustive enumeration of integer assignments, and the gradient tests
-require the embedded route (differentiate when an incumbent lands) to agree
-with the after-the-fact route (re-solve the winning node and differentiate)
-to machine precision.
+require the embedded route (differentiate the relaxation solution the search
+returns with its winner) to agree with the after-the-fact route (re-solve the
+winning node and differentiate) to machine precision.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from mesval.bnb import (
     subproblem_for_trail,
 )
 from mesval.lp import LinearProgram, solve_lp, to_standard_form
-from mesval.sensitivity import cost_gradient
+from mesval.sensitivity import cost_gradient, envelope_gradient
 
 RNG_SEED = 424242
 
@@ -249,10 +249,32 @@ def test_embedded_equals_two_stage_gradient():
         grad_two = backward_optimal_subproblem(res_two, M0)
         np.testing.assert_allclose(grad_emb.dcost_dM, grad_two.dcost_dM,
                                    atol=1e-12, rtol=0)
-        np.testing.assert_allclose(grad_emb.dz_dM, grad_two.dz_dM,
-                                   atol=1e-12, rtol=0)
+        assert (grad_emb.dz_dM is None) == (grad_two.dz_dM is None)
+        if grad_emb.dz_dM is not None:
+            np.testing.assert_allclose(grad_emb.dz_dM, grad_two.dz_dM,
+                                       atol=1e-12, rtol=0)
         compared += 1
     assert compared >= 15
+
+
+def test_embedded_gradient_differentiates_the_winner_once(monkeypatch):
+    # the search passes through three incumbents here; only the winner's
+    # relaxation is differentiated, after the search
+    calls = []
+
+    def counted(lp, M, sol, jac=None):
+        calls.append(sol)
+        return cost_gradient(lp, M, sol, jac)
+
+    monkeypatch.setattr("mesval.bnb.cost_gradient", counted)
+    prob = knapsack_with_spill()
+    M0 = np.array([2.6])
+    log = []
+    res, grad = embedded_gradient(prob, M0, node_log=log)
+    assert sum(r.outcome == "incumbent" for r in log) >= 2
+    assert len(calls) == 1 and calls[0] is res.relaxation
+    np.testing.assert_array_equal(
+        grad.dcost_dM, backward_optimal_subproblem(res, M0).dcost_dM)
 
 
 def test_pure_lp_instance_reduces_to_lp_gradient():
@@ -345,9 +367,7 @@ def test_repair_proposals_are_verified_not_trusted():
         z[list(int_idx)] = 0.0
         return z
 
-    # nearest-integer rounding overfills the knapsack here, so True also
-    # falls through to plain branching at every node
-    for proposal in (overfull, lazy, lambda *args: None, True):
+    for proposal in (overfull, lazy, lambda *args: None):
         log = []
         res = branch_and_bound(prob, np.zeros(0), round_repair=proposal,
                                node_log=log)
@@ -364,10 +384,12 @@ def test_repair_acceptance_closes_node_and_matches_enumeration():
     # one route ties the bound exactly, so the node closes as "rounded".
     # the accepted point must still be the true optimum.
     prog = LinearProgram()
+    prog.add_param("demand")
     prog.add_var("buy1", lb=0.0, ub=5.0, cost=1.0)
     prog.add_var("buy2", lb=0.0, ub=5.0, cost=1.0)
     prog.add_var("pick", lb=0.0, ub=1.0, cost=0.0)
-    prog.add_constraint({"buy1": 1.0, "buy2": 1.0}, "==", 3.0)
+    prog.add_constraint({"buy1": 1.0, "buy2": 1.0}, "==", 0.0,
+                        params={"demand": 1.0})
     prog.add_constraint({"buy1": 1.0, "pick": -5.0}, "<=", 0.0)
     prog.add_constraint({"buy2": 1.0, "pick": 5.0}, "<=", 5.0)
     prob = MILPProblem(lp=to_standard_form(prog), integer_vars=(2,))
@@ -378,16 +400,33 @@ def test_repair_acceptance_closes_node_and_matches_enumeration():
         z[2] = float(np.clip(0.0, node_lp.lb[2], node_lp.ub[2]))
         return z
 
-    log = []
-    res = branch_and_bound(prob, np.zeros(0), round_repair=one_route,
-                           node_log=log)
-    assert res.status == "optimal"
-    np.testing.assert_allclose(res.objective, 3.0, atol=1e-9)
-    ref = enumerate_integer_assignments(prob, np.zeros(0))
-    np.testing.assert_allclose(res.objective, ref.objective, atol=1e-9)
-    # whichever vertex the engine returned, the proposal ties the bound, so
-    # the search ends at the root
-    assert res.node_count == 1
-    assert log[0].outcome in ("rounded", "incumbent")
-    if log[0].outcome == "rounded":
-        np.testing.assert_allclose(res.primal[:2], [0.0, 3.0], atol=1e-9)
+    M0 = np.array([3.0])
+    ref = enumerate_integer_assignments(prob, M0)
+    outcomes = set()
+    for engine in ("bland", "highs"):
+        log = []
+        res = branch_and_bound(prob, M0, engine=engine,
+                               round_repair=one_route, node_log=log)
+        assert res.status == "optimal"
+        np.testing.assert_allclose(res.objective, 3.0, atol=1e-9)
+        np.testing.assert_allclose(res.objective, ref.objective, atol=1e-9)
+        # whichever vertex the engine returned, the proposal ties the
+        # bound, so the search ends at the root
+        assert res.node_count == 1
+        outcomes.add(log[0].outcome)
+        if log[0].outcome == "rounded":
+            np.testing.assert_allclose(res.primal[:2], [0.0, 3.0], atol=1e-9)
+            # the repaired point is reported, but the relaxation keeps the
+            # node's duals, and its envelope slope is the two-stage one
+            assert not np.array_equal(res.relaxation.primal, res.primal)
+            node = solve_lp(res.subproblem, M0, engine=engine)
+            np.testing.assert_array_equal(res.relaxation.ineq_duals,
+                                          node.ineq_duals)
+            np.testing.assert_array_equal(res.relaxation.eq_duals,
+                                          node.eq_duals)
+            slope = envelope_gradient(res.subproblem, res.relaxation)
+            two = backward_optimal_subproblem(res, M0, engine=engine)
+            np.testing.assert_allclose(slope, two.dcost_dM, atol=1e-12)
+            np.testing.assert_allclose(slope, [1.0], atol=1e-9)
+    # Bland lands on a pure vertex, HiGHS on the mixed one
+    assert outcomes == {"incumbent", "rounded"}

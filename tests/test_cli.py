@@ -185,6 +185,15 @@ def test_bad_coalition_label_is_usage_error(workdir):
 # train-base
 # ---------------------------------------------------------------------------
 
+def test_train_base_needs_no_hub(workdir):
+    # train-base never dispatches, so an absent hub file is no error
+    tmp, config = workdir
+    assert main(["train-base", "--config", str(config),
+                 "--hub", str(tmp / "absent.yaml")]) == 0
+    for sector in ("electricity", "heat", "cooling"):
+        load_model(tmp / "out" / f"model_base_{sector}.npz")   # written
+
+
 def test_train_base_artifacts_match_library_training(workdir):
     tmp, config = workdir
     assert main(["train-base", "--config", str(config)]) == 0
@@ -398,6 +407,14 @@ def test_gradcheck_quick_passes(tmp_path):
         "lp-gradient", "milp-optimality", "gradient-equivalence",
         "lstm-bptt"]
     assert all(r[-1] == "PASS" for r in rows[1:])
+
+
+def test_gradcheck_report_is_byte_reproducible(tmp_path):
+    # timings go to the summary only, so the CSV repeats byte for byte
+    paths = [tmp_path / name / "gradcheck_report.csv" for name in "ab"]
+    for path in paths:
+        assert main(["gradcheck", "--quick", "--out", str(path.parent)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 # ---------------------------------------------------------------------------

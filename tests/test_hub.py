@@ -9,6 +9,7 @@ fraction-times-efficiency curve.
 
 import numpy as np
 import pytest
+import yaml
 
 from mesval.hub import (
     ConverterSpec,
@@ -189,6 +190,27 @@ def test_storage_spec_validation():
         StorageSpec(**{**good, "charge_cost": -0.1})
     with pytest.raises(HubConfigError, match="carrier"):
         StorageSpec(**{**good, "carrier": "gas"})
+
+
+@pytest.mark.parametrize("place, key", [
+    ("top", "storage"),
+    ("options", "require_terminal_sco"),
+    ("converter", "segmentz"),
+])
+def test_unknown_hub_key_names_file_and_key(tmp_path, place, key):
+    # a misspelled optional key would otherwise load as if it were absent
+    d = boiler_only_dict()
+    target = {"top": d, "options": d.setdefault("options", {}),
+              "converter": d["converters"][0]}[place]
+    target[key] = 1
+    path = tmp_path / "typo_hub.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(HubConfigError) as err:
+        load_hub_config(path)
+    assert "typo_hub.yaml" in str(err.value) and key in str(err.value)
+    del target[key]
+    path.write_text(yaml.safe_dump(d))
+    assert load_hub_config(path).name == "boiler-only"
 
 
 def test_schema_version_checked():

@@ -21,6 +21,7 @@ from mesval.sensitivity import (
     FDOracleError,
     assemble_kkt_jacobians,
     cost_gradient,
+    dual_gradient_result,
     envelope_gradient,
     finite_difference_gradient,
     solution_sensitivity,
@@ -210,7 +211,7 @@ def test_degenerate_instance_falls_back_to_envelope():
     # duplicated binding rows make the multiplier split non-unique and the
     # stacked jacobian singular; the large row amplitude keeps the damped
     # retry above the conditioning limit, so the fallback must return the
-    # (still correct) dual slope with a zero primal sensitivity.
+    # (still correct) dual slope with no primal sensitivity.
     prog = LinearProgram()
     prog.add_param("M")
     prog.add_var("x", cost=1000.0)
@@ -222,7 +223,7 @@ def test_degenerate_instance_falls_back_to_envelope():
     assert sol.status == "optimal"
     g = cost_gradient(lp, M, sol)
     assert g.conditioning.degenerate
-    np.testing.assert_allclose(g.dz_dM, 0.0)
+    assert g.dz_dM is None
     np.testing.assert_allclose(g.dcost_dM, [1000.0], atol=1e-6)
 
 
@@ -232,6 +233,16 @@ def test_envelope_shortcut_equals_dual_weighted_rhs_jacobians():
     sol = solve_lp(lp, M)
     # by hand: -(lam' B_f + mu' B_h) with lam = [1], B_f = [[-1]]
     np.testing.assert_allclose(envelope_gradient(lp, sol), [1.0], atol=1e-12)
+
+
+def test_dual_gradient_result_carries_no_primal_sensitivity():
+    # the dual route solves no system: no dz/dM and no condition number
+    lp = scalar_ge_lp()
+    M = np.array([3.0])
+    sol = solve_lp(lp, M)
+    g = dual_gradient_result(lp, sol)
+    assert g.dz_dM is None and g.conditioning is None
+    np.testing.assert_array_equal(g.dcost_dM, envelope_gradient(lp, sol))
 
 
 # ---------------------------------------------------------------------------
