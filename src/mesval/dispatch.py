@@ -393,7 +393,7 @@ def _finish(prog: LinearProgram, stage: str, config: HubConfig,
             da_reference: dict | None) -> DispatchProblem:
     sf = to_standard_form(prog)
     sf = replace(sf, A_f=sparse.csr_array(sf.A_f),
-                 A_h=sparse.csr_array(sf.A_h))
+                 A_h=sparse.csr_array(sf.A_h)).with_stacked_rows()
     var_index = {n: i for i, n in enumerate(sf.var_names)}
     milp = MILPProblem(lp=sf, integer_vars=tuple(var_index[n]
                                                  for n in integers))

@@ -43,6 +43,8 @@ _TOP_KEYS = frozenset({"schema_version", "name", "options", "inputs",
                        "outputs", "nodes", "converters", "storages",
                        "branches", "prices", "temporary_purchase_kw"})
 _OPTION_KEYS = frozenset({"enforce_price_order", "require_terminal_soc"})
+_BRANCH_KEYS = frozenset({"name", "from", "to", "carrier"})
+_PRICE_KEYS = frozenset({"day_ahead", "intra_day"})
 
 
 class HubConfigError(ValueError):
@@ -283,6 +285,7 @@ class PriceSchedule:
                 continue
             if carrier not in CARRIERS:
                 raise HubConfigError(f"price carrier {carrier!r} unknown")
+            _reject_unknown(spec, _PRICE_KEYS, f"in price {carrier!r}")
             da[carrier] = _price_vector(spec["day_ahead"],
                                         f"{carrier}.day_ahead")
             intra[carrier] = _price_vector(spec["intra_day"],
@@ -336,6 +339,8 @@ class HubConfig:
                 map(tuple, c["efficiency_curve"]))})
             for c in d.get("converters", []))
         storages = tuple(StorageSpec(**s) for s in d.get("storages", []))
+        for b in d.get("branches", []):
+            _reject_unknown(b, _BRANCH_KEYS, f"in branch {b['name']!r}")
         branches = tuple(Branch(name=b["name"], source=b["from"],
                                 target=b["to"], carrier=b["carrier"])
                          for b in d.get("branches", []))

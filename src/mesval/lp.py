@@ -33,12 +33,22 @@ smallest-index rule, fixed variable ordering and no randomization, so repeated
 solves of identical inputs are bit-identical. Intended for desk-scale
 instances; this is also the engine whose pivoting the tests pin down.
 
-``engine="highs"``: scipy.optimize.linprog (HiGHS) behind the same contract.
-It receives ``A_f``/``A_h`` as they are, dense or sparse, and the bounds as
-bounds; the bound duals are mapped onto the folded rows through the indices
-of the finite bounds, so no folded matrix is built. Used for the larger
-dispatch problems where a dense tableau would be needlessly slow.
-Deterministic for identical inputs as well.
+``engine="highs"``: HiGHS behind the same contract, through the binding
+scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). One solver per
+process, created on the first such solve, holds the options scipy's own
+HiGHS LP method sets (presolve on, dual simplex, feasibility tolerances
+1e-10). Each solve hands it a fresh model: the rows ``[A_f; A_h]`` as CSC
+(stacked once by :meth:`LPStandardForm.with_stacked_rows`, or per solve),
+row bounds ``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)`` above, and
+the bounds as column bounds. No basis carries over from one solve to the
+next, so a solve returns what scipy's LP method returns for the same
+problem, bit for bit; ``tests/test_lp.py`` checks that. An "optimal"
+point that breaks a bound or a row by more than ``10 * sqrt(1e-9)``
+raises :class:`LPNumericalError`, as does any HiGHS model status other
+than optimal, infeasible and unbounded. The bound duals are the column duals of columns nonbasic at
+that bound, mapped onto the folded rows through the indices of the finite
+bounds, so no folded matrix is built. Used for the larger dispatch
+problems where a dense tableau would be needlessly slow.
 
 The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
 the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
@@ -50,7 +60,7 @@ Infeasible and unbounded problems are reported through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -194,6 +204,9 @@ class LPStandardForm:
     # set on folded forms only: var index behind each appended bound row
     lb_row_vars: np.ndarray | None = None
     ub_row_vars: np.ndarray | None = None
+    # [A_f; A_h] as the HiGHS engine reads it, set by with_stacked_rows;
+    # None stacks on every HiGHS solve
+    rows_csc: sparse.csc_array | None = None
 
     @property
     def n_vars(self) -> int:
@@ -216,6 +229,15 @@ class LPStandardForm:
 
     def b_h(self, M: np.ndarray) -> np.ndarray:
         return self.b_h0 + self.B_h @ np.asarray(M, dtype=float)
+
+    def with_stacked_rows(self) -> "LPStandardForm":
+        """This form with ``[A_f; A_h]`` stacked once for the HiGHS engine.
+
+        A form solved many times (a dispatch template, each search node
+        ``replace`` derives from it) stacks here instead of per solve.
+        Derive a form with other ``A_f``/``A_h`` from the unstacked one.
+        """
+        return replace(self, rows_csc=_stack_rows(self.A_f, self.A_h))
 
     def fold_bounds(self) -> "LPStandardForm":
         """Bounds rewritten as inequality rows.
@@ -483,44 +505,120 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
 # HiGHS engine
 # ---------------------------------------------------------------------------
 
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+_HIGHS = None   # the process's one solver, made on its first HiGHS solve
+
+_FEAS_TOL = 10 * np.sqrt(1e-9)   # post-solve check on bounds and rows
+
+
+def _stack_rows(A_f, A_h) -> sparse.csc_array:
+    """``[A_f; A_h]`` as the int32 CSC matrix handed to HiGHS: zeros
+    dropped, row indices sorted within each column."""
+    A = sparse.csc_array(sparse.vstack((sparse.coo_array(A_f),
+                                        sparse.coo_array(A_h))))
+    A.indptr = A.indptr.astype(np.int32, copy=False)
+    A.indices = A.indices.astype(np.int32, copy=False)
+    return A
+
+
+def _highs():
+    """The HiGHS solver and its binding module, created on first use."""
+    global _HIGHS
+    if _HIGHS is None:
+        try:
+            import scipy.optimize._highspy._core as _core
+            highs, opts = _core._Highs(), _core.HighsOptions()
+        except (ImportError, AttributeError) as exc:
+            raise ImportError(
+                "engine='highs' needs scipy>=1.17, whose bundled HiGHS "
+                "binding scipy.optimize._highspy._core it calls") from exc
+        opts.presolve = "on"
+        opts.simplex_strategy = (
+            _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        opts.primal_feasibility_tolerance = 1e-10
+        opts.dual_feasibility_tolerance = 1e-10
+        opts.output_flag = False
+        opts.log_to_console = False
+        opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        if highs.passOptions(opts) == _core.HighsStatus.kError:
+            raise LPNumericalError("HiGHS rejected its options")
+        _HIGHS = highs, _core
+    return _HIGHS
+
+
+def _highs_outcome(model_status, core) -> str:
+    """'optimal', 'infeasible' or 'unbounded' for a HiGHS model status;
+    any other status is a solver failure."""
+    S = core.HighsModelStatus
+    if model_status == S.kOptimal:
+        return "optimal"
+    if model_status in (S.kInfeasible, S.kModelError):
+        return "infeasible"
+    if model_status == S.kUnbounded:
+        return "unbounded"
+    raise LPNumericalError(
+        f"HiGHS did not solve the LP: model status {model_status.name}")
+
+
+def _check_feasible(z, objective, ineq_slack, eq_residual, lb, ub) -> None:
+    """Reject an 'optimal' point that breaks a bound or a row by more than
+    ``_FEAS_TOL``, or that holds a NaN."""
+    if (np.isnan(z).any() or np.isnan(objective)
+            or np.isnan(ineq_slack).any() or np.isnan(eq_residual).any()):
+        raise LPNumericalError("HiGHS reported optimal with a NaN solution")
+    if not (np.all(z >= lb - _FEAS_TOL) and np.all(z <= ub + _FEAS_TOL)
+            and np.all(ineq_slack >= -_FEAS_TOL)
+            and np.all(np.abs(eq_residual) <= _FEAS_TOL)):
+        raise LPNumericalError(
+            "HiGHS reported optimal at a point that violates the "
+            f"constraints by more than {_FEAS_TOL:.2e}")
 
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
-    from scipy.optimize import linprog
-
+    highs, core = _highs()
     q = lp.n_ineq
     m = lp.n_eq
-    res = linprog(
-        lp.c,
-        A_ub=lp.A_f if q else None, b_ub=lp.b_f(M) if q else None,
-        A_eq=lp.A_h if m else None, b_eq=lp.b_h(M) if m else None,
-        bounds=np.column_stack([lp.lb, lp.ub]),
-        method="highs", options=dict(_HIGHS_OPTIONS))
-    if res.status == 2:
-        return LPSolution("infeasible", None, None, None, None, None)
-    if res.status == 3:
-        return LPSolution("unbounded", None, None, None, None, None)
-    if res.status != 0:
-        raise LPNumericalError(f"linprog failed: {res.message}")
+    n = lp.n_vars
+    A = lp.rows_csc if lp.rows_csc is not None else _stack_rows(lp.A_f,
+                                                                lp.A_h)
+    b_h = lp.b_h(M)
+    row_hi = np.concatenate((lp.b_f(M), b_h))
+    row_lo = np.concatenate((np.full(q, -np.inf), b_h))
+    if highs.passModel(
+            n, q + m, A.nnz, core.MatrixFormat.kColwise,
+            core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
+            A.indptr, A.indices, A.data,
+            np.zeros(n, dtype=np.int32)) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    outcome = _highs_outcome(status, core)
+    if outcome != "optimal":
+        return LPSolution(outcome, None, None, None, None, None)
+
+    sol = highs.getSolution()
+    z = np.array(sol.col_value)
+    slack = row_hi - np.array(sol.row_value)
+    objective = highs.getInfo().objective_function_value
+    _check_feasible(z, objective, slack[:q], slack[q:], lp.lb, lp.ub)
+    row_dual = np.array(sol.row_dual)
+    col_dual = np.array(sol.col_dual)
+    col_status = np.array([s.value for s in highs.getBasis().col_status])
 
     # folded row order (see fold_bounds): declared rows, finite lower
-    # bounds, finite upper bounds
+    # bounds, finite upper bounds; a bound's dual is the column dual of a
+    # column nonbasic at that bound
     lo = np.flatnonzero(np.isfinite(lp.lb))
     hi = np.flatnonzero(np.isfinite(lp.ub))
+    at_lo = col_status[lo] == core.HighsBasisStatus.kLower.value
+    at_hi = col_status[hi] == core.HighsBasisStatus.kUpper.value
     lam = np.zeros(q + lo.size + hi.size)
-    if q:
-        lam[:q] = np.maximum(-res.ineqlin.marginals, 0.0)
-    lam[q:q + lo.size] = np.maximum(res.lower.marginals[lo], 0.0)
-    lam[q + lo.size:] = np.maximum(-res.upper.marginals[hi], 0.0)
-    mu = -res.eqlin.marginals if m else np.zeros(0)
-    z = np.asarray(res.x, dtype=float)
+    lam[:q] = np.maximum(-row_dual[:q], 0.0)
+    lam[q:q + lo.size] = np.maximum(np.where(at_lo, col_dual[lo], 0.0), 0.0)
+    lam[q + lo.size:] = np.maximum(-np.where(at_hi, col_dual[hi], 0.0), 0.0)
+    mu = -row_dual[q:]
     interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
-    return LPSolution("optimal", z, lam, mu, float(res.fun) + lp.c0,
+    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0,
                       tuple(int(j) for j in np.flatnonzero(interior)))
 
 

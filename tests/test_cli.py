@@ -380,7 +380,7 @@ def test_unservable_day_is_infeasibility_error(workdir):
 
 @pytest.mark.parametrize("error", [
     NodeLimitError("node budget 100000 exhausted"),
-    LPNumericalError("linprog failed: numerical trouble"),
+    LPNumericalError("HiGHS did not solve the LP: model status kSolveError"),
 ], ids=["node-limit", "lp-numerical"])
 def test_solver_failure_is_exit_3(workdir, monkeypatch, capsys, error):
     tmp, config = workdir
@@ -393,6 +393,20 @@ def test_solver_failure_is_exit_3(workdir, monkeypatch, capsys, error):
     err = capsys.readouterr().err
     module = type(error).__module__.rsplit(".", 1)[-1]
     assert err.strip() == f"{module}: {error}"
+
+
+def test_highs_stopping_short_is_exit_3(workdir, monkeypatch, capsys):
+    # a real solver that stops at an iteration limit, not a mocked error
+    from mesval import lp
+
+    tmp, config = workdir
+    monkeypatch.setattr(lp, "_HIGHS", None)
+    highs, _ = lp._highs()
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_iteration_limit", 0)
+    assert main(["run-fto", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "lp: HiGHS did not solve the LP: model status kIterationLimit")
 
 
 # ---------------------------------------------------------------------------

@@ -196,18 +196,23 @@ def test_storage_spec_validation():
     ("top", "storage"),
     ("options", "require_terminal_sco"),
     ("converter", "segmentz"),
+    ("branch", "capacity_kw"),
+    ("price", "intra_dya"),
 ])
 def test_unknown_hub_key_names_file_and_key(tmp_path, place, key):
     # a misspelled optional key would otherwise load as if it were absent
     d = boiler_only_dict()
     target = {"top": d, "options": d.setdefault("options", {}),
-              "converter": d["converters"][0]}[place]
+              "converter": d["converters"][0], "branch": d["branches"][0],
+              "price": d["prices"]["gas"]}[place]
     target[key] = 1
     path = tmp_path / "typo_hub.yaml"
     path.write_text(yaml.safe_dump(d))
     with pytest.raises(HubConfigError) as err:
         load_hub_config(path)
     assert "typo_hub.yaml" in str(err.value) and key in str(err.value)
+    entry = {"branch": "'b_gas'", "price": "'gas'"}.get(place)
+    assert entry is None or f"{place} {entry}" in str(err.value)
     del target[key]
     path.write_text(yaml.safe_dump(d))
     assert load_hub_config(path).name == "boiler-only"

@@ -6,7 +6,9 @@ Groups:
   2. Bland-rule simplex engine: frozen small instances, statuses, duals,
      a randomized battery cross-checked against a vertex-enumeration oracle,
      bit-identical determinism, objective affinity in the RHS parameters.
-  3. HiGHS engine adapter: same contracts, cross-engine agreement.
+  3. HiGHS engine adapter: same contracts, cross-engine agreement; bitwise
+     agreement with scipy.optimize.linprog on random, edge-case and
+     dispatch LPs; the post-solve check and the status map.
   4. check_kkt: accepts solver output, flags constructed violations.
 
 The vertex-enumeration oracle in _util.py is written directly against the
@@ -24,7 +26,10 @@ from _util import folded_arrays, oracle_min_objective, random_box_lp
 from mesval.lp import (
     LinearProgram,
     LPBuildError,
+    LPNumericalError,
     LPSolution,
+    _check_feasible,
+    _highs_outcome,
     check_kkt,
     solve_lp,
     to_standard_form,
@@ -345,6 +350,252 @@ def test_highs_bound_duals_cover_folded_rows():
     # rows: -x <= 0 (lb), x <= 2 (ub); only the ub row is active
     np.testing.assert_allclose(sol.ineq_duals, [0.0, 1.0], atol=1e-9)
     assert check_kkt(lp, np.zeros(0), sol).ok
+
+
+# ---------------------------------------------------------------------------
+# 3b. the HiGHS engine against scipy.optimize.linprog, bit for bit
+# ---------------------------------------------------------------------------
+#
+# The engine drives scipy's private HiGHS binding with the model, options
+# and post-solve check that linprog(method="highs") uses. The reference
+# below is the engine written over linprog; every field of every solution
+# must match it bitwise, so a scipy upgrade that changes the binding fails
+# here instead of drifting silently.
+
+def _linprog_reference(lp, M):
+    from scipy.optimize import linprog
+
+    q, m = lp.n_ineq, lp.n_eq
+    res = linprog(
+        lp.c,
+        A_ub=lp.A_f if q else None, b_ub=lp.b_f(M) if q else None,
+        A_eq=lp.A_h if m else None, b_eq=lp.b_h(M) if m else None,
+        bounds=np.column_stack([lp.lb, lp.ub]), method="highs",
+        options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    if res.status in (2, 3):
+        status = "infeasible" if res.status == 2 else "unbounded"
+        return LPSolution(status, None, None, None, None, None)
+    assert res.status == 0, res.message
+    lo = np.flatnonzero(np.isfinite(lp.lb))
+    hi = np.flatnonzero(np.isfinite(lp.ub))
+    lam = np.zeros(q + lo.size + hi.size)
+    if q:
+        lam[:q] = np.maximum(-res.ineqlin.marginals, 0.0)
+    lam[q:q + lo.size] = np.maximum(res.lower.marginals[lo], 0.0)
+    lam[q + lo.size:] = np.maximum(-res.upper.marginals[hi], 0.0)
+    mu = -res.eqlin.marginals if m else np.zeros(0)
+    z = np.asarray(res.x, dtype=float)
+    interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
+    return LPSolution("optimal", z, lam, mu, float(res.fun) + lp.c0,
+                      tuple(int(j) for j in np.flatnonzero(interior)))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _assert_matches_linprog(lp, M):
+    got = solve_lp(lp, M, engine="highs")
+    want = _linprog_reference(lp, M)
+    assert got.status == want.status
+    assert got.basis == want.basis
+    for name in ("primal", "ineq_duals", "eq_duals", "objective"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert _bits(a) == _bits(b), name
+    return got
+
+
+def _box_lps(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        prog, M0 = random_box_lp(rng, n, int(rng.integers(0, 6)),
+                                 int(rng.integers(0, 3)), 2)
+        yield to_standard_form(prog), M0
+
+
+def test_highs_matches_linprog_on_random_box_lps():
+    for lp, M0 in _box_lps(RNG_SEED + 6, 40):
+        sp = replace(lp, A_f=sparse.csr_array(lp.A_f),
+                     A_h=sparse.csr_array(lp.A_h))
+        for form in (lp, sp, sp.with_stacked_rows()):
+            assert _assert_matches_linprog(form, M0).status == "optimal"
+
+
+def test_highs_matches_linprog_without_rows():
+    lp = simple_lp([], (-1.0, 2.0, 0.5),
+                   bounds=[(0.0, 2.0), (-1.0, 3.0), (-4.0, 4.0)])
+    sol = _assert_matches_linprog(lp, np.zeros(0))
+    np.testing.assert_array_equal(sol.primal, [2.0, -1.0, -4.0])
+
+
+def test_highs_matches_linprog_on_fixed_columns():
+    # a column pinned by lb == ub takes its reduced cost as a bound dual
+    pinned_duals = 0
+    for lp, M0 in _box_lps(RNG_SEED + 7, 30):
+        z0 = solve_lp(lp, M0, engine="highs").primal
+        lb, ub = lp.lb.copy(), lp.ub.copy()
+        fix = np.arange(lp.n_vars) % 2 == 0
+        lb[fix] = ub[fix] = z0[fix] + 0.01 * (lp.ub[fix] - z0[fix])
+        for form in (replace(lp, lb=lb, ub=ub),
+                     replace(lp, lb=lb, ub=ub).with_stacked_rows()):
+            sol = _assert_matches_linprog(form, M0)
+            if sol.status != "optimal":
+                continue
+            rows = np.flatnonzero(fix)
+            q, k = lp.n_ineq, lp.n_vars
+            pinned_duals += int(np.count_nonzero(
+                sol.ineq_duals[q + rows]) + np.count_nonzero(
+                sol.ineq_duals[q + k + rows]))
+    assert pinned_duals >= 10
+
+
+def test_highs_matches_linprog_on_infeasible_and_unbounded_lps():
+    lp = simple_lp([((1.0,), ">=", 1.0), ((1.0,), "<=", 0.0)], (1.0,))
+    assert _assert_matches_linprog(lp, np.zeros(0)).status == "infeasible"
+    lp = simple_lp([((1.0,), ">=", 0.0)], (-1.0,))
+    assert _assert_matches_linprog(lp, np.zeros(0)).status == "unbounded"
+    lp = simple_lp([((1.0, 1.0), "==", 3.0)], (1.0, 1.0),
+                   bounds=[(0.0, 1.0), (0.0, 1.0)])
+    assert _assert_matches_linprog(lp, np.zeros(0)).status == "infeasible"
+
+
+def test_highs_matches_linprog_where_options_decide():
+    # gaps and reduced costs near the 1e-10 tolerances, where a looser
+    # tolerance, presolve off or another simplex strategy ends elsewhere
+    near_infeasible = simple_lp(
+        [((1.0, 1.0), ">=", 1e-8), ((1.0, -1.0), "==", 0.0)], (1.0, 1.0),
+        bounds=[(0.0, 0.0), (None, None)])
+    assert _assert_matches_linprog(
+        near_infeasible, np.zeros(0)).status == "infeasible"
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for _ in range(5):
+        prog = LinearProgram()
+        for j, cost in enumerate(rng.choice([-3e-8, -2e-8, -1e-8, 1e-9], 4)):
+            prog.add_var(f"z{j}", lb=0.0, ub=1.0, cost=float(cost))
+        for i in range(3):
+            prog.add_constraint({f"z{j}": float(abs(rng.standard_normal()))
+                                 for j in range(4)}, "<=", 1.0)
+        _assert_matches_linprog(to_standard_form(prog), np.zeros(0))
+
+
+@pytest.mark.parametrize("hub", ["hub_experiment.yaml", "hub_showcase.yaml"])
+def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
+    # every node of one day's three searches, plus a node branched by hand
+    from pathlib import Path
+
+    import mesval
+    from mesval import bnb
+    from mesval.dispatch import (build_day_ahead, build_intra_day,
+                                 build_joint, storage_repair)
+    from mesval.hub import load_hub_config
+
+    cfg = load_hub_config(Path(mesval.__file__).parent / "configs" / hub)
+    rng = np.random.default_rng(RNG_SEED + 8)
+    fc = np.vstack([rng.uniform(1500.0, 2500.0, 24),
+                    rng.uniform(800.0, 1600.0, 24),
+                    rng.uniform(300.0, 900.0, 24)])
+    act = np.maximum(fc + rng.normal(0.0, 0.05 * fc.mean(), fc.shape), 0.0)
+    nodes = []
+
+    def compared(lp, M, engine):
+        assert engine == "highs"
+        assert lp.rows_csc is not None     # the template's stacked rows
+        nodes.append(lp)
+        return _assert_matches_linprog(lp, M)
+
+    monkeypatch.setattr(bnb, "solve_lp", compared)
+
+    def search(prob):
+        res = bnb.branch_and_bound(prob.milp, prob.M0, engine="highs",
+                                   round_repair=storage_repair(prob))
+        assert res.status == "optimal"
+        return res
+
+    da = build_day_ahead(fc, cfg)
+    intra = build_intra_day(da, search(da), act)
+    search(intra)
+    search(build_joint(fc, act, cfg))
+    assert len(nodes) >= 3
+    lp = da.milp.lp
+    j = da.milp.integer_vars[0]
+    ub = lp.ub.copy()
+    ub[j] = 0.0
+    node = bnb.subproblem_for_trail(da.milp, (bnb.BranchStep(j, "floor",
+                                                             0.0),))
+    assert node.rows_csc is lp.rows_csc
+    np.testing.assert_array_equal(node.ub, ub)
+    assert _assert_matches_linprog(node, da.M0).status == "optimal"
+
+
+# ---------------------------------------------------------------------------
+# 3c. HiGHS failure paths
+# ---------------------------------------------------------------------------
+
+def test_optimal_point_outside_a_bound_is_rejected():
+    tol = 10 * np.sqrt(1e-9)
+    lb, ub = np.zeros(2), np.ones(2)
+    ok = dict(objective=0.0, ineq_slack=np.zeros(1), eq_residual=np.zeros(1),
+              lb=lb, ub=ub)
+    _check_feasible(np.array([-0.9 * tol, 1.0 + 0.9 * tol]), **ok)
+    for z in ([-1.1 * tol, 0.5], [0.5, 1.0 + 1.1 * tol]):
+        with pytest.raises(LPNumericalError, match="HiGHS"):
+            _check_feasible(np.array(z), **ok)
+    bad_rows = [dict(ineq_slack=np.array([-1.1 * tol])),
+                dict(eq_residual=np.array([1.1 * tol])),
+                dict(eq_residual=np.array([np.nan])),
+                dict(objective=np.nan)]
+    for bad in bad_rows:
+        with pytest.raises(LPNumericalError, match="HiGHS"):
+            _check_feasible(np.array([0.5, 0.5]), **{**ok, **bad})
+
+
+def _highs_core():
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def test_highs_status_map():
+    core = _highs_core()
+    S = core.HighsModelStatus
+    kept = {S.kOptimal: "optimal", S.kInfeasible: "infeasible",
+            S.kModelError: "infeasible", S.kUnbounded: "unbounded"}
+    others = [s for s in S.__members__.values() if s not in kept]
+    assert S.kUnboundedOrInfeasible in others and S.kIterationLimit in others
+    for status, outcome in kept.items():
+        assert _highs_outcome(status, core) == outcome
+    for status in others:
+        with pytest.raises(LPNumericalError,
+                           match=f"HiGHS .*model status {status.name}"):
+            _highs_outcome(status, core)
+
+
+def test_missing_binding_names_the_requirement(monkeypatch):
+    import sys
+
+    from mesval import lp as lp_module
+
+    monkeypatch.setattr(lp_module, "_HIGHS", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    lp = simple_lp([((1.0,), ">=", 1.0)], (1.0,))
+    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+        solve_lp(lp, np.zeros(0), engine="highs")
+
+
+def test_highs_iteration_limit_raises(monkeypatch):
+    from mesval import lp as lp_module
+
+    monkeypatch.setattr(lp_module, "_HIGHS", None)    # a solver of its own
+    highs, core = lp_module._highs()
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_iteration_limit", 0)
+    prog, M0 = random_box_lp(np.random.default_rng(RNG_SEED + 9), 6, 5, 1, 2)
+    with pytest.raises(LPNumericalError, match="kIterationLimit"):
+        solve_lp(to_standard_form(prog), M0, engine="highs")
 
 
 # ---------------------------------------------------------------------------
