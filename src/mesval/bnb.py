@@ -2,9 +2,15 @@
 
 Search rules, all deliberately plain:
 
-  * the relaxation at each node is solved exactly (no warm starts, no cuts);
+  * the relaxation at each node is solved exactly, with no cuts; the root
+    is solved cold and every later node with ``warm=True``, so HiGHS
+    re-solves it from the basis of the node before, which shares its model
+    up to column bounds (the Bland engine always solves cold);
   * a node survives only if its relaxation is optimal AND its bound is
     strictly below the incumbent objective, so ties prune;
+  * a child whose parent's relaxation bound is not strictly below the
+    incumbent objective when it leaves the stack cannot survive, so its
+    LP is not solved: it is neither counted nor logged;
   * branching picks the lowest-index integer variable whose relaxed value
     sits further than ``int_tol`` from an integer, and splits on floor/ceil;
   * the floor child is explored before the ceil child (LIFO stack, ceil
@@ -179,17 +185,20 @@ def _verified_point(node_lp, M, sol, z, int_idx, int_tol):
 def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
     M = np.asarray(M, dtype=float)
     int_idx = list(problem.integer_vars)
-    stack: list[tuple[BranchStep, ...]] = [()]
+    # each open node with the relaxation bound of its parent
+    stack: list[tuple[tuple[BranchStep, ...], float]] = [((), -math.inf)]
     best_obj = math.inf
     best: tuple | None = None
     count = 0
     while stack:
+        trail, parent_bound = stack.pop()
+        if not parent_bound < best_obj:
+            continue
         if count >= max_nodes:
             raise NodeLimitError(f"node budget {max_nodes} exhausted")
-        trail = stack.pop()
         count += 1
         node_lp = subproblem_for_trail(problem, trail)
-        sol = solve_lp(node_lp, M, engine=engine)
+        sol = solve_lp(node_lp, M, engine=engine, warm=bool(trail))
         if sol.status == "unbounded":
             return MILPResult(status="unbounded", objective=None, primal=None,
                               integer_values=None, node_count=count,
@@ -224,8 +233,11 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
         j = int_idx[loose[0]]
         v = sol.primal[j]
         _log(node_log, count, trail, sol.status, sol.objective, "branch", j)
-        stack.append(trail + (BranchStep(j, "ceil", float(math.ceil(v))),))
-        stack.append(trail + (BranchStep(j, "floor", float(math.floor(v))),))
+        stack.append((trail + (BranchStep(j, "ceil", float(math.ceil(v))),),
+                      sol.objective))
+        stack.append((trail + (BranchStep(j, "floor",
+                                          float(math.floor(v))),),
+                      sol.objective))
     if best is None:
         return MILPResult(status="infeasible", objective=None, primal=None,
                           integer_values=None, node_count=count,

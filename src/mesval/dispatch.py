@@ -455,6 +455,9 @@ class _Template:
     problem: DispatchProblem
     link_rows: np.ndarray      # A_h rows of the id.link constraints
     reserve_rows: np.ndarray   # A_f rows of the id.cres_* constraints
+    # (3, k): the charge, discharge and exclusivity-binary columns of each
+    # storage unit and hour, for storage_repair
+    storage_cols: np.ndarray
 
 
 # id(config) -> (weak reference to the config, {stage: _Template}); an entry
@@ -489,12 +492,18 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
               prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
         a.flags.writeable = False
+    storage_cols = np.array(
+        [[prob.var_index[f"{s}.{kind}[{store.name}][{t}]"]
+          for s in _PARTS[stage] for store in config.storages
+          for t in range(config.horizon)]
+         for kind in ("q_ch", "q_dis", "u")], dtype=int)
     # the cache must not keep its key alive: builds put the config back
     return _Template(
         problem=replace(prob, config=None, da_reference=None,
                         var_index=MappingProxyType(prob.var_index)),
         link_rows=np.array([eq[n] for n in link], dtype=int),
-        reserve_rows=np.array([ineq[n] for n in reserve], dtype=int))
+        reserve_rows=np.array([ineq[n] for n in reserve], dtype=int),
+        storage_cols=storage_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -551,31 +560,21 @@ def storage_repair(problem: DispatchProblem):
     The search verifies each proposal by substitution before accepting it,
     so a proposal this function gets wrong only costs one branch.
     """
-    triples = []
-    for s in _PARTS[problem.stage]:
-        for store in problem.config.storages:
-            for t in range(problem.config.horizon):
-                triples.append((
-                    problem.var_index[f"{s}.q_ch[{store.name}][{t}]"],
-                    problem.var_index[f"{s}.q_dis[{store.name}][{t}]"],
-                    problem.var_index[f"{s}.u[{store.name}][{t}]"]))
+    ch, dis, u_col = _template(problem.config, problem.stage).storage_cols
 
     def propose(node_lp, M, sol, int_idx):
         ints = np.asarray(int_idx, dtype=int)
         z = sol.primal.copy()
         z[ints] = np.clip(np.round(z[ints]), node_lp.lb[ints],
                           node_lp.ub[ints])
-        for ch_i, dis_i, u_i in triples:
-            net = sol.primal[ch_i] - sol.primal[dis_i]
-            z[ch_i] = max(net, 0.0)
-            z[dis_i] = max(-net, 0.0)
-            if z[ch_i] > 1e-9:
-                u = 1.0
-            elif z[dis_i] > 1e-9:
-                u = 0.0
-            else:
-                u = float(np.round(sol.primal[u_i]))
-            z[u_i] = float(np.clip(u, node_lp.lb[u_i], node_lp.ub[u_i]))
+        # max(x, 0.0) and a scalar clip, elementwise: both keep -0.0
+        net = sol.primal[ch] - sol.primal[dis]
+        z[ch] = np.where(0.0 > net, 0.0, net)
+        z[dis] = np.where(0.0 > -net, 0.0, -net)
+        u = np.where(z[ch] > 1e-9, 1.0,
+                     np.where(z[dis] > 1e-9, 0.0, np.round(sol.primal[u_col])))
+        lo, hi = node_lp.lb[u_col], node_lp.ub[u_col]
+        z[u_col] = np.where(u < lo, lo, np.where(u > hi, hi, u))
         return z
 
     return propose

@@ -37,18 +37,29 @@ instances; this is also the engine whose pivoting the tests pin down.
 scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). One solver per
 process, created on the first such solve, holds the options scipy's own
 HiGHS LP method sets (presolve on, dual simplex, feasibility tolerances
-1e-10). Each solve hands it a fresh model: the rows ``[A_f; A_h]`` as CSC
-(stacked once by :meth:`LPStandardForm.with_stacked_rows`, or per solve),
-row bounds ``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)`` above, and
-the bounds as column bounds. No basis carries over from one solve to the
-next, so a solve returns what scipy's LP method returns for the same
-problem, bit for bit; ``tests/test_lp.py`` checks that. An "optimal"
-point that breaks a bound or a row by more than ``10 * sqrt(1e-9)``
-raises :class:`LPNumericalError`, as does any HiGHS model status other
-than optimal, infeasible and unbounded. The bound duals are the column duals of columns nonbasic at
-that bound, mapped onto the folded rows through the indices of the finite
-bounds, so no folded matrix is built. Used for the larger dispatch
-problems where a dense tableau would be needlessly slow.
+1e-10). A cold solve hands it a fresh model: the rows ``[A_f; A_h]`` as
+CSC (stacked once by :meth:`LPStandardForm.with_stacked_rows`, or per
+solve), row bounds ``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)``
+above, and the bounds as column bounds. No basis carries over into a cold
+solve, so it returns what scipy's LP method returns for the same problem,
+bit for bit; ``tests/test_lp.py`` checks that.
+
+The solver remembers the model it was last passed. A solve asked for
+with ``warm=True`` whose model is that one up to column bounds (the same
+``rows_csc`` and ``c`` objects, equal row bounds) moves only the column
+bounds that differ and re-runs the dual simplex from the basis the solver
+holds, skipping presolve: the standard re-solve of a branch-and-bound
+child. Its status and objective are a cold solve's, but at ties it may
+end at another optimal vertex. Any other warm request, and a warm run
+that fails, is solved cold.
+
+On both paths, an "optimal" point that breaks a bound or a row by more
+than ``10 * sqrt(1e-9)`` raises :class:`LPNumericalError`, as does any
+HiGHS model status other than optimal, infeasible and unbounded. The
+bound duals are the column duals of columns nonbasic at that bound,
+mapped onto the folded rows through the indices of the finite bounds, so
+no folded matrix is built. Used for the larger dispatch problems where a
+dense tableau would be needlessly slow.
 
 The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
 the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
@@ -573,7 +584,27 @@ def _check_feasible(z, objective, ineq_slack, eq_residual, lb, ub) -> None:
             f"constraints by more than {_FEAS_TOL:.2e}")
 
 
-def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
+@dataclass(frozen=True)
+class _Held:
+    """The model last passed to a solver, as far as a warm start needs it:
+    the very rows and costs (held, so their ids stay theirs), and copies of
+    the row and column bounds."""
+
+    highs: object
+    rows: sparse.csc_array
+    c: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+
+_HELD: _Held | None = None   # set by the last HiGHS solve that ran
+
+
+def _solve_highs(lp: LPStandardForm, M: np.ndarray,
+                 warm: bool = False) -> LPSolution:
+    global _HELD
     highs, core = _highs()
     q = lp.n_ineq
     m = lp.n_eq
@@ -583,6 +614,24 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
     b_h = lp.b_h(M)
     row_hi = np.concatenate((lp.b_f(M), b_h))
     row_lo = np.concatenate((np.full(q, -np.inf), b_h))
+    held, _HELD = _HELD, None
+    if (warm and held is not None and held.highs is highs
+            and held.rows is A and held.c is lp.c
+            and np.array_equal(held.row_lo, row_lo)
+            and np.array_equal(held.row_hi, row_hi)):
+        # the solver holds this model up to column bounds: move the bounds
+        # that differ and re-run from the basis it holds
+        moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
+        if highs.changeColsBounds(
+                moved.size, moved.astype(np.int32), lp.lb[moved],
+                lp.ub[moved]) != core.HighsStatus.kError:
+            highs.run()
+            _HELD = replace(held, lb=lp.lb.copy(), ub=lp.ub.copy())
+            try:
+                return _highs_solution(highs, core, lp, row_hi,
+                                       highs.getModelStatus())
+            except LPNumericalError:
+                _HELD = None    # a failed warm start gets one cold solve
     if highs.passModel(
             n, q + m, A.nnz, core.MatrixFormat.kColwise,
             core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
@@ -592,10 +641,20 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
     else:
         highs.run()
         status = highs.getModelStatus()
+        _HELD = _Held(highs, A, lp.c, row_lo, row_hi, lp.lb.copy(),
+                      lp.ub.copy())
+    return _highs_solution(highs, core, lp, row_hi, status)
+
+
+def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
+                    status) -> LPSolution:
+    """Read the solver's outcome for ``lp`` after a cold or a warm run:
+    the status map, the post-solve check and the duals."""
     outcome = _highs_outcome(status, core)
     if outcome != "optimal":
         return LPSolution(outcome, None, None, None, None, None)
 
+    q = lp.n_ineq
     sol = highs.getSolution()
     z = np.array(sol.col_value)
     slack = row_hi - np.array(sol.row_value)
@@ -623,16 +682,22 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
 
 
 def solve_lp(lp: LPStandardForm, M: np.ndarray,
-             engine: str = "bland") -> LPSolution:
+             engine: str = "bland", warm: bool = False) -> LPSolution:
     """Solve the LP at parameter value M. Statuses, never exceptions, for
-    infeasible/unbounded instances."""
+    infeasible/unbounded instances.
+
+    ``warm`` (HiGHS only): when the solver still holds this LP's model up
+    to column bounds, move those bounds and re-run from the basis it holds
+    instead of passing a fresh model. At ties the result may be another
+    optimal vertex than a cold solve's. Any other model is solved cold.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape != (lp.param_dim,):
         raise ValueError(f"M has shape {M.shape}, expected ({lp.param_dim},)")
     if engine == "bland":
         return _solve_bland(lp, M)
     if engine == "highs":
-        return _solve_highs(lp, M)
+        return _solve_highs(lp, M, warm)
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -91,6 +91,42 @@ def test_search_trace_floor_first_and_strict_prune():
     assert log[2].trail[-1].side == "ceil"
 
 
+def test_child_of_a_tied_parent_is_skipped(monkeypatch):
+    # min -y s.t. y <= x0 + x1, 2 x0 <= 1, x0, x1 binary, y <= 1.
+    # root:  relaxation -1 at x0 = 0.5, branch on x0
+    # next:  floor child reaches -1 with x1 = 1: incumbent
+    # then:  the ceil child's parent bound -1 is not below -1, so its LP
+    #        (infeasible: 2 x0 <= 1) is never solved, counted or logged
+    from mesval import bnb
+
+    prog = LinearProgram()
+    prog.add_var("x0", lb=0.0, ub=1.0)
+    prog.add_var("x1", lb=0.0, ub=1.0)
+    prog.add_var("y", lb=0.0, ub=1.0, cost=-1.0)
+    prog.add_constraint({"y": 1.0, "x0": -1.0, "x1": -1.0}, "<=", 0.0)
+    prog.add_constraint({"x0": 2.0}, "<=", 1.0)
+    prob = MILPProblem(lp=to_standard_form(prog), integer_vars=(0, 1))
+    ref = enumerate_integer_assignments(prob, np.zeros(0))
+    solved = []
+
+    def counted(lp, M, engine, warm=False):
+        solved.append(lp)
+        return solve_lp(lp, M, engine=engine, warm=warm)
+
+    monkeypatch.setattr(bnb, "solve_lp", counted)
+    for engine in ("bland", "highs"):
+        solved.clear()
+        log = []
+        res = branch_and_bound(prob, np.zeros(0), engine=engine,
+                               node_log=log)
+        assert res.status == ref.status == "optimal"
+        np.testing.assert_allclose(res.objective, ref.objective, atol=1e-12)
+        np.testing.assert_allclose(res.integer_values, ref.integer_values)
+        assert [rec.outcome for rec in log] == ["branch", "incumbent"]
+        assert log[0].branch_var == 0
+        assert res.node_count == len(solved) == 2
+
+
 def test_branches_lowest_index_fractional():
     # both slots fractional at the root; slot 0 must be branched first
     prob = binary_program([-1.0, -1.0],

@@ -623,6 +623,70 @@ def test_experiment_config_joint_solves_and_verifies():
         res.objective, rtol=1e-9)
 
 
+def _loop_storage_repair(problem):
+    """The per-triple loop that storage_repair vectorises (the reference)."""
+    triples = []
+    for s in dispatch._PARTS[problem.stage]:
+        for store in problem.config.storages:
+            for t in range(problem.config.horizon):
+                triples.append((
+                    problem.var_index[f"{s}.q_ch[{store.name}][{t}]"],
+                    problem.var_index[f"{s}.q_dis[{store.name}][{t}]"],
+                    problem.var_index[f"{s}.u[{store.name}][{t}]"]))
+
+    def propose(node_lp, M, sol, int_idx):
+        ints = np.asarray(int_idx, dtype=int)
+        z = sol.primal.copy()
+        z[ints] = np.clip(np.round(z[ints]), node_lp.lb[ints],
+                          node_lp.ub[ints])
+        for ch_i, dis_i, u_i in triples:
+            net = sol.primal[ch_i] - sol.primal[dis_i]
+            z[ch_i] = max(net, 0.0)
+            z[dis_i] = max(-net, 0.0)
+            if z[ch_i] > 1e-9:
+                u = 1.0
+            elif z[dis_i] > 1e-9:
+                u = 0.0
+            else:
+                u = float(np.round(sol.primal[u_i]))
+            z[u_i] = float(np.clip(u, node_lp.lb[u_i], node_lp.ub[u_i]))
+        return z
+
+    return propose
+
+
+@pytest.mark.parametrize("hub", ["hub_experiment.yaml", "hub_showcase.yaml"])
+def test_storage_repair_matches_the_loop_bit_for_bit(hub):
+    # every proposal of three days' searches, then the same nodes with
+    # primals full of signed zeros, threshold values and out-of-box binaries
+    cfg = load_hub_config(_shipped(hub))
+    rng = np.random.default_rng(RNG_SEED + 21)
+    calls = []
+    for day in range(3):
+        fc, act = _hub_day_loads(rng, hub)
+        da = build_day_ahead(fc, cfg)
+        for prob in (da, build_intra_day(da, solve(da), act),
+                     build_joint(fc, act, cfg)):
+            repair = storage_repair(prob)
+
+            def recorded(node_lp, M, sol, int_idx, repair=repair, prob=prob):
+                calls.append((prob, node_lp, M, sol, int_idx))
+                return repair(node_lp, M, sol, int_idx)
+
+            branch_and_bound(prob.milp, prob.M0, engine="highs",
+                             round_repair=recorded)
+    assert len(calls) >= 9
+    odd = np.array([-0.0, 0.0, 1e-9, 2e-9, -1e-12, 0.3, 0.5, 1.5, -0.3, 1.0])
+    for prob, node_lp, M, sol, int_idx in list(calls):
+        calls.append((prob, node_lp, M, dataclasses.replace(
+            sol, primal=rng.choice(odd, size=sol.primal.size)), int_idx))
+    for prob, node_lp, M, sol, int_idx in calls:
+        got = storage_repair(prob)(node_lp, M, sol, int_idx)
+        want = _loop_storage_repair(prob)(node_lp, M, sol, int_idx)
+        assert _bits(got) == _bits(want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def _shipped(fname):
     import mesval
     from pathlib import Path

@@ -7,8 +7,9 @@ Groups:
      a randomized battery cross-checked against a vertex-enumeration oracle,
      bit-identical determinism, objective affinity in the RHS parameters.
   3. HiGHS engine adapter: same contracts, cross-engine agreement; bitwise
-     agreement with scipy.optimize.linprog on random, edge-case and
-     dispatch LPs; the post-solve check and the status map.
+     agreement of cold solves with scipy.optimize.linprog on random,
+     edge-case and dispatch LPs; warm starts inside a search, against cold
+     solves; the post-solve check and the status map.
   4. check_kkt: accepts solver output, flags constructed violations.
 
 The vertex-enumeration oracle in _util.py is written directly against the
@@ -28,6 +29,7 @@ from mesval.lp import (
     LPBuildError,
     LPNumericalError,
     LPSolution,
+    _FEAS_TOL,
     _check_feasible,
     _highs_outcome,
     check_kkt,
@@ -396,9 +398,7 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _assert_matches_linprog(lp, M):
-    got = solve_lp(lp, M, engine="highs")
-    want = _linprog_reference(lp, M)
+def _assert_same_solution(got, want):
     assert got.status == want.status
     assert got.basis == want.basis
     for name in ("primal", "ineq_duals", "eq_duals", "objective"):
@@ -406,7 +406,19 @@ def _assert_matches_linprog(lp, M):
         assert (a is None) == (b is None), name
         if a is not None:
             assert _bits(a) == _bits(b), name
+
+
+def _assert_matches_linprog(lp, M):
+    got = solve_lp(lp, M, engine="highs")
+    _assert_same_solution(got, _linprog_reference(lp, M))
     return got
+
+
+def _assert_feasible(lp, M, z):
+    """Bounds and rows hold at ``z`` within the post-solve tolerance."""
+    assert np.all(z >= lp.lb - _FEAS_TOL) and np.all(z <= lp.ub + _FEAS_TOL)
+    assert np.all(lp.A_f @ z - lp.b_f(M) <= _FEAS_TOL)
+    assert np.all(np.abs(lp.A_h @ z - lp.b_h(M)) <= _FEAS_TOL)
 
 
 def _box_lps(seed, count):
@@ -483,30 +495,49 @@ def test_highs_matches_linprog_where_options_decide():
         _assert_matches_linprog(to_standard_form(prog), np.zeros(0))
 
 
-@pytest.mark.parametrize("hub", ["hub_experiment.yaml", "hub_showcase.yaml"])
-def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
-    # every node of one day's three searches, plus a node branched by hand
+def _shipped_day(hub, seed=RNG_SEED + 8):
+    """A shipped hub and one day's forecasts and actual loads. On the
+    showcase hub the default day's joint search runs deep."""
     from pathlib import Path
 
     import mesval
-    from mesval import bnb
-    from mesval.dispatch import (build_day_ahead, build_intra_day,
-                                 build_joint, storage_repair)
     from mesval.hub import load_hub_config
 
     cfg = load_hub_config(Path(mesval.__file__).parent / "configs" / hub)
-    rng = np.random.default_rng(RNG_SEED + 8)
+    rng = np.random.default_rng(seed)
     fc = np.vstack([rng.uniform(1500.0, 2500.0, 24),
                     rng.uniform(800.0, 1600.0, 24),
                     rng.uniform(300.0, 900.0, 24)])
     act = np.maximum(fc + rng.normal(0.0, 0.05 * fc.mean(), fc.shape), 0.0)
+    return cfg, fc, act
+
+
+@pytest.mark.parametrize("hub", ["hub_experiment.yaml", "hub_showcase.yaml"])
+def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
+    # every node of one day's three searches, plus a node branched by hand
+    from mesval import bnb
+    from mesval.dispatch import (build_day_ahead, build_intra_day,
+                                 build_joint, storage_repair)
+
+    cfg, fc, act = _shipped_day(hub)
     nodes = []
 
-    def compared(lp, M, engine):
+    def compared(lp, M, engine, warm=False):
+        # roots are solved cold and match bitwise; later nodes re-solve
+        # from the held basis and may land on another optimal vertex
         assert engine == "highs"
         assert lp.rows_csc is not None     # the template's stacked rows
-        nodes.append(lp)
-        return _assert_matches_linprog(lp, M)
+        nodes.append(warm)
+        if not warm:
+            return _assert_matches_linprog(lp, M)
+        got = solve_lp(lp, M, engine="highs", warm=True)
+        want = _linprog_reference(lp, M)
+        assert got.status == want.status
+        if got.status == "optimal":
+            np.testing.assert_allclose(got.objective, want.objective,
+                                       rtol=1e-9, atol=0.0)
+            _assert_feasible(lp, M, got.primal)
+        return got
 
     monkeypatch.setattr(bnb, "solve_lp", compared)
 
@@ -520,7 +551,7 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
     intra = build_intra_day(da, search(da), act)
     search(intra)
     search(build_joint(fc, act, cfg))
-    assert len(nodes) >= 3
+    assert nodes.count(False) == 3     # one cold root per search
     lp = da.milp.lp
     j = da.milp.integer_vars[0]
     ub = lp.ub.copy()
@@ -533,7 +564,185 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# 3c. HiGHS failure paths
+# 3c. warm starts
+# ---------------------------------------------------------------------------
+# A warm request re-solves from the basis the solver holds only when it
+# holds the same model up to column bounds; any other request is a cold
+# solve, bit for bit. A search solves its root cold, so it does not depend
+# on what was solved before it.
+
+class _SolverSpy:
+    """The process's solver, with its model passes and bound moves logged
+    and, on request, one warm run reported as stopped short."""
+
+    def __init__(self, highs, core, fail_warm=False):
+        self._highs, self._core = highs, core
+        self.calls = []
+        self.fail_next = False
+        self.fail_warm = fail_warm
+
+    def passModel(self, *args):
+        self.calls.append("passModel")
+        return self._highs.passModel(*args)
+
+    def changeColsBounds(self, *args):
+        self.calls.append("changeColsBounds")
+        self.fail_next, self.fail_warm = self.fail_warm, False
+        return self._highs.changeColsBounds(*args)
+
+    def getModelStatus(self):
+        if self.fail_next:
+            self.fail_next = False
+            return self._core.HighsModelStatus.kIterationLimit
+        return self._highs.getModelStatus()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def _spy_on_solver(monkeypatch, **kw):
+    from mesval import lp as lp_module
+
+    highs, core = lp_module._highs()
+    spy = _SolverSpy(highs, core, **kw)
+    monkeypatch.setattr(lp_module, "_HIGHS", (spy, core))
+    monkeypatch.setattr(lp_module, "_HELD", None)
+    return spy
+
+
+def _floor_node(prob):
+    from mesval import bnb
+
+    j = prob.milp.integer_vars[0]
+    return bnb.subproblem_for_trail(prob.milp,
+                                    (bnb.BranchStep(j, "floor", 0.0),))
+
+
+def test_warm_request_on_a_model_not_held_is_a_cold_solve(monkeypatch):
+    from mesval.dispatch import build_day_ahead, build_joint
+
+    spy = _spy_on_solver(monkeypatch)
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, _ = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    da, da2 = build_day_ahead(fc, cfg), build_day_ahead(fc2, cfg)
+    joint = build_joint(fc, act, cfg)
+    node = _floor_node(da)
+    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
+                                5, 4, 1, 2)
+    box = to_standard_form(prog)
+    cold = {"joint": solve_lp(joint.milp.lp, joint.M0, engine="highs"),
+            "node": solve_lp(node, da.M0, engine="highs"),
+            "node2": solve_lp(node, da2.M0, engine="highs")}
+
+    def warm_after(held, M_held, lp, M):
+        solve_lp(held, M_held, engine="highs")
+        spy.calls.clear()
+        got = solve_lp(lp, M, engine="highs", warm=True)
+        assert spy.calls == ["passModel"]
+        return got
+
+    # another stage's template, the same template at another M, and the
+    # same model again after an unrelated LP was solved in between
+    _assert_same_solution(
+        warm_after(da.milp.lp, da.M0, joint.milp.lp, joint.M0),
+        cold["joint"])
+    _assert_same_solution(warm_after(da.milp.lp, da.M0, node, da2.M0),
+                          cold["node2"])
+    solve_lp(da.milp.lp, da.M0, engine="highs")
+    _assert_same_solution(warm_after(box, M_box, node, da.M0), cold["node"])
+    # the held model up to column bounds: the bounds move, no model passes
+    solve_lp(da.milp.lp, da.M0, engine="highs")
+    spy.calls.clear()
+    got = solve_lp(node, da.M0, engine="highs", warm=True)
+    assert spy.calls == ["changeColsBounds"]
+    assert got.status == cold["node"].status == "optimal"
+    np.testing.assert_allclose(got.objective, cold["node"].objective,
+                               rtol=1e-9, atol=0.0)
+
+
+def test_warm_run_that_stops_short_is_solved_cold(monkeypatch):
+    from mesval.dispatch import build_day_ahead
+
+    cfg, fc, _ = _shipped_day("hub_experiment.yaml")
+    da = build_day_ahead(fc, cfg)
+    node = _floor_node(da)
+    cold = solve_lp(node, da.M0, engine="highs")
+    spy = _spy_on_solver(monkeypatch, fail_warm=True)
+    solve_lp(da.milp.lp, da.M0, engine="highs")
+    spy.calls.clear()
+    got = solve_lp(node, da.M0, engine="highs", warm=True)
+    assert spy.calls == ["changeColsBounds", "passModel"]
+    _assert_same_solution(got, cold)
+
+
+def _deep_search(node_log=None):
+    """The showcase day's joint search, which runs deep."""
+    from mesval import bnb
+    from mesval.dispatch import build_joint, storage_repair
+
+    cfg, fc, act = _shipped_day("hub_showcase.yaml")
+    joint = build_joint(fc, act, cfg)
+    return joint, bnb.branch_and_bound(joint.milp, joint.M0, engine="highs",
+                                       node_log=node_log,
+                                       round_repair=storage_repair(joint))
+
+
+def test_warm_search_agrees_with_cold_solves(monkeypatch):
+    from mesval import bnb
+    from mesval.dispatch import verify_dispatch
+
+    spy = _spy_on_solver(monkeypatch)
+    solved = []
+
+    def recorded(lp, M, engine, warm=False):
+        sol = solve_lp(lp, M, engine=engine, warm=warm)
+        solved.append((lp, M, warm, sol))
+        return sol
+
+    monkeypatch.setattr(bnb, "solve_lp", recorded)
+    joint, res = _deep_search()
+    # one model passed for the whole search; every later node moves bounds
+    assert res.node_count == len(solved) > 10
+    assert spy.calls == (["passModel"]
+                         + ["changeColsBounds"] * (len(solved) - 1))
+    assert [warm for _, _, warm, _ in solved] == [False] + [True] * (
+        len(solved) - 1)
+    # every node, re-solved cold afterwards: same status, same objective
+    for lp, M, _, sol in solved:
+        ref = solve_lp(lp, M, engine="highs")
+        assert ref.status == sol.status
+        if sol.status == "optimal":
+            np.testing.assert_allclose(sol.objective, ref.objective,
+                                       rtol=1e-9, atol=0.0)
+    # a search that solves every node cold reaches the same optimum
+    monkeypatch.setattr(bnb, "solve_lp", lambda lp, M, engine, warm=False:
+                        solve_lp(lp, M, engine=engine))
+    _, cold = _deep_search()
+    assert res.status == cold.status == "optimal"
+    np.testing.assert_allclose(res.objective, cold.objective,
+                               rtol=1e-9, atol=0.0)
+    check = verify_dispatch(joint, res)
+    assert check.ok, check.violations
+
+
+def test_repeated_warm_search_is_bitwise_identical():
+    logs = [[], []]
+    _, first = _deep_search(node_log=logs[0])
+    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 13),
+                                5, 4, 1, 2)
+    solve_lp(to_standard_form(prog), M_box, engine="highs")
+    _, again = _deep_search(node_log=logs[1])
+    assert first.node_count == again.node_count > 10
+    assert first.trail == again.trail
+    for name in ("status", "objective", "primal", "integer_values"):
+        assert _bits(getattr(first, name)) == _bits(getattr(again, name))
+    _assert_same_solution(first.relaxation, again.relaxation)
+    # repr writes each float so that it reads back to the same bits
+    assert repr(logs[0]) == repr(logs[1])
+
+
+# ---------------------------------------------------------------------------
+# 3d. HiGHS failure paths
 # ---------------------------------------------------------------------------
 
 def test_optimal_point_outside_a_bound_is_rejected():
