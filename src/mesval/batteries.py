@@ -21,14 +21,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bnb import (MILPProblem, backward_optimal_subproblem, branch_and_bound,
                   embedded_gradient, enumerate_integer_assignments)
 from .lp import LPStandardForm, solve_lp
-from .lstm import (ForecastModel, Normalization, backward_day, forward_day,
-                   init_params)
+from .lstm import (ForecastModel, LstmParams, Normalization, backward_day,
+                   forecast_batch, init_params)
+# not called here; kept importable for tools that wrap mesval.batteries
+from .lstm import forward_day  # noqa: F401
 from .sensitivity import (cost_gradient, envelope_gradient,
                           finite_difference_gradient, vertex_degeneracy)
 
@@ -244,28 +247,34 @@ def bptt_battery(n_configs: int = 20, seed: int = 704,
         grads = backward_day(model, window, dloss)
         for name in type(params).field_names():
             analytic = getattr(grads, name)
-            base = getattr(params, name)
-            it = np.nditer(base, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                fd = _fd_slot(model, name, idx, window, dloss, h)
+            fds = _fd_slots(model, name, window, dloss, h)
+            for idx, fd in zip(np.ndindex(analytic.shape), fds):
                 err = abs(analytic[idx] - fd) / (1.0 + abs(fd))
                 tally.check(err, rel_tol, f"bptt[{i}] {name}{idx}")
     return tally.result("lstm-bptt", n_configs, time.perf_counter() - t0)
 
 
-def _fd_slot(model: ForecastModel, name: str, idx, window, dloss,
-             h: float) -> float:
-    import dataclasses
+def _fd_slots(model: ForecastModel, name: str, window, dloss,
+              h: float) -> list:
+    """Central differences of ``dloss . forecast`` for every slot of one
+    parameter tensor, in C order.
 
-    def loss_at(delta: float) -> float:
-        arr = getattr(model.params, name).copy()
-        arr[idx] += delta
-        params = dataclasses.replace(model.params, **{name: arr})
-        bumped = dataclasses.replace(model, params=params)
-        return float(dloss @ forward_day(bumped, window))
-
-    return (loss_at(h) - loss_at(-h)) / (2.0 * h)
+    All ``+h`` and ``-h`` copies of the tensor go through one batched
+    forward on a leading axis; each item runs the same products as a
+    forward of its own, so every difference keeps its bits.
+    """
+    base = getattr(model.params, name)
+    n = base.size
+    bumped = np.repeat(base[None], 2 * n, axis=0)
+    flat = bumped.reshape(2 * n, n)
+    slots = np.arange(n)
+    flat[slots, slots] += h
+    flat[n + slots, slots] += -h
+    fields = {f: getattr(model.params, f) for f in LstmParams.field_names()}
+    params = SimpleNamespace(**{**fields, name: bumped})
+    fc = forecast_batch(params, model.norm, window[None])
+    loss = [float(dloss @ fc[k]) for k in range(2 * n)]
+    return [(loss[k] - loss[n + k]) / (2.0 * h) for k in range(n)]
 
 
 def run_all_batteries(quick: bool = False, seed: int = 700) -> list:

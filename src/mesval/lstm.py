@@ -25,12 +25,32 @@ candidate). Raveled in field order this is the order of the saved
 ``flat`` payload, which format version 1 wrote one gate array at a time
 (input weights gate by gate, then recurrent weights, then biases, then
 the head), so those files load unchanged.
+
+The unrolled pass and its backward sweep run a batch: windows are
+``(B, T, D)`` and every step value carries the batch axis first.
+:func:`train_mse` unrolls all of a sector's training windows at once;
+:func:`forward_day` and :func:`backward_day` are the batch of one. The
+batch is bit-identical to running one window at a time because of two
+rules:
+
+  * every product keeps its per-window shape: the gate pre-activations
+    come from ``W_x @ x[..., None]`` (for all steps at once) and
+    ``W_h @ h[:, None, :, None]``, so each item is still an
+    ``(H, D) @ (D, 1)`` or ``(H, H) @ (H, 1)`` product and numpy makes
+    the same BLAS call per item; the head works the same way;
+  * every sum keeps its order: a sample's gradients build up over
+    reversed time, the samples are then added into the total in sample
+    order, and the loss adds ``err[k] @ err[k]`` in sample order.
+
+One ``(4H, D) @ (D, B)`` product, or a sum over the batch axis first,
+might be faster but would move the last bits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -151,55 +171,55 @@ def init_params(seed: int, hidden_size: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# cell and unrolled forward pass
+# batched cell and unrolled forward pass
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+def _step(params, xw, h_prev, c_prev):
+    """One recurrence step for a batch.
 
-
-def lstm_cell_forward(x: np.ndarray, state: LstmState,
-                      params: LstmParams) -> tuple:
-    """One recurrence step; returns the new state and the step output."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.input_dim,):
-        raise ForecastError(f"input shape {x.shape} does not match "
-                            f"expected shape ({params.input_dim},)")
-    if state.h.shape != (params.hidden_size,) or state.h.shape != state.c.shape:
-        raise ForecastError(f"state shape {state.h.shape}/{state.c.shape} "
-                            f"does not match hidden size "
-                            f"({params.hidden_size},)")
-    _, c, _, h = _step(params, x, state.h, state.c)
-    new = LstmState(h=h, c=c)
-    return new, h.copy()
-
-
-def _step(params, x, h_prev, c_prev):
-    """Stacked gate activations (rows in GATES order), c, tanh(c) and h."""
-    z = params.W_x @ x + params.W_h @ h_prev + params.b
-    z[:3] = _sigmoid(z[:3])
-    z[3] = np.tanh(z[3])
-    f, i, o, g = z
+    ``xw`` is the step's input product ``W_x @ x``, ``(B, 4, H)``;
+    ``h_prev`` and ``c_prev`` are ``(B, H)``. Returns the stacked gate
+    activations ``(B, 4, H)`` (rows in GATES order), then c, tanh(c) and
+    h, each ``(B, H)``.
+    """
+    z = (xw + (params.W_h @ h_prev[:, None, :, None])[..., 0]) + params.b
+    _sigmoid(z[:, :3], out=z[:, :3])
+    np.tanh(z[:, 3], out=z[:, 3])
+    f, i, o, g = z.swapaxes(0, 1)
     c = f * c_prev + i * g
     tc = np.tanh(c)
     return z, c, tc, o * tc
 
 
-def _unroll(params: LstmParams, window: np.ndarray):
-    """Run the window through the cell; keep per-step values for backward."""
-    H = params.hidden_size
-    h = np.zeros(H)
-    c = np.zeros(H)
+def _unroll(params, windows: np.ndarray):
+    """Run a batch of windows ``(B, T, D)`` through the cell; keep the
+    per-step values for backward."""
+    h = np.zeros((windows.shape[0], params.b.shape[-1]))
+    c = np.zeros_like(h)
+    # the input products of every step at once, (B, T, 4, H); a time axis
+    # goes in before the gate axis of W_x, batched or not
+    xw = (np.expand_dims(params.W_x, -4)
+          @ windows[:, :, None, :, None])[..., 0]
     steps = []
-    for t in range(window.shape[0]):
-        x = window[t]
-        z, c_new, tc, h_new = _step(params, x, h, c)
-        steps.append((x, z, c, tc, h))
+    for t in range(windows.shape[1]):
+        z, c_new, tc, h_new = _step(params, xw[:, t], h, c)
+        steps.append((windows[:, t], z, c, tc, h))
         h, c = h_new, c_new
-    out = params.W_out @ h + params.b_out
+    out = (params.W_out @ h[:, :, None])[..., 0] + params.b_out
     return steps, h, out
+
+
+def forecast_batch(params, norm: Normalization,
+                   windows: np.ndarray) -> np.ndarray:
+    """Forecasts ``(B, 24)`` in kW, clamped at zero, for windows
+    ``(B, T, D)``.
+
+    ``params`` needs only the five weight fields. Any of them may carry a
+    leading batch axis that broadcasts against the windows', so one call
+    can evaluate many perturbed copies of a network on one window.
+    """
+    _, _, out = _unroll(params, windows)
+    return np.maximum(norm.unscale(out), 0.0)
 
 
 def _check_window(model: "ForecastModel", window: np.ndarray) -> np.ndarray:
@@ -234,9 +254,7 @@ class ForecastModel:
 def forward_day(model: ForecastModel, window: np.ndarray) -> np.ndarray:
     """Forecast 24 hourly loads in kW, clamped at zero."""
     arr = _check_window(model, window)
-    _, _, out = _unroll(model.params, arr)
-    raw = model.norm.unscale(out)
-    return np.maximum(raw, 0.0)
+    return forecast_batch(model.params, model.norm, arr[None])[0]
 
 
 def backward_day(model: ForecastModel, window: np.ndarray,
@@ -252,39 +270,47 @@ def backward_day(model: ForecastModel, window: np.ndarray,
                             f"match horizon ({model.params.horizon},)")
     if not np.all(np.isfinite(dloss)):
         raise ForecastError("loss gradient must be finite")
-    steps, h_final, out = _unroll(model.params, arr)
-    raw = model.norm.unscale(out)
+    steps, h_final, out = _unroll(model.params, arr[None])
+    raw = model.norm.unscale(out[0])
     dout = np.where(raw > 0.0, dloss, 0.0) * model.norm.span
-    return LstmParams(**_backward_from_head(model.params, steps, h_final,
-                                            dout))
+    grads = _backward_from_head(model.params, steps, h_final, dout[None])
+    return LstmParams(**{name: g[0] for name, g in grads.items()})
 
 
 def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
-    """Reverse-mode sweep from a gradient at the (normalized) head output."""
-    g_x = np.zeros_like(params.W_x)
-    g_h = np.zeros_like(params.W_h)
-    g_b = np.zeros_like(params.b)
+    """Reverse-mode sweep from gradients ``(B, 24)`` at the (normalized)
+    head output; every returned gradient keeps the batch axis first."""
+    n = dout.shape[0]
+    g_x = np.zeros((n,) + params.W_x.shape)
+    g_h = np.zeros((n,) + params.W_h.shape)
+    g_b = np.zeros((n,) + params.b.shape)
+    # the outer products of each step, written in place; einsum with no
+    # summed index forms each product once, as a broadcast multiply
+    # would, at half its cost on a batch
+    term_x = np.empty_like(g_x)
+    term_h = np.empty_like(g_h)
     W_hT = params.W_h.transpose(0, 2, 1)
-    dh = params.W_out.T @ dout
-    dc = np.zeros(params.hidden_size)
+    dh = (params.W_out.T @ dout[:, :, None])[..., 0]
+    dc = np.zeros_like(dh)
     for x, z, c_prev, tc, h_prev in reversed(steps):
-        f, i, o, g = z
+        f, i, o, g = z.swapaxes(0, 1)
         dc = dc + dh * o * (1.0 - tc * tc)
         # gradient at the gate outputs, then through sigmoid' = s (1 - s)
         # for forget, input and output and tanh' = 1 - g^2 for the candidate
-        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i])
-        da[:3] *= z[:3]
-        da[:3] *= 1.0 - z[:3]
-        da[3] *= 1.0 - g * g
-        g_x += da[:, :, None] * x
-        g_h += da[:, :, None] * h_prev
+        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i], axis=1)
+        da[:, :3] *= z[:, :3]
+        da[:, :3] *= 1.0 - z[:, :3]
+        da[:, 3] *= 1.0 - g * g
+        g_x += np.einsum("bgi,bj->bgij", da, x, out=term_x)
+        g_h += np.einsum("bgi,bj->bgij", da, h_prev, out=term_h)
         g_b += da
         # one product per gate, summed in gate order: a single 4H-term
         # product would reorder the sum and move the last bits
-        dh = (W_hT @ da[:, :, None])[:, :, 0].sum(axis=0)
+        dh = (W_hT @ da[..., None])[..., 0].sum(axis=1)
         dc = dc * f
     return {"W_x": g_x, "W_h": g_h, "b": g_b,
-            "W_out": np.outer(dout, h_final), "b_out": dout.copy()}
+            "W_out": dout[:, :, None] * h_final[:, None, :],
+            "b_out": dout.copy()}
 
 
 def apply_external_gradient(model: ForecastModel, dloss_dforecast: np.ndarray,
@@ -348,16 +374,51 @@ class TrainingConfig:
     hidden_size: int = 32
 
     def __post_init__(self):
+        # bool is an int subclass, and YAML reads `true` as one
+        for name, kind, what in (
+                ("lr", numbers.Real, "a number"),
+                ("e2e_lr", numbers.Real, "a number"),
+                ("mse_epochs", numbers.Integral, "an integer"),
+                ("e2e_epochs", numbers.Integral, "an integer"),
+                ("window", numbers.Integral, "an integer"),
+                ("hidden_size", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ForecastError(f"{name} must be {what}, "
+                                    f"got {value!r}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ForecastError("lr must be positive")
         if not (np.isfinite(self.e2e_lr) and self.e2e_lr > 0.0):
             raise ForecastError("e2e_lr must be positive")
         if self.mse_epochs < 0 or self.e2e_epochs < 0:
             raise ForecastError("epoch counts must be >= 0")
-        if self.window < 1:
-            raise ForecastError("window must be >= 1")
+        if not 1 <= self.window <= HORIZON:
+            raise ForecastError(f"window must be between 1 and the "
+                                f"{HORIZON} hours of a day, got {self.window}")
         if self.hidden_size < 1:
             raise ForecastError("hidden_size must be >= 1")
+
+
+def _mse_gradient(params: LstmParams, windows: np.ndarray,
+                  targets: np.ndarray) -> tuple:
+    """Mean squared error over a batch of windows and its gradient.
+
+    Each sample's loss and gradients are added into the totals in sample
+    order, as a loop over the windows would add them. The batch's step
+    values die on return, before the next epoch unrolls.
+    """
+    steps, h_final, out = _unroll(params, windows)
+    err = out - targets
+    denom = float(err.size)
+    sample = _backward_from_head(params, steps, h_final, 2.0 * err / denom)
+    loss = 0.0
+    total = {name: np.zeros_like(getattr(params, name))
+             for name in LstmParams.field_names()}
+    for k in range(err.shape[0]):
+        loss += float(err[k] @ err[k])
+        for name in total:
+            total[name] += sample[name][k]
+    return loss / denom, total
 
 
 def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
@@ -380,31 +441,19 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
                             "window/target pair")
 
     norm = fit_normalization(loads)
-    windows = [build_window(loads[d - 1], int(dows[d - 1]), norm,
-                            config.window)
-               for d in range(1, loads.shape[0])]
-    targets = [norm.scale(loads[d]) for d in range(1, loads.shape[0])]
-    n = len(windows)
+    windows = np.stack([build_window(loads[d - 1], int(dows[d - 1]), norm,
+                                     config.window)
+                        for d in range(1, loads.shape[0])])
+    targets = norm.scale(loads[1:])
 
     params = init_params(seed, hidden_size=config.hidden_size,
                          input_dim=len(FEATURES))
     trace = np.zeros(config.mse_epochs)
-    denom = float(n * HORIZON)
     for epoch in range(config.mse_epochs):
-        total = {name: np.zeros_like(getattr(params, name))
-                 for name in LstmParams.field_names()}
-        loss = 0.0
-        for window, y in zip(windows, targets):
-            steps, h_final, out = _unroll(params, window)
-            err = out - y
-            loss += float(err @ err)
-            sample = _backward_from_head(params, steps, h_final,
-                                         2.0 * err / denom)
-            for name in total:
-                total[name] += sample[name]
-        trace[epoch] = loss / denom
+        loss, grads = _mse_gradient(params, windows, targets)
+        trace[epoch] = loss
         params = LstmParams(**{
-            name: getattr(params, name) - config.lr * total[name]
+            name: getattr(params, name) - config.lr * grads[name]
             for name in LstmParams.field_names()})
     model = ForecastModel(params=params, norm=norm, window=config.window,
                           seed=seed)

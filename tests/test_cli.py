@@ -175,6 +175,26 @@ def test_empty_config_reads_as_defaults_under_the_flags(tmp_path, capsys):
         fan_out(0).sectors[1]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("window", 30),             # longer than the 24 hours of a day
+    ("mse_epochs", "ten"),
+    ("mse_epochs", 2.5),
+    ("mse_epochs", True),
+    ("hidden_size", 4.5),
+])
+def test_bad_training_value_is_usage_error(workdir, capsys, field, value):
+    tmp, config = workdir
+    raw = yaml.safe_load(config.read_text())
+    raw["training"][field] = value
+    # the data file is absent, so reading the data would exit 2 instead
+    raw["data_csv"] = str(tmp / "absent.csv")
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["train-base", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config: bad training section: ")
+    assert field in err
+
+
 def test_bad_coalition_label_is_usage_error(workdir):
     tmp, config = workdir
     assert main(["train-e2e", "--coalition", "xq",

@@ -7,7 +7,10 @@ Oracles, in order of independence:
     h = 0.5 * tanh(0.5));
   * an inline loop re-implementation of the unrolled forward pass, kept
     deliberately naive, which the vectorized code must match to 1e-12;
-  * central finite differences for every gradient the backward pass emits.
+  * central finite differences for every gradient the backward pass emits;
+  * the one-window-at-a-time forward, backward and training loop the
+    batched code replaced, kept verbatim below, which the batched code
+    must match bit for bit.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit as _sigmoid
 
 from mesval.lstm import (
     FEATURES,
@@ -22,7 +26,6 @@ from mesval.lstm import (
     ForecastError,
     ForecastModel,
     LstmParams,
-    LstmState,
     Normalization,
     TrainingConfig,
     apply_external_gradient,
@@ -33,10 +36,10 @@ from mesval.lstm import (
     forward_day,
     init_params,
     load_model,
-    lstm_cell_forward,
     save_model,
     train_mse,
 )
+from mesval.lstm import _step
 
 RNG_SEED = 77031
 
@@ -78,45 +81,47 @@ def reference_forward(window, params, norm):
 # cell equations, hand arithmetic
 # ---------------------------------------------------------------------------
 
+def cell_step(params, x, h_prev, c_prev):
+    """One step of the batched cell on a batch of one; returns (h, c)."""
+    xw = params.W_x @ np.asarray(x, dtype=float)
+    _, c, _, h = _step(params, xw[None], h_prev[None], c_prev[None])
+    return h[0], c[0]
+
+
 def test_cell_zero_everything():
     p = zero_params(3, 5)
-    state = LstmState(h=np.zeros(3), c=np.zeros(3))
-    new, y = lstm_cell_forward(np.zeros(5), state, p)
-    np.testing.assert_allclose(new.c, 0.0, atol=1e-15)
-    np.testing.assert_allclose(new.h, 0.0, atol=1e-15)
-    np.testing.assert_allclose(y, new.h, atol=0)
+    h, c = cell_step(p, np.zeros(5), np.zeros(3), np.zeros(3))
+    np.testing.assert_allclose(c, 0.0, atol=1e-15)
+    np.testing.assert_allclose(h, 0.0, atol=1e-15)
 
 
 def test_cell_zero_weights_carries_half_the_memory():
     # every gate is sigma(0) = 0.5 and the candidate is tanh(0) = 0, so
     # c = 0.5 * c_prev and h = 0.5 * tanh(c)
     p = zero_params(1, 2)
-    state = LstmState(h=np.zeros(1), c=np.ones(1))
-    new, y = lstm_cell_forward(np.array([3.0, -4.0]), state, p)
-    np.testing.assert_allclose(new.c, [0.5], atol=1e-15)
+    h, c = cell_step(p, np.array([3.0, -4.0]), np.zeros(1), np.ones(1))
+    np.testing.assert_allclose(c, [0.5], atol=1e-15)
     expect = 0.5 * math.tanh(0.5)          # 0.23105857863000487
-    np.testing.assert_allclose(new.h, [expect], atol=1e-15)
-    np.testing.assert_allclose(y, [expect], atol=1e-15)
+    np.testing.assert_allclose(h, [expect], atol=1e-15)
 
 
 def test_cell_saturated_forget_gate_keeps_memory():
     b = np.zeros((4, 2))
     b[0] = 40.0                             # forget gate bias
     p = dataclasses.replace(zero_params(2, 2), b=b)
-    state = LstmState(h=np.zeros(2), c=np.array([2.0, -1.0]))
-    new, _ = lstm_cell_forward(np.zeros(2), state, p)
+    _, c = cell_step(p, np.zeros(2), np.zeros(2), np.array([2.0, -1.0]))
     # forget ~ 1, input 0.5, candidate 0: c ~ c_prev exactly
-    np.testing.assert_allclose(new.c, [2.0, -1.0], rtol=1e-12)
+    np.testing.assert_allclose(c, [2.0, -1.0], rtol=1e-12)
 
 
 def test_cell_shape_mismatch_raises():
-    p = zero_params(3, 5)
-    state = LstmState(h=np.zeros(3), c=np.zeros(3))
+    # the cell takes no outside state; its input reaches it only as a
+    # window, whose feature width both day passes check
+    model = identity_model(zero_params(3, 5), window=6)
     with pytest.raises(ForecastError, match="shape"):
-        lstm_cell_forward(np.zeros(4), state, p)
+        forward_day(model, np.zeros((6, 4)))
     with pytest.raises(ForecastError, match="shape"):
-        lstm_cell_forward(np.zeros(5), LstmState(h=np.zeros(2),
-                                                 c=np.zeros(2)), p)
+        backward_day(model, np.zeros((6, 4)), np.zeros(24))
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +351,14 @@ def test_training_config_validation():
         TrainingConfig(window=0)
     with pytest.raises(ForecastError, match="epoch"):
         TrainingConfig(mse_epochs=-1)
+    with pytest.raises(ForecastError, match="window"):
+        TrainingConfig(window=25)
+    for field, bad in (("mse_epochs", True), ("e2e_epochs", 1.0),
+                       ("hidden_size", "8"), ("lr", "1e-3"),
+                       ("e2e_lr", False)):
+        with pytest.raises(ForecastError, match=field):
+            TrainingConfig(**{field: bad})
+    assert TrainingConfig(lr=1, mse_epochs=np.int64(3)).mse_epochs == 3
 
 
 def synthetic_loads(rng, days, base=200.0, swing=60.0):
@@ -399,6 +412,150 @@ def test_train_mse_empty_dataset_raises():
     cfg = TrainingConfig(hidden_size=4)
     with pytest.raises(ForecastError, match="day"):
         train_mse(np.zeros((1, 24)), np.zeros(1, dtype=int), cfg, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# batched passes vs the one-window-at-a-time loop, bit for bit
+# ---------------------------------------------------------------------------
+
+# The per-window cell, unroll, backward sweep and training loop that the
+# batched code replaced, kept verbatim (names prefixed with ref_). The
+# batched code keeps every product at its per-window shape and adds in
+# the same order, so it must reproduce these bits exactly.
+
+def ref_step(params, x, h_prev, c_prev):
+    """Stacked gate activations (rows in GATES order), c, tanh(c) and h."""
+    z = params.W_x @ x + params.W_h @ h_prev + params.b
+    z[:3] = _sigmoid(z[:3])
+    z[3] = np.tanh(z[3])
+    f, i, o, g = z
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return z, c, tc, o * tc
+
+
+def ref_unroll(params, window):
+    """Run the window through the cell; keep per-step values for backward."""
+    H = params.hidden_size
+    h = np.zeros(H)
+    c = np.zeros(H)
+    steps = []
+    for t in range(window.shape[0]):
+        x = window[t]
+        z, c_new, tc, h_new = ref_step(params, x, h, c)
+        steps.append((x, z, c, tc, h))
+        h, c = h_new, c_new
+    out = params.W_out @ h + params.b_out
+    return steps, h, out
+
+
+def ref_backward_from_head(params, steps, h_final, dout):
+    """Reverse-mode sweep from a gradient at the (normalized) head output."""
+    g_x = np.zeros_like(params.W_x)
+    g_h = np.zeros_like(params.W_h)
+    g_b = np.zeros_like(params.b)
+    W_hT = params.W_h.transpose(0, 2, 1)
+    dh = params.W_out.T @ dout
+    dc = np.zeros(params.hidden_size)
+    for x, z, c_prev, tc, h_prev in reversed(steps):
+        f, i, o, g = z
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i])
+        da[:3] *= z[:3]
+        da[:3] *= 1.0 - z[:3]
+        da[3] *= 1.0 - g * g
+        g_x += da[:, :, None] * x
+        g_h += da[:, :, None] * h_prev
+        g_b += da
+        dh = (W_hT @ da[:, :, None])[:, :, 0].sum(axis=0)
+        dc = dc * f
+    return {"W_x": g_x, "W_h": g_h, "b": g_b,
+            "W_out": np.outer(dout, h_final), "b_out": dout.copy()}
+
+
+def ref_train_mse(loads, dows, config, seed):
+    norm = fit_normalization(loads)
+    windows = [build_window(loads[d - 1], int(dows[d - 1]), norm,
+                            config.window)
+               for d in range(1, loads.shape[0])]
+    targets = [norm.scale(loads[d]) for d in range(1, loads.shape[0])]
+    n = len(windows)
+
+    params = init_params(seed, hidden_size=config.hidden_size,
+                         input_dim=len(FEATURES))
+    trace = np.zeros(config.mse_epochs)
+    denom = float(n * 24)
+    for epoch in range(config.mse_epochs):
+        total = {name: np.zeros_like(getattr(params, name))
+                 for name in LstmParams.field_names()}
+        loss = 0.0
+        for window, y in zip(windows, targets):
+            steps, h_final, out = ref_unroll(params, window)
+            err = out - y
+            loss += float(err @ err)
+            sample = ref_backward_from_head(params, steps, h_final,
+                                            2.0 * err / denom)
+            for name in total:
+                total[name] += sample[name]
+        trace[epoch] = loss / denom
+        params = LstmParams(**{
+            name: getattr(params, name) - config.lr * total[name]
+            for name in LstmParams.field_names()})
+    return params, trace
+
+
+def assert_params_identical(got, want):
+    for name in LstmParams.field_names():
+        a, b = getattr(got, name), want[name]
+        assert np.array_equal(a, b), (
+            f"{name} differs, worst {np.max(np.abs(a - b)):.3e}")
+
+
+def test_day_passes_match_per_window_reference_bitwise():
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for _ in range(40):
+        H = int(rng.integers(1, 13))
+        w = int(rng.integers(1, 25))
+        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=H)
+        norm = Normalization(lo=float(rng.uniform(-20.0, 20.0)), hi=60.0)
+        model = ForecastModel(params=params, norm=norm, window=w, seed=0)
+        window = rng.normal(0.0, 1.0, (w, 5))
+        dloss = rng.normal(size=24)
+        steps, h_final, out = ref_unroll(params, window)
+        raw = norm.unscale(out)
+        assert np.array_equal(forward_day(model, window),
+                              np.maximum(raw, 0.0))
+        dout = np.where(raw > 0.0, dloss, 0.0) * norm.span
+        want = ref_backward_from_head(params, steps, h_final, dout)
+        assert_params_identical(backward_day(model, window, dloss), want)
+
+
+def train_cases():
+    # a single training window, the smallest window and hidden size, zero
+    # epochs, the default split's 29 windows, then random shapes
+    cases = [(2, 24, 3, 4), (6, 1, 2, 3), (5, 9, 1, 3), (4, 5, 3, 0),
+             (30, 24, 32, 2)]
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for _ in range(4):
+        cases.append((int(rng.integers(2, 17)), int(rng.integers(1, 25)),
+                      int(rng.integers(1, 13)), int(rng.integers(0, 6))))
+    return cases
+
+
+@pytest.mark.parametrize("days,window,hidden,epochs", train_cases())
+def test_train_mse_matches_per_window_loop_bitwise(days, window, hidden,
+                                                   epochs):
+    rng = np.random.default_rng(days * 1000 + window * 10 + hidden)
+    loads = synthetic_loads(rng, days)
+    dows = rng.integers(0, 7, days)
+    cfg = TrainingConfig(window=window, hidden_size=hidden,
+                         mse_epochs=epochs, lr=0.05)
+    model, trace = train_mse(loads, dows, cfg, seed=days + hidden)
+    want_params, want_trace = ref_train_mse(loads, dows, cfg,
+                                            seed=days + hidden)
+    assert trace.shape == (epochs,)
+    assert np.array_equal(trace, want_trace)
+    assert_params_identical(model.params, dataclasses.asdict(want_params))
 
 
 # ---------------------------------------------------------------------------
