@@ -50,8 +50,10 @@ is differentiated by the implicit-function solve (primal sensitivities
 included); a larger one takes the dual (envelope) slope only.
 
 :func:`enumerate_integer_assignments` is the brute-force reference used by
-the acceptance battery: it pins every integer assignment in lexicographic
-order and keeps the first optimum within a machine-precision tie window.
+the acceptance battery: it tries every integer assignment in lexicographic
+order, solving the continuous columns with the assignment substituted into
+the right-hand side, and keeps the first optimum within a machine-precision
+tie window. It is exhaustive and runs on the Bland engine.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPSolution, LPStandardForm, solve_lp
+from .lp import LPSolution, LPStandardForm, _dense, solve_lp
 from .sensitivity import GradientResult, cost_gradient, dual_gradient_result
 
 INT_TOL = 1e-6
@@ -319,14 +321,18 @@ def backward_optimal_subproblem(result: MILPResult, M: np.ndarray,
 
 
 def enumerate_integer_assignments(problem: MILPProblem, M: np.ndarray,
-                                  engine: str = "bland",
                                   max_assignments: int = MAX_ASSIGNMENTS
                                   ) -> MILPResult:
     """Brute-force reference: try every integer assignment, keep the best.
 
-    Assignments are visited in lexicographic order over ascending variable
-    index; among objectives tied within machine precision the first one seen
-    is kept, which makes the reported assignment deterministic.
+    Each assignment ``z`` is an LP over the continuous columns alone,
+    solved by the Bland engine: ``z`` enters the right-hand side as extra
+    parameter entries (``A_cont x <= b(M) - A_int z``, likewise for the
+    equality rows) and its cost ``c_int . z`` is added to the LP optimum.
+    That LP is built and folded once per problem. Assignments are visited
+    in lexicographic order over ascending variable index; among objectives
+    tied within machine precision the first one seen is kept, which makes
+    the reported assignment deterministic.
     """
     lp = problem.lp
     M = np.asarray(M, dtype=float)
@@ -342,31 +348,40 @@ def enumerate_integer_assignments(problem: MILPProblem, M: np.ndarray,
     if total > max_assignments:
         raise ValueError(
             f"{total} integer assignments exceed the cap {max_assignments}")
+    ints = np.array(problem.integer_vars, dtype=int)
+    cont = np.setdiff1d(np.arange(lp.n_vars), ints)
+    A_f = _dense(lp.A_f)
+    A_h = _dense(lp.A_h)
+    rest = LPStandardForm(
+        c=lp.c[cont], c0=lp.c0,
+        A_f=A_f[:, cont], b_f0=lp.b_f0, B_f=np.hstack([lp.B_f, -A_f[:, ints]]),
+        A_h=A_h[:, cont], b_h0=lp.b_h0, B_h=np.hstack([lp.B_h, -A_h[:, ints]]),
+        lb=lp.lb[cont], ub=lp.ub[cont]).fold_bounds()
+    c_int = lp.c[ints]
     best_obj = math.inf
     best: tuple | None = None
     count = 0
     for combo in itertools.product(*ranges):
         count += 1
-        lb = lp.lb.copy()
-        ub = lp.ub.copy()
-        for j, val in zip(problem.integer_vars, combo):
-            lb[j] = ub[j] = float(val)
-        sol = solve_lp(replace(lp, lb=lb, ub=ub), M, engine=engine)
+        z = np.array(combo, dtype=float)
+        sol = solve_lp(rest, np.concatenate([M, z]), engine="bland")
         if sol.status == "unbounded":
             return MILPResult(status="unbounded", objective=None, primal=None,
                               integer_values=None, node_count=count,
                               trail=None)
         if sol.status != "optimal":
             continue
+        obj = sol.objective + float(c_int @ z)
         tie = 1e-12 * (1.0 + abs(best_obj) if math.isfinite(best_obj) else 1.0)
-        if sol.objective < best_obj - tie:
-            best_obj = sol.objective
-            best = (sol, combo)
+        if obj < best_obj - tie:
+            best_obj = obj
+            best = (sol.primal, z)
     if best is None:
         return MILPResult(status="infeasible", objective=None, primal=None,
                           integer_values=None, node_count=count, trail=None)
-    sol, combo = best
-    return MILPResult(status="optimal", objective=sol.objective,
-                      primal=sol.primal,
-                      integer_values=np.array(combo, dtype=float),
-                      node_count=count, trail=None)
+    x, z = best
+    primal = np.empty(lp.n_vars)
+    primal[cont] = x
+    primal[ints] = z
+    return MILPResult(status="optimal", objective=best_obj, primal=primal,
+                      integer_values=z, node_count=count, trail=None)

@@ -374,7 +374,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
     T[i] /= T[i, j]
     col = T[:, j].copy()
     col[i] = 0.0
-    T -= np.outer(col, T[i])
+    T -= col[:, None] * T[i]
     T[:, j] = 0.0
     T[i, j] = 1.0
     basis[i] = j
@@ -383,14 +383,16 @@ def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
 def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
     """Run Bland iterations in place. Returns 'optimal' or 'unbounded'."""
     N = T.shape[1] - 1
+    if N == 0:
+        return "optimal"    # no columns, nothing can enter
     retried = False
     for _ in range(max_iter):
         red = cost - cost[basis] @ T[:, :N]
         red[basis] = 0.0
-        cand = np.flatnonzero(allowed & (red < -tol))
-        if cand.size == 0:
+        mask = allowed & (red < -tol)
+        j = int(mask.argmax())
+        if not mask[j]:
             return "optimal"
-        j = int(cand[0])
         col = T[:, j]
         pos = col > pivot_tol
         if not pos.any():
@@ -422,29 +424,27 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
     # columns: z+ (n) | z- (n) | slack (q) | artificials (eq rows and
     # negative-RHS ineq rows). Artificial coefficient is sign(b_i) so the
     # initial basic value is |b_i|.
-    art_rows = [i for i in range(rows) if i >= q or b[i] < 0.0]
-    n_art = len(art_rows)
+    art_rows = np.flatnonzero((np.arange(rows) >= q) | (b < 0.0))
+    n_art = art_rows.size
     N = 2 * n + q + n_art
+    sign = np.where(b >= 0.0, 1.0, -1.0)
     D = np.zeros((rows, N + 1))
     D[:q, :n] = folded.A_f
     D[:q, n:2 * n] = -folded.A_f
     D[q:, :n] = folded.A_h
     D[q:, n:2 * n] = -folded.A_h
     D[np.arange(q), 2 * n + np.arange(q)] = 1.0
-    art_col_of_row = {}
-    for k, i in enumerate(art_rows):
-        jcol = 2 * n + q + k
-        D[i, jcol] = 1.0 if b[i] >= 0.0 else -1.0
-        art_col_of_row[i] = jcol
+    # each row's initial basic column: its slack, or its artificial
+    unit = 2 * n + np.arange(rows)
+    unit[art_rows] = 2 * n + q + np.arange(n_art)
+    D[art_rows, unit[art_rows]] = sign[art_rows]
     D[:, -1] = b
 
     art_mask = np.zeros(N, dtype=bool)
     art_mask[2 * n + q:] = True
     allowed = ~art_mask
 
-    basis = np.empty(rows, dtype=int)
-    for i in range(rows):
-        basis[i] = art_col_of_row.get(i, 2 * n + i)
+    basis = unit.copy()
 
     T = D.copy()
     neg = T[:, -1] < 0.0  # rows whose initial basic column has coefficient -1
@@ -470,9 +470,7 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
             return LPSolution("infeasible", None, None, None, None, None)
         # drive leftover artificials out of the basis (degenerate pivots)
         dead_rows = []
-        for i in range(rows):
-            if not art_mask[basis[i]]:
-                continue
+        for i in np.flatnonzero(art_mask[basis]):
             cands = np.flatnonzero(~art_mask & (np.abs(T[i, :N]) > PIVOT_TOL))
             if cands.size:
                 _pivot(T, basis, i, int(cands[0]))
@@ -482,6 +480,7 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
             keep = np.setdiff1d(np.arange(T.shape[0]), dead_rows)
             T = T[keep]
             basis = basis[keep]
+            D = D[keep]   # refresh solves D[:, basis], square only if cut too
 
     cost2 = np.zeros(N)
     cost2[:n] = folded.c
@@ -498,13 +497,7 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
     # duals from final reduced costs: y_r = -red[unit column of row r] / sign
     red = cost2 - cost2[basis] @ T[:, :N]
     red[basis] = 0.0
-    y = np.zeros(rows)
-    for r in range(rows):
-        if r in art_col_of_row:
-            sign = 1.0 if b[r] >= 0.0 else -1.0
-            y[r] = -red[art_col_of_row[r]] / sign
-        else:
-            y[r] = -red[2 * n + r]
+    y = -red[unit] / sign
     lam = -y[:q]
     mu = -y[q:]
     objective = float(folded.c @ z) + folded.c0

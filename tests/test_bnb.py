@@ -9,13 +9,20 @@ returns with its winner) to agree with the after-the-fact route (re-solve the
 winning node and differentiate) to machine precision.
 """
 
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from _util import random_box_lp
 from mesval.bnb import (
+    INT_TOL,
+    MAX_ASSIGNMENTS,
     MILPBuildError,
     MILPProblem,
+    MILPResult,
     NodeLimitError,
     backward_optimal_subproblem,
     branch_and_bound,
@@ -23,7 +30,8 @@ from mesval.bnb import (
     enumerate_integer_assignments,
     subproblem_for_trail,
 )
-from mesval.lp import LinearProgram, solve_lp, to_standard_form
+from mesval.lp import (LinearProgram, LPStandardForm, solve_lp,
+                       to_standard_form)
 from mesval.sensitivity import cost_gradient, envelope_gradient
 
 RNG_SEED = 424242
@@ -466,3 +474,158 @@ def test_repair_acceptance_closes_node_and_matches_enumeration():
             np.testing.assert_allclose(slope, [1.0], atol=1e-9)
     # Bland lands on a pure vertex, HiGHS on the mixed one
     assert outcomes == {"incumbent", "rounded"}
+
+
+# ---------------------------------------------------------------------------
+# enumeration over the continuous columns vs pinning the integer columns
+# ---------------------------------------------------------------------------
+# _pinned_enumeration is the enumeration as it stood when every assignment's
+# LP carried the integer columns pinned by their bounds, kept verbatim (but
+# for its name) as the reference.
+
+def _pinned_enumeration(problem: MILPProblem, M: np.ndarray,
+                        engine: str = "bland",
+                        max_assignments: int = MAX_ASSIGNMENTS
+                        ) -> MILPResult:
+    """Brute-force reference: try every integer assignment, keep the best.
+
+    Assignments are visited in lexicographic order over ascending variable
+    index; among objectives tied within machine precision the first one seen
+    is kept, which makes the reported assignment deterministic.
+    """
+    lp = problem.lp
+    M = np.asarray(M, dtype=float)
+    ranges = []
+    for j in problem.integer_vars:
+        lo = math.ceil(lp.lb[j] - INT_TOL)
+        hi = math.floor(lp.ub[j] + INT_TOL)
+        if hi < lo:
+            return MILPResult(status="infeasible", objective=None, primal=None,
+                              integer_values=None, node_count=0, trail=None)
+        ranges.append(range(lo, hi + 1))
+    total = math.prod(len(r) for r in ranges)
+    if total > max_assignments:
+        raise ValueError(
+            f"{total} integer assignments exceed the cap {max_assignments}")
+    best_obj = math.inf
+    best: tuple | None = None
+    count = 0
+    for combo in itertools.product(*ranges):
+        count += 1
+        lb = lp.lb.copy()
+        ub = lp.ub.copy()
+        for j, val in zip(problem.integer_vars, combo):
+            lb[j] = ub[j] = float(val)
+        sol = solve_lp(replace(lp, lb=lb, ub=ub), M, engine=engine)
+        if sol.status == "unbounded":
+            return MILPResult(status="unbounded", objective=None, primal=None,
+                              integer_values=None, node_count=count,
+                              trail=None)
+        if sol.status != "optimal":
+            continue
+        tie = 1e-12 * (1.0 + abs(best_obj) if math.isfinite(best_obj) else 1.0)
+        if sol.objective < best_obj - tie:
+            best_obj = sol.objective
+            best = (sol, combo)
+    if best is None:
+        return MILPResult(status="infeasible", objective=None, primal=None,
+                          integer_values=None, node_count=count, trail=None)
+    sol, combo = best
+    return MILPResult(status="optimal", objective=sol.objective,
+                      primal=sol.primal,
+                      integer_values=np.array(combo, dtype=float),
+                      node_count=count, trail=None)
+
+
+def mixed_milp(rng, n_cont, n_int, n_ineq, n_eq, param_dim, fixed=False):
+    """Random MILP around a feasible point: integers with ranges of 2-4
+    values in scattered columns, continuous columns, inequality and
+    equality rows, parameters; ``fixed`` pins one integer to lb == ub."""
+    n = n_cont + n_int
+    ints = np.sort(rng.choice(n, size=n_int, replace=False))
+    is_int = np.zeros(n, dtype=bool)
+    is_int[ints] = True
+    lb = np.where(is_int, rng.integers(-1, 1, size=n), -rng.random(n))
+    ub = np.where(is_int, lb + rng.integers(1, 4, size=n),
+                  1.0 + 2.0 * rng.random(n))
+    if fixed:
+        ub[ints[0]] = lb[ints[0]]
+    x0 = np.where(is_int, rng.integers(lb, ub + 1),
+                  lb + (ub - lb) * rng.uniform(0.2, 0.8, size=n))
+    M0 = rng.standard_normal(param_dim)
+    A_f = rng.standard_normal((n_ineq, n))
+    B_f = rng.standard_normal((n_ineq, param_dim))
+    A_h = rng.standard_normal((n_eq, n))
+    B_h = rng.standard_normal((n_eq, param_dim))
+    lp = LPStandardForm(
+        c=rng.standard_normal(n), c0=float(rng.standard_normal()),
+        A_f=A_f, b_f0=A_f @ x0 + rng.uniform(0.1, 1.0, n_ineq) - B_f @ M0,
+        B_f=B_f, A_h=A_h, b_h0=A_h @ x0 - B_h @ M0, B_h=B_h,
+        lb=lb.astype(float), ub=ub.astype(float))
+    return MILPProblem(lp=lp, integer_vars=tuple(int(j) for j in ints)), M0
+
+
+def with_row(problem, a, rhs):
+    """The problem with one more inequality row ``a . z <= rhs``."""
+    lp = problem.lp
+    lp = replace(lp, A_f=np.vstack([lp.A_f, a]),
+                 b_f0=np.append(lp.b_f0, rhs),
+                 B_f=np.vstack([lp.B_f, np.zeros(lp.param_dim)]))
+    return replace(problem, lp=lp)
+
+
+def with_free_column(problem):
+    """The problem with one more continuous column, free, in no row, at
+    negative cost: every feasible assignment's LP is unbounded."""
+    lp = problem.lp
+    lp = replace(lp, c=np.append(lp.c, -1.0),
+                 A_f=np.hstack([lp.A_f, np.zeros((lp.n_ineq, 1))]),
+                 A_h=np.hstack([lp.A_h, np.zeros((lp.n_eq, 1))]),
+                 lb=np.append(lp.lb, -np.inf), ub=np.append(lp.ub, np.inf))
+    return replace(problem, lp=lp)
+
+
+def test_enumeration_matches_pinned_columns():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    seen = {"no continuous": 0, "equality rows": 0, "parameters": 0,
+            "lb == ub": 0, "infeasible": 0, "unbounded": 0, "optimal": 0}
+    for trial in range(42):
+        n_cont = trial % 4
+        n_eq = int(trial % 3 == 0 and n_cont > 0)
+        prob, M0 = mixed_milp(rng, n_cont, int(rng.integers(1, 4)),
+                              int(rng.integers(1, 4)), n_eq, trial % 3,
+                              fixed=trial % 5 == 0)
+        j = prob.integer_vars[-1]
+        if trial % 7 == 3:          # no integer value of z_j reaches it
+            prob = with_row(prob, -np.eye(prob.lp.n_vars)[j],
+                            -prob.lp.ub[j] - 0.5)
+        elif trial % 7 == 5:
+            prob = with_free_column(prob)
+        got = enumerate_integer_assignments(prob, M0)
+        want = _pinned_enumeration(prob, M0)
+        assert got.status == want.status, trial
+        assert got.node_count == want.node_count, trial
+        seen[got.status] += 1
+        seen["no continuous"] += n_cont == 0
+        seen["equality rows"] += n_eq
+        seen["parameters"] += M0.size > 0
+        seen["lb == ub"] += trial % 5 == 0
+        if got.status != "optimal":
+            assert got.primal is None and got.integer_values is None
+            continue
+        np.testing.assert_array_equal(got.integer_values,
+                                      want.integer_values)
+        np.testing.assert_allclose(got.objective, want.objective,
+                                   rtol=1e-12, atol=1e-12)
+        # the point is feasible for every row of the original problem, and
+        # carries the assignment and the cost it reports
+        lp, z = prob.lp, got.primal
+        feas = 1e-9 * (1.0 + np.abs(z).max())
+        assert np.all(lp.A_f @ z <= lp.b_f(M0) + feas)
+        np.testing.assert_allclose(lp.A_h @ z, lp.b_h(M0), atol=feas)
+        assert np.all(lp.lb - feas <= z) and np.all(z <= lp.ub + feas)
+        np.testing.assert_array_equal(z[list(prob.integer_vars)],
+                                      got.integer_values)
+        np.testing.assert_allclose(lp.c @ z + lp.c0, got.objective,
+                                   rtol=1e-12, atol=1e-12)
+    assert min(seen.values()) >= 3, seen

@@ -195,6 +195,17 @@ def test_bad_training_value_is_usage_error(workdir, capsys, field, value):
     assert field in err
 
 
+
+def test_exponent_floats_without_a_dot_configure_train_base(workdir):
+    tmp, config = workdir
+    raw = yaml.safe_load(config.read_text())
+    del raw["training"]
+    config.write_text(yaml.safe_dump(raw) + (
+        "training: {hidden_size: 4, mse_epochs: 2, lr: 1e-3, "
+        "e2e_lr: 5e-4}\n"))
+    assert main(["train-base", "--config", str(config)]) == 0
+    assert len(read_rows(tmp / "out" / "training_trace.csv")) == 1 + 3 * 2
+
 def test_bad_coalition_label_is_usage_error(workdir):
     tmp, config = workdir
     assert main(["train-e2e", "--coalition", "xq",

@@ -36,6 +36,15 @@ def test_defaults_and_yaml_roundtrip(tmp_path):
     assert cfg.output_dir.is_absolute()
 
 
+
+def test_exponent_floats_without_a_dot_read_as_floats(tmp_path):
+    # YAML 1.1 reads 1e-3 as a string; configs take the YAML 1.2 float
+    path = tmp_path / "exp.yaml"
+    path.write_text("seed: 1\ntraining: {lr: 1e-3, e2e_lr: 5E-4}\n")
+    cfg = load_experiment_config(path)
+    assert type(cfg.training.lr) is float and cfg.training.lr == 1e-3
+    assert type(cfg.training.e2e_lr) is float and cfg.training.e2e_lr == 5e-4
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config"):
         experiment_config_from_dict({"seed": 1, "wat": 2})

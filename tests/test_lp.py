@@ -5,7 +5,9 @@ Groups:
      jacobians, bound folding, deterministic ordering, round trip).
   2. Bland-rule simplex engine: frozen small instances, statuses, duals,
      a randomized battery cross-checked against a vertex-enumeration oracle,
-     bit-identical determinism, objective affinity in the RHS parameters.
+     bit-identical determinism, objective affinity in the RHS parameters,
+     and bitwise agreement with a verbatim copy of the engine's earlier
+     per-row loops.
   3. HiGHS engine adapter: same contracts, cross-engine agreement; bitwise
      agreement of cold solves with scipy.optimize.linprog on random,
      edge-case and dispatch LPs; warm starts inside a search, against cold
@@ -25,10 +27,13 @@ from scipy import sparse
 
 from _util import folded_arrays, oracle_min_objective, random_box_lp
 from mesval.lp import (
+    DEFAULT_TOL,
+    PIVOT_TOL,
     LinearProgram,
     LPBuildError,
     LPNumericalError,
     LPSolution,
+    LPStandardForm,
     _FEAS_TOL,
     _check_feasible,
     _highs_outcome,
@@ -275,6 +280,235 @@ def test_objective_affine_in_rhs_parameters_for_fixed_basis():
         assert abs(curvature) < 1e-9 * (1.0 + abs(sols[1].objective))
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# 2b. Bland engine against its earlier per-row loops, bit for bit
+# ---------------------------------------------------------------------------
+# _pivot, _bland_loop and _solve_bland below are the engine as it stood
+# before its per-pivot Python was vectorised, kept verbatim as the
+# reference. Only the tiny-pivot refresh after a dropped dependent row
+# differs: the reference raises there (see the test after the comparison).
+
+def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
+    T[i] /= T[i, j]
+    col = T[:, j].copy()
+    col[i] = 0.0
+    T -= np.outer(col, T[i])
+    T[:, j] = 0.0
+    T[i, j] = 1.0
+    basis[i] = j
+
+
+def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
+    """Run Bland iterations in place. Returns 'optimal' or 'unbounded'."""
+    N = T.shape[1] - 1
+    retried = False
+    for _ in range(max_iter):
+        red = cost - cost[basis] @ T[:, :N]
+        red[basis] = 0.0
+        cand = np.flatnonzero(allowed & (red < -tol))
+        if cand.size == 0:
+            return "optimal"
+        j = int(cand[0])
+        col = T[:, j]
+        pos = col > pivot_tol
+        if not pos.any():
+            if (col > 0.0).any() and not retried:
+                refresh(T, basis)  # tiny pivots only: rebuild and retry once
+                retried = True
+                continue
+            return "unbounded"
+        ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        i = int(ties[np.argmin(basis[ties])])
+        _pivot(T, basis, i, j)
+        retried = False
+    raise LPNumericalError("simplex iteration limit exceeded")
+
+
+def _solve_bland(lp: LPStandardForm, M: np.ndarray,
+                 max_iter: int = 200_000) -> LPSolution:
+    folded = lp.fold_bounds()
+    q = folded.n_ineq
+    m = folded.n_eq
+    n = folded.n_vars
+    b_f = folded.b_f(M)
+    b_h = folded.b_h(M)
+    b = np.concatenate([b_f, b_h])
+    rows = q + m
+
+    # columns: z+ (n) | z- (n) | slack (q) | artificials (eq rows and
+    # negative-RHS ineq rows). Artificial coefficient is sign(b_i) so the
+    # initial basic value is |b_i|.
+    art_rows = [i for i in range(rows) if i >= q or b[i] < 0.0]
+    n_art = len(art_rows)
+    N = 2 * n + q + n_art
+    D = np.zeros((rows, N + 1))
+    D[:q, :n] = folded.A_f
+    D[:q, n:2 * n] = -folded.A_f
+    D[q:, :n] = folded.A_h
+    D[q:, n:2 * n] = -folded.A_h
+    D[np.arange(q), 2 * n + np.arange(q)] = 1.0
+    art_col_of_row = {}
+    for k, i in enumerate(art_rows):
+        jcol = 2 * n + q + k
+        D[i, jcol] = 1.0 if b[i] >= 0.0 else -1.0
+        art_col_of_row[i] = jcol
+    D[:, -1] = b
+
+    art_mask = np.zeros(N, dtype=bool)
+    art_mask[2 * n + q:] = True
+    allowed = ~art_mask
+
+    basis = np.empty(rows, dtype=int)
+    for i in range(rows):
+        basis[i] = art_col_of_row.get(i, 2 * n + i)
+
+    T = D.copy()
+    neg = T[:, -1] < 0.0  # rows whose initial basic column has coefficient -1
+    T[neg] *= -1.0
+
+    def refresh(T_, basis_):
+        B = D[:, basis_]
+        try:
+            T_[:] = np.linalg.solve(B, D)
+        except np.linalg.LinAlgError as exc:
+            raise LPNumericalError("basis matrix became singular") from exc
+
+    tol = 1e-9
+    if n_art:
+        cost1 = np.zeros(N)
+        cost1[art_mask] = 1.0
+        status = _bland_loop(T, basis, cost1, allowed, tol, PIVOT_TOL,
+                             max_iter, refresh)
+        if status != "optimal":
+            raise LPNumericalError("phase-1 subproblem unbounded")
+        phase1_obj = float(cost1[basis] @ T[:, -1])
+        if phase1_obj > DEFAULT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+            return LPSolution("infeasible", None, None, None, None, None)
+        # drive leftover artificials out of the basis (degenerate pivots)
+        dead_rows = []
+        for i in range(rows):
+            if not art_mask[basis[i]]:
+                continue
+            cands = np.flatnonzero(~art_mask & (np.abs(T[i, :N]) > PIVOT_TOL))
+            if cands.size:
+                _pivot(T, basis, i, int(cands[0]))
+            else:
+                dead_rows.append(i)  # dependent row, implied by the others
+        if dead_rows:
+            keep = np.setdiff1d(np.arange(T.shape[0]), dead_rows)
+            T = T[keep]
+            basis = basis[keep]
+
+    cost2 = np.zeros(N)
+    cost2[:n] = folded.c
+    cost2[n:2 * n] = -folded.c
+    status = _bland_loop(T, basis, cost2, allowed, tol, PIVOT_TOL,
+                         max_iter, refresh)
+    if status == "unbounded":
+        return LPSolution("unbounded", None, None, None, None, None)
+
+    values = np.zeros(N)
+    values[basis] = T[:, -1]
+    z = values[:n] - values[n:2 * n]
+
+    # duals from final reduced costs: y_r = -red[unit column of row r] / sign
+    red = cost2 - cost2[basis] @ T[:, :N]
+    red[basis] = 0.0
+    y = np.zeros(rows)
+    for r in range(rows):
+        if r in art_col_of_row:
+            sign = 1.0 if b[r] >= 0.0 else -1.0
+            y[r] = -red[art_col_of_row[r]] / sign
+        else:
+            y[r] = -red[2 * n + r]
+    lam = -y[:q]
+    mu = -y[q:]
+    objective = float(folded.c @ z) + folded.c0
+    return LPSolution("optimal", z, lam, mu, objective,
+                      tuple(int(v) for v in sorted(basis)))
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.dtype, a.tobytes())
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.status == want.status
+    for field in ("primal", "ineq_duals", "eq_duals"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    assert _bits(np.array(got.objective)) == _bits(np.array(want.objective))
+    assert got.basis == want.basis
+
+
+def test_bland_engine_matches_its_reference_bitwise():
+    from mesval.batteries import random_milp
+    from mesval.bnb import branch_and_bound, subproblem_for_trail
+
+    rng = np.random.default_rng(RNG_SEED + 40)
+    cases = []
+    for trial in range(30):                       # random box LPs
+        n = int(rng.integers(1, 6))
+        prog, M0 = random_box_lp(rng, n, int(rng.integers(0, 5)),
+                                 int(rng.integers(0, min(3, n + 1))),
+                                 int(rng.integers(0, 3)))
+        cases.append((to_standard_form(prog), M0))
+    for trial in range(8):                        # every node of a search
+        problem, M0 = random_milp(rng, max_binaries=5)
+        log = []
+        branch_and_bound(problem, M0, node_log=log)
+        cases += [(subproblem_for_trail(problem, rec.trail), M0)
+                  for rec in log]
+        z = rng.integers(0, 2, size=len(problem.integer_vars))
+        lb, ub = problem.lp.lb.copy(), problem.lp.ub.copy()
+        lb[list(problem.integer_vars)] = ub[list(problem.integer_vars)] = z
+        cases.append((replace(problem.lp, lb=lb, ub=ub), M0))  # pinned
+    cases += [
+        (simple_lp([((1.0,), ">=", 1.0), ((1.0,), "<=", 0.0)], (1.0,)),
+         np.zeros(0)),                                         # infeasible
+        (simple_lp([((1.0, -1.0), "==", 2.0)], (1.0, 1.0),   # one-sided
+                   bounds=[(0.0, 3.0), (0.0, None)]), np.zeros(0)),
+        (simple_lp([((1.0,), ">=", 0.0)], (-1.0,)), np.zeros(0)),  # unbounded
+        (simple_lp([((1.0, 1.0), "==", 2.0), ((2.0, 2.0), "==", 4.0),
+                    ((1.0, -1.0), "==", 0.0)], (1.0, -1.0)),
+         np.zeros(0)),                                         # dependent
+        (simple_lp([((1.0, 1.0), "==", 2.0), ((-1.0, -1.0), "==", -2.0),
+                    ((1.0, 0.0), "<=", 1.5)], (-1.0, 0.0),
+                   bounds=[(0.0, None), (0.0, None)]), np.zeros(0)),
+    ]
+    statuses = set()
+    for lp, M in cases:
+        got = solve_lp(lp, M, engine="bland")
+        _assert_bitwise_equal(got, _solve_bland(lp, M))
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _tiny_pivot_lp(dependent):
+    # min -x s.t. 1e-11 x <= 1, y == 1 (x free): the only entering column
+    # has a positive entry below the pivot tolerance, so the engine
+    # rebuilds its tableau from the basis once before it reports unbounded
+    prog = LinearProgram()
+    prog.add_var("x", cost=-1.0)
+    prog.add_var("y")
+    prog.add_constraint({"x": 1e-11}, "<=", 1.0)
+    prog.add_constraint({"y": 1.0}, "==", 1.0)
+    if dependent:
+        prog.add_constraint({"y": 2.0}, "==", 2.0)
+    return to_standard_form(prog)
+
+
+def test_tiny_pivot_refresh_after_a_dependent_row_is_dropped():
+    # the dependent row 2y == 2 is dropped after phase 1; the rebuild must
+    # drop it too, or it solves a non-square basis matrix
+    plain = solve_lp(_tiny_pivot_lp(False), np.zeros(0))
+    dependent = solve_lp(_tiny_pivot_lp(True), np.zeros(0))
+    assert plain.status == dependent.status == "unbounded"
+    with pytest.raises(LPNumericalError, match="singular"):
+        _solve_bland(_tiny_pivot_lp(True), np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
