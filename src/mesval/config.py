@@ -7,7 +7,6 @@ which subcommand produced which artifact.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -16,6 +15,7 @@ import numpy as np
 import yaml
 
 from .data import DayDataset, DataError, load_series_csv, synth_data
+from .hub import YamlLoader
 from .lstm import TrainingConfig
 
 MODES = ("sequential", "joint")
@@ -80,24 +80,12 @@ class ExperimentConfig:
         return self.train_days + self.test_days
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """``yaml.SafeLoader`` that also reads YAML 1.2 floats written with an
-    exponent that YAML 1.1 leaves as strings (``1e-3``, ``5E-4``,
-    ``1.0e3``)."""
-
-
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."))
-
-
 def read_config_file(path) -> dict:
     """The mapping a YAML config file holds; an empty file holds {}."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"),
-                        Loader=_ConfigLoader)
+                        Loader=YamlLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

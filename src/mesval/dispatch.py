@@ -458,6 +458,7 @@ class _Template:
     # (3, k): the charge, discharge and exclusivity-binary columns of each
     # storage unit and hour, for storage_repair
     storage_cols: np.ndarray
+    audit: "_Audit"            # index arrays of verify_dispatch
 
 
 # id(config) -> (weak reference to the config, {stage: _Template}); an entry
@@ -503,7 +504,9 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
                         var_index=MappingProxyType(prob.var_index)),
         link_rows=np.array([eq[n] for n in link], dtype=int),
         reserve_rows=np.array([ineq[n] for n in reserve], dtype=int),
-        storage_cols=storage_cols)
+        storage_cols=storage_cols,
+        audit=_compile_audit(config, stage, prob.var_index,
+                             prob.param_names))
 
 
 # ---------------------------------------------------------------------------
@@ -602,147 +605,352 @@ def dispatch_cost(problem: DispatchProblem, result) -> DispatchCost:
 # solution checking
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Family:
+    """One kind of check: ``width`` checks per item (the horizon, or 1),
+    the check of item ``i`` at hour ``t`` named
+    ``fmt.format(*labels[i], t)``."""
+
+    fmt: str
+    labels: tuple
+    width: int
+
+
+# the audit's families in the order `_residuals` returns them; part-load
+# converters follow, one family each
+_KINDS = ("bounds", "node", "conv", "ratio", "balance", "soc_rec",
+          "soc_range", "excl", "terminal", "link", "reserve_up",
+          "reserve_down", "cres_up", "cres_dn")
+
+
+@dataclass(frozen=True)
+class _Audit:
+    """What `verify_dispatch` needs of one ``(hub, stage)``, compiled once.
+
+    Built from the hub config and the variable and parameter names alone,
+    never from the constraint rows: the audit checks the solver against
+    the physics, not against the builder. Indices point into
+    ``zx = [primal, committed flows read from da_reference, 0.0]``. A sum
+    over a varying number of terms is a ``(terms, items, H)`` index array,
+    short items padded with the trailing zero, and ``(terms, items, 1)``
+    signs; other arrays are ``(items, H)`` indices or ``(items, 1)``
+    constants.
+    """
+
+    n_vars: int
+    ref_names: tuple       # da.flow names read from problem.da_reference
+    families: tuple        # _Family per kind of `_KINDS`, then part-load
+    offsets: np.ndarray    # start of each family in the concatenation
+    order: np.ndarray      # concatenation position of each check, in order
+    node: tuple            # (idx, sign): signed branch flows
+    conv: tuple            # (feed, outs, eta): fixed-efficiency converters
+    ratio: tuple           # (power, heat, heat-to-power ratio)
+    balance: tuple         # (idx, sign, load index into M)
+    storage: tuple         # (soc, charge, discharge, initial, capacity)
+    terminal: bool
+    link: tuple            # (intra flows, committed flows, up, down,
+                           #  up limit, down limit)
+    cres_up: tuple         # (intra feed, committed feed, reserve)
+    cres_dn: tuple
+    part_load: tuple       # per converter: (feed, outs, capacity, x, y)
+
+    def name(self, check: int) -> str:
+        pos = int(self.order[check])
+        f = int(np.searchsorted(self.offsets, pos, side="right")) - 1
+        fam = self.families[f]
+        item, t = divmod(pos - int(self.offsets[f]), fam.width)
+        return fam.fmt.format(*fam.labels[item], t)
+
+
+def _check_format(kind: str) -> str:
+    if kind == "bounds":
+        return "bounds"
+    if kind == "terminal":
+        return "{0}.terminal[{1}]"
+    if kind.startswith("part_load["):
+        kind = "conv"
+    return "{0}.%s[{1}][{2}]" % kind
+
+
+def _stack_terms(rows, H: int, pad: int) -> tuple:
+    """Per-item lists of ``(sign, columns)`` as ``(terms, items, H)``
+    indices and ``(terms, items, 1)`` signs; short lists end in ``pad``."""
+    K = max(map(len, rows), default=0)
+    idx = np.full((K, len(rows), H), pad, dtype=np.intp)
+    sign = np.ones((K, len(rows), 1))
+    for i, terms in enumerate(rows):
+        for k, (sg, cols) in enumerate(terms):
+            idx[k, i] = cols
+            sign[k, i] = sg
+    return idx, sign
+
+
+def _compile_audit(config: HubConfig, stage: str, var_index,
+                   param_names) -> _Audit:
+    H = config.horizon
+    hours = range(H)
+    stages = _PARTS[stage]
+    n = len(var_index)
+    pidx = {p: i for i, p in enumerate(param_names)}
+    ref: dict = {}     # da.flow name -> its position in zx
+
+    def cols(s, kind, name):
+        return [var_index[f"{s}.{kind}[{name}][{t}]"] for t in hours]
+
+    def flows(s, branch):
+        return cols(s, "flow", branch.name)
+
+    def committed(branch):
+        # variables of a joint problem; after a separate day-ahead solve,
+        # constants read from da_reference
+        if "da" in stages:
+            return flows("da", branch)
+        names = [f"da.flow[{branch.name}][{t}]" for t in hours]
+        for name in names:
+            ref.setdefault(name, n + len(ref))
+        return [ref[name] for name in names]
+
+    labels = {kind: [] for kind in _KINDS}
+    labels["bounds"].append(())
+    seq = [("bounds", 0, 0)]    # (family, item, hour) of every check
+
+    def item(kind, *label):
+        labels.setdefault(kind, []).append(label)
+        return len(labels[kind]) - 1
+
+    node, conv, ratio, balance, load, storage = [], [], [], [], [], []
+    link, cres_up, cres_dn, part_load = [], [], [], {}
+    for s in stages:
+        for j in config.junctions:
+            i = item("node", s, j.name)
+            node.append([(1.0 if b.target == j.name else -1.0, flows(s, b))
+                         for b in config.branches
+                         if j.name in (b.target, b.source)])
+            seq += [("node", i, t) for t in hours]
+
+        for c in config.converters:
+            feed, outs = _conv_ports(config, c)
+            terms = [(1.0, flows(s, b)) for b in outs]
+            if c.fixed_efficiency is not None:
+                kind = "conv"
+                conv.append((flows(s, feed), terms, c.fixed_efficiency))
+            else:
+                kind = f"part_load[{c.name}]"
+                part_load.setdefault(kind, (c, c.block(), []))[2].append(
+                    (flows(s, feed), terms))
+            i = item(kind, s, c.name)
+            chp = c.kind == "CHP"
+            if chp:
+                eb = next(b for b in outs if b.carrier == "electricity")
+                hb = next(b for b in outs if b.carrier == "heat")
+                r = item("ratio", s, c.name)
+                ratio.append((flows(s, eb), flows(s, hb),
+                              c.heat_to_power_ratio))
+            for t in hours:
+                seq.append((kind, i, t))
+                if chp:
+                    seq.append(("ratio", r, t))
+
+        prefix = _LOAD_PREFIX[s]
+        for sector in SECTORS:
+            out = config.output_for_sector(sector)
+            if out is None:
+                continue
+            terms = [(1.0, flows(s, b)) for b in config.branches
+                     if b.target == out.name]
+            for st in config.storages:
+                if st.carrier == sector:
+                    terms += [(1.0, cols(s, "q_dis", st.name)),
+                              (-1.0, cols(s, "q_ch", st.name))]
+            if s == "id" and sector == "electricity" and \
+                    config.temporary_purchase_kw > 0:
+                terms.append((1.0, [var_index[f"id.temp[{t}]"]
+                                    for t in hours]))
+            i = item("balance", s, sector)
+            balance.append(terms)
+            load.append([pidx[f"{prefix}[{sector}][{t}]"] for t in hours])
+            seq += [("balance", i, t) for t in hours]
+
+        for st in config.storages:
+            i = item("soc_rec", s, st.name)
+            item("soc_range", s, st.name)
+            item("excl", s, st.name)
+            storage.append((cols(s, "soc", st.name), cols(s, "q_ch", st.name),
+                            cols(s, "q_dis", st.name), st.initial_soc_kwh,
+                            st.capacity_kwh))
+            for t in hours:
+                seq += [("soc_rec", i, t), ("soc_range", i, t),
+                        ("excl", i, t)]
+            if config.require_terminal_soc:
+                seq.append(("terminal", item("terminal", s, st.name), 0))
+
+    if "id" in stages:
+        for inp in config.inputs:
+            branches = [b for b in config.branches if b.source == inp.name]
+            i = item("link", "id", inp.name)
+            item("reserve_up", "id", inp.name)
+            item("reserve_down", "id", inp.name)
+            link.append(([(1.0, flows("id", b)) for b in branches],
+                         [(1.0, committed(b)) for b in branches],
+                         cols("id", "up", inp.name),
+                         cols("id", "down", inp.name),
+                         inp.up_limit, inp.down_limit))
+            for t in hours:
+                seq += [("link", i, t), ("reserve_up", i, t),
+                        ("reserve_down", i, t)]
+        for c in config.converters:
+            if c.reserve_up_kw is None and c.reserve_down_kw is None:
+                continue
+            feed, _ = _conv_ports(config, c)
+            pair = (flows("id", feed), committed(feed))
+            up = dn = None
+            if c.reserve_up_kw is not None:
+                up = item("cres_up", "id", c.name)
+                cres_up.append((*pair, c.reserve_up_kw))
+            if c.reserve_down_kw is not None:
+                dn = item("cres_dn", "id", c.name)
+                cres_dn.append((*pair, c.reserve_down_kw))
+            for t in hours:
+                if up is not None:
+                    seq.append(("cres_up", up, t))
+                if dn is not None:
+                    seq.append(("cres_dn", dn, t))
+
+    pad = n + len(ref)
+
+    def index(rows):
+        return np.array(rows, dtype=np.intp).reshape(-1, H)
+
+    def const(values):
+        return np.array(values, dtype=float).reshape(-1, 1)
+
+    def field(rows, k):
+        return [row[k] for row in rows]
+
+    families = tuple(_Family(fmt=_check_format(kind),
+                             labels=tuple(labels[kind]),
+                             width=1 if kind in ("bounds", "terminal") else H)
+                     for kind in labels)
+    sizes = [len(f.labels) * f.width for f in families]
+    offsets = np.cumsum([0] + sizes[:-1])
+    start = dict(zip(labels, offsets.tolist()))
+    width = {kind: f.width for kind, f in zip(labels, families)}
+    order = np.array([start[kind] + i * width[kind] + t
+                      for kind, i, t in seq], dtype=np.intp)
+
+    def cres(rows):
+        return (index(field(rows, 0)), index(field(rows, 1)),
+                const(field(rows, 2)))
+
+    return _Audit(
+        n_vars=n, ref_names=tuple(ref), families=families, offsets=offsets,
+        order=order,
+        node=_stack_terms(node, H, pad),
+        conv=(index(field(conv, 0)),
+              _stack_terms(field(conv, 1), H, pad)[0],
+              const(field(conv, 2))),
+        ratio=(index(field(ratio, 0)), index(field(ratio, 1)),
+               const(field(ratio, 2))),
+        balance=(*_stack_terms(balance, H, pad), index(load)),
+        storage=(index(field(storage, 0)), index(field(storage, 1)),
+                 index(field(storage, 2)), const(field(storage, 3)),
+                 const(field(storage, 4))),
+        terminal=config.require_terminal_soc,
+        link=(_stack_terms(field(link, 0), H, pad)[0],
+              _stack_terms(field(link, 1), H, pad)[0],
+              index(field(link, 2)), index(field(link, 3)),
+              const(field(link, 4)), const(field(link, 5))),
+        cres_up=cres(cres_up), cres_dn=cres(cres_dn),
+        part_load=tuple(
+            (index(field(rows, 0)), _stack_terms(field(rows, 1), H, pad)[0],
+             c.capacity_kw, block.input_levels, block.output_levels)
+            for c, block, rows in part_load.values()))
+
+
+def _sum(zx: np.ndarray, idx: np.ndarray, sign=None) -> np.ndarray:
+    """The gathered terms added left to right, one array add per term."""
+    res = np.zeros(idx.shape[1:])
+    for k in range(len(idx)):
+        res = res + (zx[idx[k]] if sign is None else sign[k] * zx[idx[k]])
+    return res
+
+
+def _residuals(a: _Audit, zx: np.ndarray, M: np.ndarray) -> list:
+    """Each family's amounts after ``bounds``, in `_Audit.families` order.
+
+    Every expression keeps the operation order of the per-check form
+    (``((soc - prev) - ch) + dis``, ``eta * fin - total_out``), so each
+    amount equals it bit for bit.
+    """
+    idx, sign = a.node
+    out = [np.abs(_sum(zx, idx, sign))]
+    feed, outs, eta = a.conv
+    out.append(np.abs(eta * zx[feed] - _sum(zx, outs)))
+    power, heat, r = a.ratio
+    out.append(np.abs(r * zx[power] - zx[heat]))
+    idx, sign, load = a.balance
+    out.append(np.abs(_sum(zx, idx, sign) - M[load]))
+
+    soc_i, ch_i, dis_i, init, cap = a.storage
+    soc, ch, dis = zx[soc_i], zx[ch_i], zx[dis_i]
+    prev = np.concatenate([init, soc[:, :-1]], axis=1)
+    out.append(np.abs(((soc - prev) - ch) + dis))
+    out.append(np.maximum(np.maximum(-soc, soc - cap), 0.0))
+    out.append(np.minimum(ch, dis))
+    out.append(np.maximum(init[:, 0] - soc[:, -1], 0.0) if a.terminal
+               else np.zeros(0))
+
+    id_idx, da_idx, up_i, down_i, up_lim, down_lim = a.link
+    up, down = zx[up_i], zx[down_i]
+    out.append(np.abs(((_sum(zx, id_idx) - _sum(zx, da_idx)) - up) + down))
+    out.append(np.maximum(up - up_lim, 0.0))
+    out.append(np.maximum(down - down_lim, 0.0))
+    idf, daf, reserve = a.cres_up
+    out.append(np.maximum((zx[idf] - zx[daf]) - reserve, 0.0))
+    idf, daf, reserve = a.cres_dn
+    out.append(np.maximum((zx[daf] - zx[idf]) - reserve, 0.0))
+
+    for feed, outs, cap, x, y in a.part_load:
+        out.append(np.abs(_sum(zx, outs)
+                          - cap * np.interp(zx[feed] / cap, x, y)))
+    return out
+
+
 def verify_dispatch(problem: DispatchProblem, result, M=None,
                     tol: float = 1e-7) -> DispatchCheck:
     """Re-derive every physical requirement from the raw primal vector.
 
     Residuals are compared against ``tol * (1 + max |M|)`` so the check
-    scales with the load level. Covers junction balances, conversion
-    curves, cogeneration coupling, demand balances, deviation links and
-    reserve containment, storage dynamics and exclusivity, and variable
-    bounds.
+    scales with the load level; a residual that is not finite (a NaN or
+    infinite primal entry) is a violation too, and ``max_residual``
+    carries it. Covers junction balances, conversion curves, cogeneration
+    coupling, demand balances, deviation links and reserve containment,
+    storage dynamics and exclusivity, and variable bounds. The index
+    arrays behind it are compiled once per ``(hub, stage)`` from the hub
+    config and the variable names, independently of the constraint rows.
     """
     if result.status != "optimal":
         raise ValueError(f"cannot verify a {result.status!r} result")
+    audit = _template(problem.config, problem.stage).audit
+    z = np.asarray(result.primal, dtype=float)
+    if z.shape != (audit.n_vars,):
+        raise ValueError(f"primal has {z.size} entries, the problem has "
+                         f"{audit.n_vars} variables")
     M = np.asarray(problem.M0 if M is None else M, dtype=float)
-    config = problem.config
-    H = config.horizon
-    z = result.primal
     limit = tol * (1.0 + float(np.abs(M).max(initial=0.0)))
-    pidx = {n: i for i, n in enumerate(problem.param_names)}
-
-    def g(name):
-        return float(z[problem.var_index[name]])
-
-    violations = []
-    state = {"checks": 0, "max": 0.0}
-
-    def record(name, amount):
-        state["checks"] += 1
-        state["max"] = max(state["max"], amount)
-        if amount > limit:
-            violations.append((name, amount))
-
-    stages = _PARTS[problem.stage]
-
     lp = problem.milp.lp
     over = np.maximum(z - lp.ub, 0.0)
     under = np.maximum(lp.lb - z, 0.0)
-    record("bounds", float(np.maximum(over, under).max(initial=0.0)))
-
-    for s in stages:
-        for j in config.junctions:
-            for t in range(H):
-                res = 0.0
-                for b in config.branches:
-                    if b.target == j.name:
-                        res += g(f"{s}.flow[{b.name}][{t}]")
-                    elif b.source == j.name:
-                        res -= g(f"{s}.flow[{b.name}][{t}]")
-                record(f"{s}.node[{j.name}][{t}]", abs(res))
-
-        for c in config.converters:
-            feed, outs = _conv_ports(config, c)
-            eta = c.fixed_efficiency
-            block = None if eta is not None else c.block()
-            for t in range(H):
-                fin = g(f"{s}.flow[{feed.name}][{t}]")
-                total_out = sum(g(f"{s}.flow[{b.name}][{t}]") for b in outs)
-                if eta is not None:
-                    res = eta * fin - total_out
-                else:
-                    res = total_out - c.capacity_kw * block.approx_output(
-                        fin / c.capacity_kw)
-                record(f"{s}.conv[{c.name}][{t}]", abs(res))
-                if c.kind == "CHP":
-                    eb = next(b for b in outs if b.carrier == "electricity")
-                    hb = next(b for b in outs if b.carrier == "heat")
-                    res = c.heat_to_power_ratio * \
-                        g(f"{s}.flow[{eb.name}][{t}]") - \
-                        g(f"{s}.flow[{hb.name}][{t}]")
-                    record(f"{s}.ratio[{c.name}][{t}]", abs(res))
-
-        load_prefix = _LOAD_PREFIX[s]
-        for sector in SECTORS:
-            out = config.output_for_sector(sector)
-            if out is None:
-                continue
-            for t in range(H):
-                served = sum(g(f"{s}.flow[{b.name}][{t}]")
-                             for b in config.branches
-                             if b.target == out.name)
-                for st in config.storages:
-                    if st.carrier == sector:
-                        served += g(f"{s}.q_dis[{st.name}][{t}]")
-                        served -= g(f"{s}.q_ch[{st.name}][{t}]")
-                if s == "id" and sector == "electricity" and \
-                        config.temporary_purchase_kw > 0:
-                    served += g(f"id.temp[{t}]")
-                load = M[pidx[f"{load_prefix}[{sector}][{t}]"]]
-                record(f"{s}.balance[{sector}][{t}]", abs(served - load))
-
-        for st in config.storages:
-            prev = st.initial_soc_kwh
-            for t in range(H):
-                soc = g(f"{s}.soc[{st.name}][{t}]")
-                ch = g(f"{s}.q_ch[{st.name}][{t}]")
-                dis = g(f"{s}.q_dis[{st.name}][{t}]")
-                record(f"{s}.soc_rec[{st.name}][{t}]",
-                       abs(soc - prev - ch + dis))
-                record(f"{s}.soc_range[{st.name}][{t}]",
-                       max(-soc, soc - st.capacity_kwh, 0.0))
-                record(f"{s}.excl[{st.name}][{t}]", min(ch, dis))
-                prev = soc
-            if config.require_terminal_soc:
-                record(f"{s}.terminal[{st.name}]",
-                       max(st.initial_soc_kwh - prev, 0.0))
-
-    if "id" in stages:
-        for inp in config.inputs:
-            branches = [b for b in config.branches if b.source == inp.name]
-            for t in range(H):
-                idv = sum(g(f"id.flow[{b.name}][{t}]") for b in branches)
-                if problem.da_reference is None:
-                    dav = sum(g(f"da.flow[{b.name}][{t}]")
-                              for b in branches)
-                else:
-                    dav = sum(problem.da_reference[
-                        f"da.flow[{b.name}][{t}]"] for b in branches)
-                up = g(f"id.up[{inp.name}][{t}]")
-                down = g(f"id.down[{inp.name}][{t}]")
-                record(f"id.link[{inp.name}][{t}]",
-                       abs(idv - dav - up + down))
-                record(f"id.reserve_up[{inp.name}][{t}]",
-                       max(up - inp.up_limit, 0.0))
-                record(f"id.reserve_down[{inp.name}][{t}]",
-                       max(down - inp.down_limit, 0.0))
-        for c in config.converters:
-            if c.reserve_up_kw is None and c.reserve_down_kw is None:
-                continue
-            feed, _ = _conv_ports(config, c)
-            for t in range(H):
-                idf = g(f"id.flow[{feed.name}][{t}]")
-                if problem.da_reference is None:
-                    daf = g(f"da.flow[{feed.name}][{t}]")
-                else:
-                    daf = problem.da_reference[f"da.flow[{feed.name}][{t}]"]
-                if c.reserve_up_kw is not None:
-                    record(f"id.cres_up[{c.name}][{t}]",
-                           max(idf - daf - c.reserve_up_kw, 0.0))
-                if c.reserve_down_kw is not None:
-                    record(f"id.cres_dn[{c.name}][{t}]",
-                           max(daf - idf - c.reserve_down_kw, 0.0))
-
-    return DispatchCheck(ok=not violations, violations=tuple(violations),
-                         max_residual=state["max"],
-                         n_checks=state["checks"])
+    bounds = np.maximum(over, under).max(initial=0.0)
+    committed = [problem.da_reference[name] for name in audit.ref_names]
+    zx = np.concatenate([z, committed, [0.0]])
+    amounts = np.concatenate(
+        [[bounds], *(r.ravel() for r in _residuals(audit, zx, M))]
+    )[audit.order]
+    bad = np.flatnonzero(~(amounts <= limit))
+    top = float(amounts.max())
+    return DispatchCheck(
+        ok=bad.size == 0,
+        violations=tuple((audit.name(i), float(amounts[i])) for i in bad),
+        max_residual=top if not top <= 0.0 else 0.0,
+        n_checks=amounts.size)

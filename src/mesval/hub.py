@@ -17,6 +17,7 @@ problems are built.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,18 @@ _PRICE_KEYS = frozenset({"day_ahead", "intra_day"})
 
 class HubConfigError(ValueError):
     """Raised when a hub description is malformed or inconsistent."""
+
+
+class YamlLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2 floats written with an
+    exponent that YAML 1.1 leaves as strings (``1e-3``, ``5E-4``,
+    ``6e3``); hub and experiment config files are both read with it."""
+
+
+YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +493,7 @@ def load_hub_config(path) -> HubConfig:
     :class:`HubConfigError` naming the file."""
     try:
         with open(Path(path)) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YamlLoader)
     except OSError as exc:
         raise HubConfigError(f"{path}: cannot read hub file "
                              f"({exc.strerror})") from exc

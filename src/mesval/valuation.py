@@ -316,7 +316,7 @@ def train_base_models(train: DayDataset, config: ExperimentConfig) -> tuple:
 def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                      hub: HubConfig, training, mode: str = "sequential",
                      engine: str = "highs", snapshot: str = "best",
-                     on_dispatch=None) -> dict:
+                     on_dispatch=None, start_cost=None) -> dict:
     """Fine-tune coalition members' forecasters with scheduling-cost slopes.
 
     Every training day solves the joint problem once and takes the cost
@@ -331,7 +331,9 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     skipped rather than fatal, and an epoch whose model cannot be
     dispatched at all scores an infinite cost so the snapshot rule never
     picks it. The starting point's own evaluation stays strict: broken
-    data raises before any training happens.
+    data raises before any training happens. A caller that has already
+    priced ``models`` on ``dataset`` passes that cost as ``start_cost``
+    and the starting point is not priced again.
     """
     U = frozenset(U)
     unknown = U - set(LETTERS)
@@ -349,9 +351,13 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     horizon = hub.horizon
 
     best = dict(current)
-    best_cost = (evaluate_cost(current, dataset, hub, mode, engine,
-                               on_dispatch)
-                 if snapshot == "best" else np.inf)
+    if snapshot == "last":
+        best_cost = np.inf
+    elif start_cost is None:
+        best_cost = evaluate_cost(current, dataset, hub, mode, engine,
+                                  on_dispatch)
+    else:
+        best_cost = start_cost
     for epoch in range(training.e2e_epochs):
         for d in range(1, dataset.days):
             prev = dataset.loads[d - 1]
@@ -415,10 +421,15 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
 
     costs = {}
     coalition_models = {}
+    base_train_cost = None    # every coalition starts from the same models
     for U in subsets_in_order(LETTERS):
+        if U and config.training.e2e_epochs > 0 and base_train_cost is None:
+            base_train_cost = evaluate_cost(base, train, hub, config.mode,
+                                            config.engine, on_dispatch)
         models_U = train_end_to_end(U, base, train, hub, config.training,
                                     mode=config.mode, engine=config.engine,
-                                    on_dispatch=on_dispatch)
+                                    on_dispatch=on_dispatch,
+                                    start_cost=base_train_cost)
         coalition_models[U] = models_U
         costs[U] = evaluate_cost(models_U, test, hub, config.mode,
                                  config.engine, on_dispatch)

@@ -804,3 +804,340 @@ def test_templates_belong_to_one_config_object():
     gc.collect()
     assert gone() is None
     assert key not in dispatch._TEMPLATES
+
+
+# ---------------------------------------------------------------------------
+# the audit: compiled per-family arrays against the per-check loop
+# ---------------------------------------------------------------------------
+
+from mesval.dispatch import (  # noqa: E402
+    _LOAD_PREFIX, _PARTS, DispatchCheck, _conv_ports)
+
+
+def _reference_verify(problem, result, M=None, tol=1e-7):
+    """The per-check loop that verify_dispatch compiles (the reference)."""
+    if result.status != "optimal":
+        raise ValueError(f"cannot verify a {result.status!r} result")
+    M = np.asarray(problem.M0 if M is None else M, dtype=float)
+    config = problem.config
+    H = config.horizon
+    z = result.primal
+    limit = tol * (1.0 + float(np.abs(M).max(initial=0.0)))
+    pidx = {n: i for i, n in enumerate(problem.param_names)}
+
+    def g(name):
+        return float(z[problem.var_index[name]])
+
+    violations = []
+    state = {"checks": 0, "max": 0.0}
+
+    def record(name, amount):
+        state["checks"] += 1
+        state["max"] = max(state["max"], amount)
+        if amount > limit:
+            violations.append((name, amount))
+
+    stages = _PARTS[problem.stage]
+
+    lp = problem.milp.lp
+    over = np.maximum(z - lp.ub, 0.0)
+    under = np.maximum(lp.lb - z, 0.0)
+    record("bounds", float(np.maximum(over, under).max(initial=0.0)))
+
+    for s in stages:
+        for j in config.junctions:
+            for t in range(H):
+                res = 0.0
+                for b in config.branches:
+                    if b.target == j.name:
+                        res += g(f"{s}.flow[{b.name}][{t}]")
+                    elif b.source == j.name:
+                        res -= g(f"{s}.flow[{b.name}][{t}]")
+                record(f"{s}.node[{j.name}][{t}]", abs(res))
+
+        for c in config.converters:
+            feed, outs = _conv_ports(config, c)
+            eta = c.fixed_efficiency
+            block = None if eta is not None else c.block()
+            for t in range(H):
+                fin = g(f"{s}.flow[{feed.name}][{t}]")
+                total_out = sum(g(f"{s}.flow[{b.name}][{t}]") for b in outs)
+                if eta is not None:
+                    res = eta * fin - total_out
+                else:
+                    res = total_out - c.capacity_kw * block.approx_output(
+                        fin / c.capacity_kw)
+                record(f"{s}.conv[{c.name}][{t}]", abs(res))
+                if c.kind == "CHP":
+                    eb = next(b for b in outs if b.carrier == "electricity")
+                    hb = next(b for b in outs if b.carrier == "heat")
+                    res = c.heat_to_power_ratio * \
+                        g(f"{s}.flow[{eb.name}][{t}]") - \
+                        g(f"{s}.flow[{hb.name}][{t}]")
+                    record(f"{s}.ratio[{c.name}][{t}]", abs(res))
+
+        load_prefix = _LOAD_PREFIX[s]
+        for sector in SECTORS:
+            out = config.output_for_sector(sector)
+            if out is None:
+                continue
+            for t in range(H):
+                served = sum(g(f"{s}.flow[{b.name}][{t}]")
+                             for b in config.branches
+                             if b.target == out.name)
+                for st in config.storages:
+                    if st.carrier == sector:
+                        served += g(f"{s}.q_dis[{st.name}][{t}]")
+                        served -= g(f"{s}.q_ch[{st.name}][{t}]")
+                if s == "id" and sector == "electricity" and \
+                        config.temporary_purchase_kw > 0:
+                    served += g(f"id.temp[{t}]")
+                load = M[pidx[f"{load_prefix}[{sector}][{t}]"]]
+                record(f"{s}.balance[{sector}][{t}]", abs(served - load))
+
+        for st in config.storages:
+            prev = st.initial_soc_kwh
+            for t in range(H):
+                soc = g(f"{s}.soc[{st.name}][{t}]")
+                ch = g(f"{s}.q_ch[{st.name}][{t}]")
+                dis = g(f"{s}.q_dis[{st.name}][{t}]")
+                record(f"{s}.soc_rec[{st.name}][{t}]",
+                       abs(soc - prev - ch + dis))
+                record(f"{s}.soc_range[{st.name}][{t}]",
+                       max(-soc, soc - st.capacity_kwh, 0.0))
+                record(f"{s}.excl[{st.name}][{t}]", min(ch, dis))
+                prev = soc
+            if config.require_terminal_soc:
+                record(f"{s}.terminal[{st.name}]",
+                       max(st.initial_soc_kwh - prev, 0.0))
+
+    if "id" in stages:
+        for inp in config.inputs:
+            branches = [b for b in config.branches if b.source == inp.name]
+            for t in range(H):
+                idv = sum(g(f"id.flow[{b.name}][{t}]") for b in branches)
+                if problem.da_reference is None:
+                    dav = sum(g(f"da.flow[{b.name}][{t}]")
+                              for b in branches)
+                else:
+                    dav = sum(problem.da_reference[
+                        f"da.flow[{b.name}][{t}]"] for b in branches)
+                up = g(f"id.up[{inp.name}][{t}]")
+                down = g(f"id.down[{inp.name}][{t}]")
+                record(f"id.link[{inp.name}][{t}]",
+                       abs(idv - dav - up + down))
+                record(f"id.reserve_up[{inp.name}][{t}]",
+                       max(up - inp.up_limit, 0.0))
+                record(f"id.reserve_down[{inp.name}][{t}]",
+                       max(down - inp.down_limit, 0.0))
+        for c in config.converters:
+            if c.reserve_up_kw is None and c.reserve_down_kw is None:
+                continue
+            feed, _ = _conv_ports(config, c)
+            for t in range(H):
+                idf = g(f"id.flow[{feed.name}][{t}]")
+                if problem.da_reference is None:
+                    daf = g(f"da.flow[{feed.name}][{t}]")
+                else:
+                    daf = problem.da_reference[f"da.flow[{feed.name}][{t}]"]
+                if c.reserve_up_kw is not None:
+                    record(f"id.cres_up[{c.name}][{t}]",
+                           max(idf - daf - c.reserve_up_kw, 0.0))
+                if c.reserve_down_kw is not None:
+                    record(f"id.cres_dn[{c.name}][{t}]",
+                           max(daf - idf - c.reserve_down_kw, 0.0))
+
+    return DispatchCheck(ok=not violations, violations=tuple(violations),
+                         max_residual=state["max"],
+                         n_checks=state["checks"])
+
+
+def _f64(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_audits_agree(problem, result, M=None):
+    """verify_dispatch equals the reference: verdict, check count, every
+    violation's name, order and amount, and the largest residual, bit for
+    bit. Returns the check."""
+    got = verify_dispatch(problem, result, M=M)
+    want = _reference_verify(problem, result, M=M)
+    assert (got.ok, got.n_checks) == (want.ok, want.n_checks)
+    assert [n for n, _ in got.violations] == [n for n, _ in want.violations]
+    assert [_f64(a) for _, a in got.violations] == \
+        [_f64(a) for _, a in want.violations]
+    assert _f64(got.max_residual) == _f64(want.max_residual)
+    return got
+
+
+def _stage_dispatches(cfg, fc, act):
+    """(problem, result) of every stage of one day: the sequential pair,
+    the recourse stage reading the commitment from da_reference, and the
+    joint problem."""
+    da = build_day_ahead(fc, cfg)
+    da_res = solve(da)
+    assert da_res.status == "optimal"
+    intra = build_intra_day(da, da_res, act)
+    joint = build_joint(fc, act, cfg)
+    return [(da, da_res), (intra, solve(intra)), (joint, solve(joint))]
+
+
+def _noisy(result, rng, share):
+    z = result.primal.copy()
+    hit = rng.random(z.size) < share
+    z[hit] += rng.normal(0.0, 1.0, hit.sum())
+    return dataclasses.replace(result, primal=z)
+
+
+@pytest.mark.parametrize("hub", ["hub_experiment.yaml", "hub_showcase.yaml"])
+def test_audit_matches_the_loop_on_shipped_hubs(hub):
+    cfg = load_hub_config(_shipped(hub))
+    rng = np.random.default_rng(RNG_SEED + 22)
+    for day in range(3):
+        fc, act = _hub_day_loads(rng, hub)
+        for prob, res in _stage_dispatches(cfg, fc, act):
+            assert res.status == "optimal"
+            assert prob.stage != "intra_day" or prob.da_reference
+            assert _assert_audits_agree(prob, res).ok
+            assert not _assert_audits_agree(prob, _noisy(res, rng, 0.05)).ok
+
+
+def _small_loads(rng, toy):
+    # the cogeneration toy serves heat at its fixed ratio to power; the
+    # part-load boiler delivers at most 85 kW
+    loads = np.zeros((3, 24))
+    if toy == "chp":
+        loads[0] = rng.uniform(50.0, 150.0, 24)
+        loads[1] = 1.2 * loads[0]
+    else:
+        loads[1] = rng.uniform(10.0, 70.0, 24)
+    return loads
+
+
+@pytest.mark.parametrize("toy", ["reserves", "temporary", "no-terminal",
+                                 "chp", "part-load"])
+def test_audit_matches_the_loop_on_toy_hubs(toy):
+    # converter reserve boxes, temporary purchases, the terminal rule on
+    # and off, cogeneration, a part-load curve; each with the default M
+    # and an explicit one, on solved, noisy and arbitrary primals
+    cfg = {"reserves": _reserve_toy,
+           "temporary": lambda: tri_toy(storage=True, grid_ru=20.0,
+                                        grid_rd=20.0, temp=100.0),
+           "no-terminal": lambda: tri_toy(storage=True, terminal=False),
+           "chp": chp_toy, "part-load": pw_boiler_toy}[toy]()
+    rng = np.random.default_rng(RNG_SEED + 23)
+    if toy in ("chp", "part-load"):
+        fc = _small_loads(rng, toy)
+        act = fc * 1.05
+    else:
+        fc, act = _hub_day_loads(rng, "toy")
+    for prob, res in _stage_dispatches(cfg, fc, act):
+        if res.status != "optimal":     # any optimal-status result will do
+            res = dataclasses.replace(solve(build_day_ahead(fc, cfg)),
+                                      primal=np.zeros(prob.milp.lp.n_vars))
+        arbitrary = dataclasses.replace(
+            res, primal=rng.uniform(-20.0, 300.0, res.primal.size))
+        for M in (None, prob.M0 * 1.1):
+            for r in (res, _noisy(res, rng, 0.1), arbitrary):
+                _assert_audits_agree(prob, r, M=M)
+
+
+# one variable per family of checks, with the families it must trip
+_MUTANTS = [
+    ("bound", "da.flow[grid_draw][1]", -1e4, ("bounds",)),
+    ("node", "da.flow[gas_draw][2]", 3.0, ("da.node[gas_bus][2]",)),
+    ("conversion", "da.flow[boiler_heat][3]", 2.0,
+     ("da.conv[gas_boiler][3]",)),
+    ("part-load", "da.flow[chp_fuel][4]", 5.0, ("da.conv[chp][4]",)),
+    ("ratio", "da.flow[chp_heat][5]", 1.5, ("da.ratio[chp][5]",)),
+    ("balance", "id.flow[elec_delivery][6]", 4.0,
+     ("id.balance[electricity][6]",)),
+    ("discharge", "id.q_dis[heat_tank][7]", 2.5,
+     ("id.balance[heat][7]", "id.soc_rec[heat_tank][7]")),
+    ("state", "da.soc[battery][8]", 600.0,
+     ("da.soc_range[battery][8]", "da.soc_rec[battery][9]")),
+    ("terminal", "id.soc[ice_bank][23]", -150.0,
+     ("id.terminal[ice_bank]",)),
+    ("link", "id.up[grid][10]", 30.0, ("id.link[grid][10]",)),
+    ("reserve", "id.down[gas_supply][11]", 5000.0,
+     ("id.reserve_down[gas_supply][11]",)),
+    ("converter box", "id.flow[chp_fuel][12]", 900.0,
+     ("id.cres_up[chp][12]",)),
+    ("temporary", "id.temp[13]", 9.0, ("id.balance[electricity][13]",)),
+]
+
+
+@pytest.mark.parametrize("family, var, delta, names", _MUTANTS,
+                         ids=[m[0] for m in _MUTANTS])
+def test_audit_flags_each_family_like_the_loop(family, var, delta, names):
+    cfg = load_hub_config(_shipped("hub_showcase.yaml"))
+    fc, act = _hub_day_loads(np.random.default_rng(RNG_SEED + 24),
+                             "hub_showcase.yaml")
+    joint = build_joint(fc, act, cfg)
+    res = solve(joint)
+    z = res.primal.copy()
+    z[joint.var_index[var]] += delta
+    check = _assert_audits_agree(joint, dataclasses.replace(res, primal=z))
+    flagged = {n for n, _ in check.violations}
+    assert set(names) <= flagged, (names, check.violations)
+
+
+def test_audit_reads_the_commitment_from_da_reference():
+    cfg = load_hub_config(_shipped("hub_showcase.yaml"))
+    fc, act = _hub_day_loads(np.random.default_rng(RNG_SEED + 25),
+                             "hub_showcase.yaml")
+    _, (intra, res), _ = _stage_dispatches(cfg, fc, act)
+    ref = dict(intra.da_reference)
+    ref["da.flow[grid_draw][3]"] += 2.0
+    ref["da.flow[chp_fuel][4]"] -= 1000.0
+    moved = dataclasses.replace(intra, da_reference=ref)
+    check = _assert_audits_agree(moved, res)
+    assert {n for n, _ in check.violations} >= {"id.link[grid][3]",
+                                                "id.cres_up[chp][4]"}
+
+
+def test_audit_compiles_once_per_hub_and_stage(monkeypatch):
+    compiled = []
+    real = dispatch._compile_audit
+
+    def counting(config, stage, *args):
+        compiled.append(stage)
+        return real(config, stage, *args)
+
+    monkeypatch.setattr(dispatch, "_compile_audit", counting)
+    cfg = _reserve_toy()
+    rng = np.random.default_rng(RNG_SEED + 26)
+    for day in range(3):
+        fc, act = _hub_day_loads(rng, "toy")
+        for prob, res in _stage_dispatches(cfg, fc, act):
+            assert verify_dispatch(prob, res).ok
+    assert sorted(compiled) == ["day_ahead", "intra_day", "joint"]
+
+
+def test_audit_flags_non_finite_primals():
+    cfg = load_hub_config(_shipped("hub_experiment.yaml"))
+    fc, act = _hub_day_loads(np.random.default_rng(RNG_SEED + 27),
+                             "hub_experiment.yaml")
+    joint = build_joint(fc, act, cfg)
+    res = solve(joint)
+    nan = dataclasses.replace(res, primal=np.full(res.primal.size, np.nan))
+    check = verify_dispatch(joint, nan)
+    assert not check.ok and np.isnan(check.max_residual)
+    assert len(check.violations) == check.n_checks
+    z = res.primal.copy()
+    z[joint.var_index["id.soc[heat_tank][5]"]] = np.inf
+    check = verify_dispatch(joint, dataclasses.replace(res, primal=z))
+    flagged = {n for n, _ in check.violations}
+    assert {"bounds", "id.soc_rec[heat_tank][5]",
+            "id.soc_range[heat_tank][5]"} <= flagged
+    assert "id.soc_rec[heat_tank][4]" not in flagged
+
+
+def test_audit_rejects_a_primal_of_the_wrong_length():
+    cfg = tri_toy()
+    prob = build_day_ahead(toy_loads(np.random.default_rng(RNG_SEED)), cfg)
+    res = solve(prob)
+    n = res.primal.size
+    short = dataclasses.replace(res, primal=res.primal[:-1])
+    with pytest.raises(ValueError, match=f"{n - 1} entries.* {n} variables"):
+        verify_dispatch(prob, short)

@@ -218,6 +218,16 @@ def test_unknown_hub_key_names_file_and_key(tmp_path, place, key):
     assert load_hub_config(path).name == "boiler-only"
 
 
+def test_hub_yaml_reads_exponent_floats(tmp_path):
+    # YAML 1.1 leaves 6e3 a string; hub files take the YAML 1.2 float
+    text = _shipped("hub_experiment.yaml").read_text()
+    assert text.count("capacity_kw: 6000.0") == 1
+    path = tmp_path / "exponent_hub.yaml"
+    path.write_text(text.replace("capacity_kw: 6000.0", "capacity_kw: 6e3"))
+    grid = load_hub_config(path).inputs[0]
+    assert type(grid.capacity_kw) is float and grid.capacity_kw == 6000.0
+
+
 def test_schema_version_checked():
     d = boiler_only_dict()
     d["schema_version"] = 99

@@ -501,6 +501,39 @@ def test_full_valuation_fills_ledger_and_balances_budget():
     assert [r[0] for r in arows] == list(LETTERS)
 
 
+def test_full_valuation_prices_the_benchmark_on_train_once(monkeypatch):
+    # every coalition starts from the same benchmark models, so their
+    # train-split cost is computed once and handed to each coalition
+    from mesval import valuation
+    config = experiment_config_from_dict({
+        "seed": 21, "train_days": 4, "test_days": 2,
+        "training": {"hidden_size": 4, "mse_epochs": 6, "e2e_epochs": 1,
+                     "e2e_lr": 1e-7},
+    })
+    ds = small_dataset(days=6, seed=31)
+    calls = []
+    real_evaluate = valuation.evaluate_cost
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(valuation, "evaluate_cost", spy)
+    once = full_valuation(ds, config, hub=flat_hub())
+    n_once = len(calls)
+    calls.clear()
+    real_train = valuation.train_end_to_end
+    monkeypatch.setattr(
+        valuation, "train_end_to_end",
+        lambda *args, start_cost=None, **kwargs: real_train(*args, **kwargs))
+    every = full_valuation(ds, config, hub=flat_hub())
+    # 8 test-split costs and 7 epoch snapshots, plus the start point once;
+    # with start_cost dropped each of the 7 coalitions prices it again
+    assert (n_once, len(calls)) == (16, 16 + 7)
+    assert once.ledger.costs == every.ledger.costs
+    assert once.allocation == every.allocation
+
+
 def test_price_free_hub_values_nothing():
     hub = flat_hub(elec_da=0.0, elec_id=0.0, gas_da=0.0, gas_id=0.0)
     config = experiment_config_from_dict({
