@@ -101,16 +101,27 @@ class MILPProblem:
         lp = self.lp
         if lp.lb_row_vars is not None:
             raise MILPBuildError("expected box-form LP, bounds already folded")
-        seen = set()
-        for j in self.integer_vars:
-            if not 0 <= j < lp.n_vars:
-                raise MILPBuildError(f"integer variable index {j} out of range")
-            if j in seen:
-                raise MILPBuildError(f"integer variable index {j} repeated")
-            seen.add(j)
-            if not (np.isfinite(lp.lb[j]) and np.isfinite(lp.ub[j])):
-                raise MILPBuildError(
-                    f"integer variable {j} needs finite bounds to terminate")
+        ints = np.asarray(self.integer_vars)
+        valid = ints.dtype.kind in "iu" and (ints.size == 0 or (
+            0 <= ints.min() and ints.max() < lp.n_vars
+            and len(set(self.integer_vars)) == ints.size
+            and np.isfinite(lp.lb[ints]).all()
+            and np.isfinite(lp.ub[ints]).all()))
+        if not valid:
+            # index by index, to name the first bad one
+            seen = set()
+            for j in self.integer_vars:
+                if not 0 <= j < lp.n_vars:
+                    raise MILPBuildError(
+                        f"integer variable index {j} out of range")
+                if j in seen:
+                    raise MILPBuildError(
+                        f"integer variable index {j} repeated")
+                seen.add(j)
+                if not (np.isfinite(lp.lb[j]) and np.isfinite(lp.ub[j])):
+                    raise MILPBuildError(
+                        f"integer variable {j} needs finite bounds to "
+                        "terminate")
         object.__setattr__(self, "integer_vars",
                            tuple(sorted(self.integer_vars)))
 
@@ -154,23 +165,21 @@ def subproblem_for_trail(problem: MILPProblem,
     return replace(problem.lp, lb=lb, ub=ub)
 
 
-def _verified_point(node_lp, M, sol, z, int_idx, int_tol):
+def _verified_point(node_lp, b_f, b_h, sol, z, ints, int_tol):
     """Accept a repair proposal only on direct-substitution evidence:
-    integral, feasible for every node constraint, and no costlier than the
-    relaxation bound (within a machine tie window). Returns None otherwise.
+    integral, feasible for every node constraint (right-hand sides ``b_f``
+    and ``b_h``), and no costlier than the relaxation bound (within a
+    machine tie window). Returns None otherwise.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != sol.primal.shape or not np.all(np.isfinite(z)):
         return None
-    ints = np.asarray(int_idx, dtype=int)
     if ints.size and np.max(np.abs(z[ints] - np.round(z[ints]))) > int_tol:
         return None
     obj = float(node_lp.c @ z) + node_lp.c0
     tie = 1e-9 * (1.0 + abs(sol.objective))
     if obj > sol.objective + tie:
         return None
-    b_f = node_lp.b_f(M)
-    b_h = node_lp.b_h(M)
     feas = 1e-8 * (1.0 + max(
         float(np.max(np.abs(b_f), initial=0.0)),
         float(np.max(np.abs(b_h), initial=0.0)),
@@ -187,6 +196,10 @@ def _verified_point(node_lp, M, sol, z, int_idx, int_tol):
 def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
     M = np.asarray(M, dtype=float)
     int_idx = list(problem.integer_vars)
+    ints = np.array(int_idx, dtype=int)
+    if round_repair:
+        # the nodes differ from the root in column bounds only
+        b_f, b_h = problem.lp.b_f(M), problem.lp.b_h(M)
     # each open node with the relaxation bound of its parent
     stack: list[tuple[tuple[BranchStep, ...], float]] = [((), -math.inf)]
     best_obj = math.inf
@@ -212,7 +225,7 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
             _log(node_log, count, trail, sol.status, sol.objective,
                  "pruned_bound", None)
             continue
-        vals = sol.primal[int_idx] if int_idx else np.zeros(0)
+        vals = sol.primal[ints]
         frac = np.abs(vals - np.round(vals))
         loose = np.flatnonzero(frac > int_tol)
         if loose.size == 0:
@@ -224,7 +237,8 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
         if round_repair:
             cand = round_repair(node_lp, M, sol, int_idx)
             z = (None if cand is None else
-                 _verified_point(node_lp, M, sol, cand, int_idx, int_tol))
+                 _verified_point(node_lp, b_f, b_h, sol, cand, ints,
+                                 int_tol))
             if z is not None:
                 obj = float(node_lp.c @ z) + node_lp.c0
                 if obj < best_obj:
@@ -245,9 +259,9 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
                           integer_values=None, node_count=count,
                           trail=None)
     sol, relaxation, trail = best
-    ints = np.round(sol.primal[int_idx]).astype(float)
     return MILPResult(status="optimal", objective=sol.objective,
-                      primal=sol.primal, integer_values=ints,
+                      primal=sol.primal,
+                      integer_values=np.round(sol.primal[ints]).astype(float),
                       node_count=count, trail=trail,
                       subproblem=subproblem_for_trail(problem, trail),
                       relaxation=relaxation)

@@ -50,7 +50,7 @@ from scipy import sparse
 
 from .bnb import MILPProblem
 from .hub import SECTORS, HubConfig, HubMatrices, build_hub_matrices
-from .lp import LinearProgram, to_standard_form
+from .lp import LinearProgram, LPStandardForm, to_standard_form
 
 __all__ = [
     "DispatchBuildError",
@@ -297,42 +297,14 @@ def _add_balance_rows(prog: LinearProgram, s: str,
                 name=f"{s}.balance[{sector}][{t}]")
 
 
-def _commitment_rhs(config: HubConfig, da_reference) -> tuple[dict, dict]:
-    """Right-hand sides of the recourse rows that carry committed flows.
-
-    Returns ``(link, reserve)``: the ``id.link`` equality rows and the
-    ``id.cres_up``/``id.cres_dn`` inequality rows, each a row-name -> RHS
-    mapping in row order. With every committed flow at zero these are the
-    joint problem's right-hand sides, where the flows are variables.
-    """
-    H = config.horizon
-    link, reserve = {}, {}
-    for inp in config.inputs:
-        branches = [b for b in config.branches if b.source == inp.name]
-        for t in range(H):
-            link[f"id.link[{inp.name}][{t}]"] = sum(
-                da_reference[f"da.flow[{b.name}][{t}]"] for b in branches)
-    for c in config.converters:
-        if c.reserve_up_kw is None and c.reserve_down_kw is None:
-            continue
-        feed, _ = _conv_ports(config, c)
-        for t in range(H):
-            base = da_reference[f"da.flow[{feed.name}][{t}]"]
-            if c.reserve_up_kw is not None:
-                reserve[f"id.cres_up[{c.name}][{t}]"] = c.reserve_up_kw + base
-            if c.reserve_down_kw is not None:
-                reserve[f"id.cres_dn[{c.name}][{t}]"] = \
-                    c.reserve_down_kw - base
-    return link, reserve
-
-
 def _add_intra_links(prog: LinearProgram, config: HubConfig,
                      cost_class: dict, da_reference: dict | None) -> None:
     H = config.horizon
     prices = config.prices
     coupled = da_reference is None
-    link_rhs, reserve_rhs = _commitment_rhs(
-        config, defaultdict(float) if coupled else da_reference)
+    # committed flows: variables of the joint problem (the right-hand
+    # sides then read zero), constants of the intra-day one
+    ref = defaultdict(float) if coupled else da_reference
     for inp in config.inputs:
         branches = [b for b in config.branches if b.source == inp.name]
         for t in range(H):
@@ -352,8 +324,10 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
             if coupled:
                 for b in branches:
                     coeffs[f"da.flow[{b.name}][{t}]"] = -1.0
-            name = f"id.link[{inp.name}][{t}]"
-            prog.add_constraint(coeffs, "==", link_rhs[name], name=name)
+            prog.add_constraint(
+                coeffs, "==",
+                sum(ref[f"da.flow[{b.name}][{t}]"] for b in branches),
+                name=f"id.link[{inp.name}][{t}]")
 
     if config.temporary_purchase_kw > 0:
         if "electricity" not in prices.intra_day:
@@ -377,15 +351,15 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
                 coeffs = {idf: 1.0}
                 if coupled:
                     coeffs[daf] = -1.0
-                prog.add_constraint(coeffs, "<=", reserve_rhs[name],
-                                    name=name)
+                prog.add_constraint(coeffs, "<=",
+                                    c.reserve_up_kw + ref[daf], name=name)
             if c.reserve_down_kw is not None:
                 name = f"id.cres_dn[{c.name}][{t}]"
                 coeffs = {idf: -1.0}
                 if coupled:
                     coeffs[daf] = 1.0
-                prog.add_constraint(coeffs, "<=", reserve_rhs[name],
-                                    name=name)
+                prog.add_constraint(coeffs, "<=",
+                                    c.reserve_down_kw - ref[daf], name=name)
 
 
 def _finish(prog: LinearProgram, stage: str, config: HubConfig,
@@ -451,10 +425,25 @@ def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _Commitment:
+    """How the intra-day template takes in a day-ahead solution, compiled
+    once: the committed flows ``flows = primal[cols]`` and the right-hand
+    sides they set, summed in the order of `_add_intra_links`."""
+
+    names: tuple             # da.flow names, in day-ahead column order
+    cols: np.ndarray         # their day-ahead columns
+    link_rows: np.ndarray    # A_h rows of the id.link constraints
+    link_flows: np.ndarray   # (terms, rows) positions in [flows, 0.0]
+    reserve_rows: np.ndarray   # A_f rows of the id.cres_* constraints
+    reserve_flows: np.ndarray  # position of each row's flow in flows
+    reserve_kw: np.ndarray
+    reserve_up: np.ndarray     # True: id.cres_up (+ flow), else - flow
+
+
+@dataclass(frozen=True)
 class _Template:
     problem: DispatchProblem
-    link_rows: np.ndarray      # A_h rows of the id.link constraints
-    reserve_rows: np.ndarray   # A_f rows of the id.cres_* constraints
+    commitment: _Commitment | None     # the intra-day stage only
     # (3, k): the charge, discharge and exclusivity-binary columns of each
     # storage unit and hour, for storage_repair
     storage_cols: np.ndarray
@@ -486,10 +475,6 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     prob = _compile(config, stage,
                     defaultdict(float) if sequential else None)
     lp = prob.milp.lp
-    link, reserve = (_commitment_rhs(config, defaultdict(float))
-                     if sequential else ({}, {}))
-    eq = {n: i for i, n in enumerate(lp.eq_names)}
-    ineq = {n: i for i, n in enumerate(lp.ineq_names)}
     for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
               prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
         a.flags.writeable = False
@@ -502,11 +487,52 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     return _Template(
         problem=replace(prob, config=None, da_reference=None,
                         var_index=MappingProxyType(prob.var_index)),
-        link_rows=np.array([eq[n] for n in link], dtype=int),
-        reserve_rows=np.array([ineq[n] for n in reserve], dtype=int),
+        commitment=(_compile_commitment(config, lp) if sequential
+                    else None),
         storage_cols=storage_cols,
         audit=_compile_audit(config, stage, prob.var_index,
                              prob.param_names))
+
+
+def _compile_commitment(config: HubConfig, lp: LPStandardForm
+                        ) -> _Commitment:
+    """The rows of `_add_intra_links` that carry committed flows, as
+    positions in the day-ahead flows."""
+    da_index = _template(config, "day_ahead").problem.var_index
+    names = tuple(n for n in da_index if n.startswith("da.flow["))
+    pos = {n: k for k, n in enumerate(names)}
+    eq = {n: i for i, n in enumerate(lp.eq_names)}
+    ineq = {n: i for i, n in enumerate(lp.ineq_names)}
+    link, reserve = {}, []     # row -> flows summed; (row, kW, up, flow)
+    for inp in config.inputs:
+        branches = [b for b in config.branches if b.source == inp.name]
+        for t in range(config.horizon):
+            link[eq[f"id.link[{inp.name}][{t}]"]] = [
+                pos[f"da.flow[{b.name}][{t}]"] for b in branches]
+    for c in config.converters:
+        feed, _ = _conv_ports(config, c)
+        for t in range(config.horizon):
+            flow = pos[f"da.flow[{feed.name}][{t}]"]
+            for kind, kw in (("up", c.reserve_up_kw),
+                             ("dn", c.reserve_down_kw)):
+                if kw is not None:
+                    reserve.append((ineq[f"id.cres_{kind}[{c.name}][{t}]"],
+                                    kw, kind == "up", flow))
+    # short sums padded with the trailing 0.0, which adds nothing
+    link_flows = np.full((max(map(len, link.values()), default=0),
+                          len(link)), len(names), dtype=np.intp)
+    for i, flows in enumerate(link.values()):
+        link_flows[:len(flows), i] = flows
+    reserve = np.array(reserve, dtype=float).reshape(-1, 4)
+    return _Commitment(
+        names=names,
+        cols=np.array([da_index[n] for n in names], dtype=np.intp),
+        link_rows=np.array(list(link), dtype=np.intp),
+        link_flows=link_flows,
+        reserve_rows=reserve[:, 0].astype(np.intp),
+        reserve_flows=reserve[:, 3].astype(np.intp),
+        reserve_kw=reserve[:, 1],
+        reserve_up=reserve[:, 2] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +555,17 @@ def build_intra_day(da_problem: DispatchProblem, da_result,
             f"day-ahead solve has status {da_result.status!r}")
     config = da_problem.config
     act = _check_loads(actual, config, "actual loads")
-    da_ref = {name: float(da_result.primal[i])
-              for name, i in da_problem.var_index.items()
-              if name.startswith("da.flow[")}
     tpl = _template(config, "intra_day")
+    cm = tpl.commitment
+    flows = np.asarray(da_result.primal, dtype=float)[cm.cols]
     lp = tpl.problem.milp.lp
-    link, reserve = _commitment_rhs(config, da_ref)
     b_h0 = lp.b_h0.copy()
-    b_h0[tpl.link_rows] = list(link.values())
+    b_h0[cm.link_rows] = _sum(np.append(flows, 0.0), cm.link_flows)
     b_f0 = lp.b_f0.copy()
-    b_f0[tpl.reserve_rows] = list(reserve.values())
+    base = flows[cm.reserve_flows]
+    b_f0[cm.reserve_rows] = np.where(cm.reserve_up, cm.reserve_kw + base,
+                                     cm.reserve_kw - base)
+    da_ref = dict(zip(cm.names, flows.tolist()))
     lp = replace(lp, c0=float(da_result.objective), b_f0=b_f0, b_h0=b_h0)
     return replace(tpl.problem, config=config,
                    milp=replace(tpl.problem.milp, lp=lp),

@@ -51,15 +51,20 @@ bounds that differ and re-runs the dual simplex from the basis the solver
 holds, skipping presolve: the standard re-solve of a branch-and-bound
 child. Its status and objective are a cold solve's, but at ties it may
 end at another optimal vertex. Any other warm request, and a warm run
-that fails, is solved cold.
+that fails, is solved cold. A search's nodes share the right-hand-side
+arrays (``b_f0``, ``B_f``, ``b_h0``, ``B_h``) and ``M`` of the held
+model, so their row bounds are the held ones and are not recomputed.
 
 On both paths, an "optimal" point that breaks a bound or a row by more
 than ``10 * sqrt(1e-9)`` raises :class:`LPNumericalError`, as does any
 HiGHS model status other than optimal, infeasible and unbounded. The
 bound duals are the column duals of columns nonbasic at that bound,
 mapped onto the folded rows through the indices of the finite bounds, so
-no folded matrix is built. Used for the larger dispatch problems where a
-dense tableau would be needlessly slow.
+no folded matrix is built. The basis is read in bulk: the basic columns
+from ``getBasicVariables``, and a nonbasic column is at the bound its
+value equals exactly. A fixed column equals both; the sign of its dual
+puts that dual on one side, the side HiGHS reports. Used for the larger
+dispatch problems where a dense tableau would be needlessly slow.
 
 The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
 the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
@@ -354,8 +359,9 @@ class LPSolution:
 
     ``basis`` is the Bland engine's basic column set (internal standard-form
     numbering) or, for the HiGHS engine, an active-set surrogate: the sorted
-    variables strictly between their bounds. Either way it is deterministic
-    and usable as a "did the active set move" fingerprint.
+    variables strictly between their bounds (further than 1e-9 from each),
+    read from the primal alone, not from HiGHS's basis. Either way it is
+    deterministic and usable as a "did the active set move" fingerprint.
     """
 
     status: str
@@ -580,12 +586,15 @@ def _check_feasible(z, objective, ineq_slack, eq_residual, lb, ub) -> None:
 @dataclass(frozen=True)
 class _Held:
     """The model last passed to a solver, as far as a warm start needs it:
-    the very rows and costs (held, so their ids stay theirs), and copies of
-    the row and column bounds."""
+    the very rows, costs and right-hand-side arrays (held, so their ids
+    stay theirs), a copy of ``M``, the row bounds made from them, and
+    copies of the column bounds."""
 
     highs: object
     rows: sparse.csc_array
     c: np.ndarray
+    rhs: tuple      # (b_f0, B_f, b_h0, B_h) of the model passed
+    M: np.ndarray
     row_lo: np.ndarray
     row_hi: np.ndarray
     lb: np.ndarray
@@ -593,6 +602,17 @@ class _Held:
 
 
 _HELD: _Held | None = None   # set by the last HiGHS solve that ran
+
+
+def _rhs(lp: LPStandardForm) -> tuple:
+    return lp.b_f0, lp.B_f, lp.b_h0, lp.B_h
+
+
+def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
+    """``(row_lo, row_hi)`` of ``[A_f; A_h]`` at ``M``."""
+    b_h = lp.b_h(M)
+    return (np.concatenate((np.full(lp.n_ineq, -np.inf), b_h)),
+            np.concatenate((lp.b_f(M), b_h)))
 
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
@@ -604,27 +624,12 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
     n = lp.n_vars
     A = lp.rows_csc if lp.rows_csc is not None else _stack_rows(lp.A_f,
                                                                 lp.A_h)
-    b_h = lp.b_h(M)
-    row_hi = np.concatenate((lp.b_f(M), b_h))
-    row_lo = np.concatenate((np.full(q, -np.inf), b_h))
     held, _HELD = _HELD, None
-    if (warm and held is not None and held.highs is highs
-            and held.rows is A and held.c is lp.c
-            and np.array_equal(held.row_lo, row_lo)
-            and np.array_equal(held.row_hi, row_hi)):
-        # the solver holds this model up to column bounds: move the bounds
-        # that differ and re-run from the basis it holds
-        moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
-        if highs.changeColsBounds(
-                moved.size, moved.astype(np.int32), lp.lb[moved],
-                lp.ub[moved]) != core.HighsStatus.kError:
-            highs.run()
-            _HELD = replace(held, lb=lp.lb.copy(), ub=lp.ub.copy())
-            try:
-                return _highs_solution(highs, core, lp, row_hi,
-                                       highs.getModelStatus())
-            except LPNumericalError:
-                _HELD = None    # a failed warm start gets one cold solve
+    if warm and held is not None:
+        sol = _solve_warm(highs, core, held, lp, A, M)
+        if sol is not None:
+            return sol
+    row_lo, row_hi = _row_bounds(lp, M)
     if highs.passModel(
             n, q + m, A.nnz, core.MatrixFormat.kColwise,
             core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
@@ -634,9 +639,46 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
     else:
         highs.run()
         status = highs.getModelStatus()
-        _HELD = _Held(highs, A, lp.c, row_lo, row_hi, lp.lb.copy(),
-                      lp.ub.copy())
+        _HELD = _Held(highs, A, lp.c, _rhs(lp), M.copy(), row_lo, row_hi,
+                      lp.lb.copy(), lp.ub.copy())
     return _highs_solution(highs, core, lp, row_hi, status)
+
+
+def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
+                M: np.ndarray) -> LPSolution | None:
+    """Re-solve ``lp`` from the basis the solver holds, if it holds this
+    model up to column bounds; None if it does not, or if the run fails."""
+    global _HELD
+    if not (held.highs is highs and held.rows is A and held.c is lp.c):
+        return None
+    if (all(a is b for a, b in zip(held.rhs, _rhs(lp)))
+            and np.array_equal(held.M, M)):
+        # the nodes of one search: the held right-hand sides at the held M
+        row_hi = held.row_hi
+    else:
+        row_lo, row_hi = _row_bounds(lp, M)
+        if not (np.array_equal(held.row_lo, row_lo)
+                and np.array_equal(held.row_hi, row_hi)):
+            return None
+    # move the column bounds that differ and re-run
+    moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
+    if highs.changeColsBounds(moved.size, moved.astype(np.int32),
+                              lp.lb[moved],
+                              lp.ub[moved]) == core.HighsStatus.kError:
+        return None
+    highs.run()
+    _HELD = replace(held, lb=lp.lb.copy(), ub=lp.ub.copy())
+    try:
+        return _highs_solution(highs, core, lp, row_hi,
+                               highs.getModelStatus())
+    except LPNumericalError:
+        _HELD = None    # a failed warm start gets one cold solve
+        return None
+
+
+def _floats(values: list) -> np.ndarray:
+    """A solution vector, which the binding hands over as a list."""
+    return np.fromiter(values, float, len(values))
 
 
 def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
@@ -649,29 +691,39 @@ def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
 
     q = lp.n_ineq
     sol = highs.getSolution()
-    z = np.array(sol.col_value)
-    slack = row_hi - np.array(sol.row_value)
-    objective = highs.getInfo().objective_function_value
+    z = _floats(sol.col_value)
+    slack = row_hi - _floats(sol.row_value)
+    objective = highs.getObjectiveValue()
     _check_feasible(z, objective, slack[:q], slack[q:], lp.lb, lp.ub)
-    row_dual = np.array(sol.row_dual)
-    col_dual = np.array(sol.col_dual)
-    col_status = np.array([s.value for s in highs.getBasis().col_status])
+    row_dual = _floats(sol.row_dual)
+    col_dual = _floats(sol.col_dual)
+
+    # a nonbasic column sits exactly on the bound it is nonbasic at. A
+    # fixed one (lb == ub) sits on both; the clamps below keep its dual on
+    # the side its sign picks, the side HiGHS reports (upper if negative)
+    read, basic = highs.getBasicVariables()
+    if read == core.HighsStatus.kError:
+        raise LPNumericalError("HiGHS holds no basis for its optimal point")
+    nonbasic = np.ones(lp.n_vars, dtype=bool)
+    nonbasic[basic[basic >= 0]] = False
+    at_lo = nonbasic & (z == lp.lb)
+    at_hi = nonbasic & (z == lp.ub)
 
     # folded row order (see fold_bounds): declared rows, finite lower
     # bounds, finite upper bounds; a bound's dual is the column dual of a
     # column nonbasic at that bound
     lo = np.flatnonzero(np.isfinite(lp.lb))
     hi = np.flatnonzero(np.isfinite(lp.ub))
-    at_lo = col_status[lo] == core.HighsBasisStatus.kLower.value
-    at_hi = col_status[hi] == core.HighsBasisStatus.kUpper.value
     lam = np.zeros(q + lo.size + hi.size)
     lam[:q] = np.maximum(-row_dual[:q], 0.0)
-    lam[q:q + lo.size] = np.maximum(np.where(at_lo, col_dual[lo], 0.0), 0.0)
-    lam[q + lo.size:] = np.maximum(-np.where(at_hi, col_dual[hi], 0.0), 0.0)
+    lam[q:q + lo.size] = np.maximum(np.where(at_lo[lo], col_dual[lo], 0.0),
+                                    0.0)
+    lam[q + lo.size:] = np.maximum(-np.where(at_hi[hi], col_dual[hi], 0.0),
+                                   0.0)
     mu = -row_dual[q:]
     interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
     return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0,
-                      tuple(int(j) for j in np.flatnonzero(interior)))
+                      tuple(np.flatnonzero(interior).tolist()))
 
 
 def solve_lp(lp: LPStandardForm, M: np.ndarray,

@@ -1,4 +1,5 @@
-"""Shared test helpers: a vertex-enumeration LP oracle and instance factories.
+"""Shared test helpers: a vertex-enumeration LP oracle, instance factories
+and bitwise comparisons of arrays and LP solutions.
 
 Everything here is written directly against the math (enumerate active sets,
 solve, filter, take the best) and shares no logic with the package under test.
@@ -96,3 +97,20 @@ def random_box_lp(rng, n_vars, n_ineq, n_eq, param_dim):
         )
         prog.add_constraint(dict(zip(names, a)), "==", const, params=pc)
     return prog, M0
+
+
+def _bits(a):
+    """dtype, shape and raw bytes: equal only for bit-identical arrays."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _assert_same_solution(got, want):
+    """Two LP solutions agree on every field, bit for bit."""
+    assert got.status == want.status
+    assert got.basis == want.basis
+    for name in ("primal", "ineq_duals", "eq_duals", "objective"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert _bits(a) == _bits(b), name

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _util import random_box_lp
+from _util import _assert_same_solution, random_box_lp
 from mesval.bnb import (
     INT_TOL,
     MAX_ASSIGNMENTS,
@@ -185,6 +185,35 @@ def test_integer_vars_require_finite_bounds():
         MILPProblem(lp=to_standard_form(prog), integer_vars=(0,))
 
 
+def _three_var_lp():
+    # x0, x1 boxed, x2 bounded below only
+    prog = LinearProgram()
+    prog.add_var("x0", lb=0.0, ub=1.0, cost=1.0)
+    prog.add_var("x1", lb=0.0, ub=2.0, cost=1.0)
+    prog.add_var("x2", lb=0.0, cost=1.0)
+    return to_standard_form(prog)
+
+
+@pytest.mark.parametrize("integer_vars, message", [
+    ((0, 3), "integer variable index 3 out of range"),
+    ((-1, 0), "integer variable index -1 out of range"),
+    ((1, 0, 1), "integer variable index 1 repeated"),
+    ((0, 2), "integer variable 2 needs finite bounds to terminate"),
+    # the first bad index in the given order names the fault
+    ((2, 0, 0, 5), "integer variable 2 needs finite bounds"),
+    ((1, 1, 2, 7), "integer variable index 1 repeated"),
+])
+def test_integer_vars_name_the_first_bad_index(integer_vars, message):
+    with pytest.raises(MILPBuildError, match=message):
+        MILPProblem(lp=_three_var_lp(), integer_vars=integer_vars)
+
+
+def test_valid_integer_vars_are_kept_sorted():
+    lp = _three_var_lp()
+    assert MILPProblem(lp=lp, integer_vars=(1, 0)).integer_vars == (0, 1)
+    assert MILPProblem(lp=lp, integer_vars=()).integer_vars == ()
+
+
 def test_node_limit_raises():
     # the trace fixture needs 5 nodes; a budget of 1 must trip the guard
     prob = binary_program([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.5)])
@@ -274,6 +303,7 @@ def test_trail_reconstruction_reproduces_incumbent():
         assert sol.status == "optimal"
         np.testing.assert_array_equal(sol.primal, res.primal)
         assert sol.objective == res.objective
+        _assert_same_solution(sol, res.relaxation)
         reproduced += 1
     assert reproduced >= 10
 

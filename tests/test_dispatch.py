@@ -18,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
+from _util import _bits
 from mesval import dispatch
 from mesval.bnb import branch_and_bound
 from mesval.dispatch import (
@@ -42,7 +43,7 @@ ETA = 0.9
 
 def tri_toy(storage=False, grid_ru=None, grid_rd=None, gas_ru=None,
             gas_rd=None, temp=0.0, terminal=True, gas_da=GAS_DA,
-            gas_intra=GAS_ID, tank_initial=50.0):
+            gas_intra=GAS_ID, tank_initial=50.0, second_boiler=False):
     grid = {"name": "grid", "carrier": "electricity", "capacity_kw": 1000.0}
     if grid_ru is not None:
         grid["reserve_up_kw"] = grid_ru
@@ -91,6 +92,15 @@ def tri_toy(storage=False, grid_ru=None, grid_rd=None, gas_ru=None,
         "temporary_purchase_kw": temp,
         "options": {"require_terminal_soc": terminal},
     }
+    if second_boiler:     # a second branch out of the gas supply
+        d["converters"].append(
+            {"name": "boiler2", "kind": "gas_boiler", "capacity_kw": 20.0,
+             "efficiency_curve": [[0.0, 0.95], [1.0, 0.95]]})
+        d["branches"] += [
+            {"name": "gas_feed2", "from": "gas_supply", "to": "boiler2",
+             "carrier": "gas"},
+            {"name": "heat_out2", "from": "boiler2", "to": "heat_load",
+             "carrier": "heat"}]
     if storage:
         d["storages"] = [{
             "name": "heat_tank", "carrier": "heat", "capacity_kwh": 100.0,
@@ -697,11 +707,6 @@ def _shipped(fname):
 # templates: compiled once per hub, filled in per day
 # ---------------------------------------------------------------------------
 
-def _bits(a):
-    a = np.asarray(a)
-    return a.dtype, a.shape, a.tobytes()
-
-
 def _assert_bitwise_equal(got, want):
     a, b = got.milp.lp, want.milp.lp
     for field in ("c", "c0", "b_f0", "B_f", "b_h0", "B_h", "lb", "ub"):
@@ -740,13 +745,18 @@ def _hub_day_loads(rng, hub):
                           0.0)
 
 
-@pytest.mark.parametrize("hub", ["toy", "hub_experiment.yaml",
+@pytest.mark.parametrize("hub", ["toy", "two-feed", "hub_experiment.yaml",
                                  "hub_showcase.yaml"])
 def test_template_builds_equal_one_off_compiles(hub):
-    cfg = _reserve_toy() if hub == "toy" else load_hub_config(_shipped(hub))
+    # the two-feed toy's gas link rows sum two committed flows, the grid's
+    # one
+    cfg = {"toy": _reserve_toy,
+           "two-feed": lambda: tri_toy(storage=True, grid_ru=60.0,
+                                       second_boiler=True),
+           }.get(hub, lambda: load_hub_config(_shipped(hub)))()
     rng = np.random.default_rng(RNG_SEED + 18)
     for day in range(3):
-        fc, act = _hub_day_loads(rng, hub)
+        fc, act = _hub_day_loads(rng, "toy" if hub == "two-feed" else hub)
         da = build_day_ahead(fc, cfg)
         _assert_bitwise_equal(da, dataclasses.replace(
             dispatch._compile(cfg, "day_ahead"), M0=fc.reshape(-1)))
@@ -760,9 +770,12 @@ def test_template_builds_equal_one_off_compiles(hub):
                   for name, i in da.var_index.items()
                   if name.startswith("da.flow[")}
         intra = build_intra_day(da, res, act)
-        if hub != "hub_experiment.yaml":    # converter reserve boxes
+        if hub in ("toy", "hub_showcase.yaml"):    # converter reserve boxes
             assert any(n.startswith("id.cres_dn[")
                        for n in intra.milp.lp.ineq_names)
+        if hub == "two-feed":     # both gas branches carry flow
+            assert da_ref["da.flow[gas_feed][5]"] > 0.0
+            assert da_ref["da.flow[gas_feed2][5]"] > 0.0
         _assert_bitwise_equal(intra, dataclasses.replace(
             dispatch._compile(cfg, "intra_day", da_ref,
                               float(res.objective)),

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from _util import folded_arrays, oracle_min_objective, random_box_lp
+from _util import (_assert_same_solution, _bits, folded_arrays,
+                   oracle_min_objective, random_box_lp)
 from mesval.lp import (
     DEFAULT_TOL,
     PIVOT_TOL,
@@ -432,18 +433,6 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
                       tuple(int(v) for v in sorted(basis)))
 
 
-def _bits(a):
-    return None if a is None else (a.shape, a.dtype, a.tobytes())
-
-
-def _assert_bitwise_equal(got, want):
-    assert got.status == want.status
-    for field in ("primal", "ineq_duals", "eq_duals"):
-        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
-    assert _bits(np.array(got.objective)) == _bits(np.array(want.objective))
-    assert got.basis == want.basis
-
-
 def test_bland_engine_matches_its_reference_bitwise():
     from mesval.batteries import random_milp
     from mesval.bnb import branch_and_bound, subproblem_for_trail
@@ -482,7 +471,7 @@ def test_bland_engine_matches_its_reference_bitwise():
     statuses = set()
     for lp, M in cases:
         got = solve_lp(lp, M, engine="bland")
-        _assert_bitwise_equal(got, _solve_bland(lp, M))
+        _assert_same_solution(got, _solve_bland(lp, M))
         statuses.add(got.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
@@ -625,21 +614,6 @@ def _linprog_reference(lp, M):
     interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
     return LPSolution("optimal", z, lam, mu, float(res.fun) + lp.c0,
                       tuple(int(j) for j in np.flatnonzero(interior)))
-
-
-def _bits(a):
-    a = np.asarray(a)
-    return a.dtype, a.shape, a.tobytes()
-
-
-def _assert_same_solution(got, want):
-    assert got.status == want.status
-    assert got.basis == want.basis
-    for name in ("primal", "ineq_duals", "eq_duals", "objective"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert _bits(a) == _bits(b), name
 
 
 def _assert_matches_linprog(lp, M):
@@ -973,6 +947,91 @@ def test_repeated_warm_search_is_bitwise_identical():
     _assert_same_solution(first.relaxation, again.relaxation)
     # repr writes each float so that it reads back to the same bits
     assert repr(logs[0]) == repr(logs[1])
+
+
+def _enum_reader(highs, core, lp, row_hi, status):
+    """The HiGHS outcome reader as it read the basis before: one
+    ``HighsBasisStatus`` enum per column. The reference for the reader
+    that reads the basic columns in bulk."""
+    outcome = _highs_outcome(status, core)
+    if outcome != "optimal":
+        return LPSolution(outcome, None, None, None, None, None)
+
+    q = lp.n_ineq
+    sol = highs.getSolution()
+    z = np.array(sol.col_value)
+    slack = row_hi - np.array(sol.row_value)
+    objective = highs.getInfo().objective_function_value
+    _check_feasible(z, objective, slack[:q], slack[q:], lp.lb, lp.ub)
+    row_dual = np.array(sol.row_dual)
+    col_dual = np.array(sol.col_dual)
+    col_status = np.array([s.value for s in highs.getBasis().col_status])
+
+    # folded row order (see fold_bounds): declared rows, finite lower
+    # bounds, finite upper bounds; a bound's dual is the column dual of a
+    # column nonbasic at that bound
+    lo = np.flatnonzero(np.isfinite(lp.lb))
+    hi = np.flatnonzero(np.isfinite(lp.ub))
+    at_lo = col_status[lo] == core.HighsBasisStatus.kLower.value
+    at_hi = col_status[hi] == core.HighsBasisStatus.kUpper.value
+    lam = np.zeros(q + lo.size + hi.size)
+    lam[:q] = np.maximum(-row_dual[:q], 0.0)
+    lam[q:q + lo.size] = np.maximum(np.where(at_lo, col_dual[lo], 0.0), 0.0)
+    lam[q + lo.size:] = np.maximum(-np.where(at_hi, col_dual[hi], 0.0), 0.0)
+    mu = -row_dual[q:]
+    interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
+    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0,
+                      tuple(int(j) for j in np.flatnonzero(interior)))
+
+
+def test_bulk_basis_reader_matches_the_enum_reader(monkeypatch):
+    # every node of the deep search, cold root and warm children, and of
+    # both shipped hubs' three stages, read both ways after the same run
+    from mesval import bnb
+    from mesval import lp as lp_module
+    from mesval.dispatch import (build_day_ahead, build_intra_day,
+                                 build_joint, storage_repair)
+
+    bulk = lp_module._highs_solution
+    read = []
+    fixed_status = set()     # statuses HiGHS gave nonbasic fixed columns
+
+    def both(highs, core, lp, row_hi, status):
+        want = _enum_reader(highs, core, lp, row_hi, status)
+        got = bulk(highs, core, lp, row_hi, status)
+        _assert_same_solution(got, want)
+        if got.status == "optimal":
+            for name in ("ineq_duals", "eq_duals"):
+                np.testing.assert_array_equal(
+                    np.signbit(getattr(got, name)),
+                    np.signbit(getattr(want, name)))
+            col_status = highs.getBasis().col_status
+            fixed_status.update(col_status[j]
+                                for j in np.flatnonzero(lp.lb == lp.ub))
+        read.append(got.status)
+        return got
+
+    monkeypatch.setattr(lp_module, "_highs_solution", both)
+    _, res = _deep_search()
+    assert len(read) == res.node_count > 10
+    searched = res.node_count
+    for hub in ("hub_experiment.yaml", "hub_showcase.yaml"):
+        cfg, fc, act = _shipped_day(hub)
+
+        def search(prob):
+            nonlocal searched
+            out = bnb.branch_and_bound(prob.milp, prob.M0, engine="highs",
+                                       round_repair=storage_repair(prob))
+            assert out.status == "optimal"
+            searched += out.node_count
+            return out
+
+        da = build_day_ahead(fc, cfg)
+        search(build_intra_day(da, search(da), act))
+        search(build_joint(fc, act, cfg))
+    assert len(read) == searched
+    S = lp_module._highs()[1].HighsBasisStatus
+    assert {S.kLower, S.kUpper} <= fixed_status
 
 
 # ---------------------------------------------------------------------------
