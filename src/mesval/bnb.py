@@ -101,27 +101,20 @@ class MILPProblem:
         lp = self.lp
         if lp.lb_row_vars is not None:
             raise MILPBuildError("expected box-form LP, bounds already folded")
-        ints = np.asarray(self.integer_vars)
-        valid = ints.dtype.kind in "iu" and (ints.size == 0 or (
-            0 <= ints.min() and ints.max() < lp.n_vars
-            and len(set(self.integer_vars)) == ints.size
-            and np.isfinite(lp.lb[ints]).all()
-            and np.isfinite(lp.ub[ints]).all()))
-        if not valid:
-            # index by index, to name the first bad one
-            seen = set()
-            for j in self.integer_vars:
-                if not 0 <= j < lp.n_vars:
-                    raise MILPBuildError(
-                        f"integer variable index {j} out of range")
-                if j in seen:
-                    raise MILPBuildError(
-                        f"integer variable index {j} repeated")
-                seen.add(j)
-                if not (np.isfinite(lp.lb[j]) and np.isfinite(lp.ub[j])):
-                    raise MILPBuildError(
-                        f"integer variable {j} needs finite bounds to "
-                        "terminate")
+        finite = (np.isfinite(lp.lb) & np.isfinite(lp.ub)).tolist()
+        seen = set()
+        for j in self.integer_vars:
+            if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                raise MILPBuildError(
+                    f"integer variable index {j!r} is not an integer")
+            if not 0 <= j < lp.n_vars:
+                raise MILPBuildError(f"integer variable index {j} out of range")
+            if j in seen:
+                raise MILPBuildError(f"integer variable index {j} repeated")
+            seen.add(j)
+            if not finite[j]:
+                raise MILPBuildError(
+                    f"integer variable {j} needs finite bounds to terminate")
         object.__setattr__(self, "integer_vars",
                            tuple(sorted(self.integer_vars)))
 

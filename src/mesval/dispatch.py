@@ -565,6 +565,9 @@ def build_intra_day(da_problem: DispatchProblem, da_result,
     base = flows[cm.reserve_flows]
     b_f0[cm.reserve_rows] = np.where(cm.reserve_up, cm.reserve_kw + base,
                                      cm.reserve_kw - base)
+    # frozen like the template's: a warm HiGHS solve trusts their identity
+    b_h0.flags.writeable = False
+    b_f0.flags.writeable = False
     da_ref = dict(zip(cm.names, flows.tolist()))
     lp = replace(lp, c0=float(da_result.objective), b_f0=b_f0, b_h0=b_h0)
     return replace(tpl.problem, config=config,

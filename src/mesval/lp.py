@@ -45,15 +45,17 @@ solve, so it returns what scipy's LP method returns for the same problem,
 bit for bit; ``tests/test_lp.py`` checks that.
 
 The solver remembers the model it was last passed. A solve asked for
-with ``warm=True`` whose model is that one up to column bounds (the same
-``rows_csc`` and ``c`` objects, equal row bounds) moves only the column
-bounds that differ and re-runs the dual simplex from the basis the solver
-holds, skipping presolve: the standard re-solve of a branch-and-bound
-child. Its status and objective are a cold solve's, but at ties it may
-end at another optimal vertex. Any other warm request, and a warm run
-that fails, is solved cold. A search's nodes share the right-hand-side
-arrays (``b_f0``, ``B_f``, ``b_h0``, ``B_h``) and ``M`` of the held
-model, so their row bounds are the held ones and are not recomputed.
+with ``warm=True`` whose model is that one up to column bounds moves only
+the column bounds that differ and re-runs the dual simplex from the basis
+the solver holds, skipping presolve: the standard re-solve of a
+branch-and-bound child. "That one" means the same ``rows_csc``, ``c``,
+``b_f0``, ``B_f``, ``b_h0`` and ``B_h`` objects and an equal ``M``, as the
+nodes of one search have, so the row bounds are the held ones and are not
+recomputed. An in-place edit of those arrays between solves goes unseen;
+the dispatch builders make theirs read-only. Its status
+and objective are a cold solve's, but at ties it may end at another
+optimal vertex. Any other warm request, and a warm run that fails, is
+solved cold.
 
 On both paths, an "optimal" point that breaks a bound or a row by more
 than ``10 * sqrt(1e-9)`` raises :class:`LPNumericalError`, as does any
@@ -62,8 +64,8 @@ bound duals are the column duals of columns nonbasic at that bound,
 mapped onto the folded rows through the indices of the finite bounds, so
 no folded matrix is built. The basis is read in bulk: the basic columns
 from ``getBasicVariables``, and a nonbasic column is at the bound its
-value equals exactly. A fixed column equals both; the sign of its dual
-puts that dual on one side, the side HiGHS reports. Used for the larger
+value equals exactly. A fixed column equals both; its dual lands on the
+side its sign picks, which is the side HiGHS reports. Used for the larger
 dispatch problems where a dense tableau would be needlessly slow.
 
 The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
@@ -587,15 +589,14 @@ def _check_feasible(z, objective, ineq_slack, eq_residual, lb, ub) -> None:
 class _Held:
     """The model last passed to a solver, as far as a warm start needs it:
     the very rows, costs and right-hand-side arrays (held, so their ids
-    stay theirs), a copy of ``M``, the row bounds made from them, and
-    copies of the column bounds."""
+    stay theirs), a copy of ``M``, the row upper bounds made from them,
+    and copies of the column bounds."""
 
     highs: object
     rows: sparse.csc_array
     c: np.ndarray
     rhs: tuple      # (b_f0, B_f, b_h0, B_h) of the model passed
     M: np.ndarray
-    row_lo: np.ndarray
     row_hi: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -606,13 +607,6 @@ _HELD: _Held | None = None   # set by the last HiGHS solve that ran
 
 def _rhs(lp: LPStandardForm) -> tuple:
     return lp.b_f0, lp.B_f, lp.b_h0, lp.B_h
-
-
-def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
-    """``(row_lo, row_hi)`` of ``[A_f; A_h]`` at ``M``."""
-    b_h = lp.b_h(M)
-    return (np.concatenate((np.full(lp.n_ineq, -np.inf), b_h)),
-            np.concatenate((lp.b_f(M), b_h)))
 
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
@@ -629,7 +623,9 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
         sol = _solve_warm(highs, core, held, lp, A, M)
         if sol is not None:
             return sol
-    row_lo, row_hi = _row_bounds(lp, M)
+    b_h = lp.b_h(M)
+    row_hi = np.concatenate((lp.b_f(M), b_h))
+    row_lo = np.concatenate((np.full(q, -np.inf), b_h))
     if highs.passModel(
             n, q + m, A.nnz, core.MatrixFormat.kColwise,
             core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
@@ -639,7 +635,7 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
     else:
         highs.run()
         status = highs.getModelStatus()
-        _HELD = _Held(highs, A, lp.c, _rhs(lp), M.copy(), row_lo, row_hi,
+        _HELD = _Held(highs, A, lp.c, _rhs(lp), M.copy(), row_hi,
                       lp.lb.copy(), lp.ub.copy())
     return _highs_solution(highs, core, lp, row_hi, status)
 
@@ -649,17 +645,10 @@ def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
     """Re-solve ``lp`` from the basis the solver holds, if it holds this
     model up to column bounds; None if it does not, or if the run fails."""
     global _HELD
-    if not (held.highs is highs and held.rows is A and held.c is lp.c):
-        return None
-    if (all(a is b for a, b in zip(held.rhs, _rhs(lp)))
+    if not (held.highs is highs and held.rows is A and held.c is lp.c
+            and all(a is b for a, b in zip(held.rhs, _rhs(lp)))
             and np.array_equal(held.M, M)):
-        # the nodes of one search: the held right-hand sides at the held M
-        row_hi = held.row_hi
-    else:
-        row_lo, row_hi = _row_bounds(lp, M)
-        if not (np.array_equal(held.row_lo, row_lo)
-                and np.array_equal(held.row_hi, row_hi)):
-            return None
+        return None
     # move the column bounds that differ and re-run
     moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
     if highs.changeColsBounds(moved.size, moved.astype(np.int32),
@@ -669,7 +658,7 @@ def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
     highs.run()
     _HELD = replace(held, lb=lp.lb.copy(), ub=lp.ub.copy())
     try:
-        return _highs_solution(highs, core, lp, row_hi,
+        return _highs_solution(highs, core, lp, held.row_hi,
                                highs.getModelStatus())
     except LPNumericalError:
         _HELD = None    # a failed warm start gets one cold solve
@@ -699,8 +688,11 @@ def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
     col_dual = _floats(sol.col_dual)
 
     # a nonbasic column sits exactly on the bound it is nonbasic at. A
-    # fixed one (lb == ub) sits on both; the clamps below keep its dual on
-    # the side its sign picks, the side HiGHS reports (upper if negative)
+    # fixed one (lb == ub) sits on both. HiGHS reports it kLower if its
+    # dual is >= 0 and kUpper if not (the rule of HEkk::getHighsBasis after
+    # a simplex run, and of HighsPostsolveStack::FixedCol::undo for a column
+    # presolve fixed); the clamps below keep its dual on that same side,
+    # and a zero dual of either sign reads +0.0 on both
     read, basic = highs.getBasicVariables()
     if read == core.HighsStatus.kError:
         raise LPNumericalError("HiGHS holds no basis for its optimal point")

@@ -199,6 +199,8 @@ def _three_var_lp():
     ((-1, 0), "integer variable index -1 out of range"),
     ((1, 0, 1), "integer variable index 1 repeated"),
     ((0, 2), "integer variable 2 needs finite bounds to terminate"),
+    ((0, 1.0), "integer variable index 1.0 is not an integer"),
+    ((True,), "integer variable index True is not an integer"),
     # the first bad index in the given order names the fault
     ((2, 0, 0, 5), "integer variable 2 needs finite bounds"),
     ((1, 1, 2, 7), "integer variable index 1 repeated"),

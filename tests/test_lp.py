@@ -781,13 +781,15 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
 
 class _SolverSpy:
     """The process's solver, with its model passes and bound moves logged
-    and, on request, one warm run reported as stopped short."""
+    and, on request, one warm run reported as stopped short or every basis
+    read reported as failed."""
 
-    def __init__(self, highs, core, fail_warm=False):
+    def __init__(self, highs, core, fail_warm=False, no_basis=False):
         self._highs, self._core = highs, core
         self.calls = []
         self.fail_next = False
         self.fail_warm = fail_warm
+        self.no_basis = no_basis
 
     def passModel(self, *args):
         self.calls.append("passModel")
@@ -803,6 +805,11 @@ class _SolverSpy:
             self.fail_next = False
             return self._core.HighsModelStatus.kIterationLimit
         return self._highs.getModelStatus()
+
+    def getBasicVariables(self):
+        if self.no_basis:
+            return self._core.HighsStatus.kError, np.zeros(0, np.int32)
+        return self._highs.getBasicVariables()
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
@@ -984,17 +991,15 @@ def _enum_reader(highs, core, lp, row_hi, status):
                       tuple(int(j) for j in np.flatnonzero(interior)))
 
 
-def test_bulk_basis_reader_matches_the_enum_reader(monkeypatch):
-    # every node of the deep search, cold root and warm children, and of
-    # both shipped hubs' three stages, read both ways after the same run
-    from mesval import bnb
+def _read_both_ways(monkeypatch):
+    """Make every HiGHS outcome read by both readers after the same run and
+    assert they agree bit for bit, signs of zero duals included. Returns
+    the statuses read and, for each nonbasic fixed column of an optimal
+    run, the status HiGHS gave it with its column dual."""
     from mesval import lp as lp_module
-    from mesval.dispatch import (build_day_ahead, build_intra_day,
-                                 build_joint, storage_repair)
 
     bulk = lp_module._highs_solution
-    read = []
-    fixed_status = set()     # statuses HiGHS gave nonbasic fixed columns
+    read, fixed = [], []
 
     def both(highs, core, lp, row_hi, status):
         want = _enum_reader(highs, core, lp, row_hi, status)
@@ -1006,12 +1011,25 @@ def test_bulk_basis_reader_matches_the_enum_reader(monkeypatch):
                     np.signbit(getattr(got, name)),
                     np.signbit(getattr(want, name)))
             col_status = highs.getBasis().col_status
-            fixed_status.update(col_status[j]
-                                for j in np.flatnonzero(lp.lb == lp.ub))
+            col_dual = highs.getSolution().col_dual
+            fixed.extend((col_status[j], col_dual[j])
+                         for j in np.flatnonzero(lp.lb == lp.ub)
+                         if col_status[j] != core.HighsBasisStatus.kBasic)
         read.append(got.status)
         return got
 
     monkeypatch.setattr(lp_module, "_highs_solution", both)
+    return read, fixed
+
+
+def test_bulk_basis_reader_matches_the_enum_reader(monkeypatch):
+    # every node of the deep search, cold root and warm children, and of
+    # both shipped hubs' three stages, read both ways after the same run
+    from mesval import bnb
+    from mesval.dispatch import (build_day_ahead, build_intra_day,
+                                 build_joint, storage_repair)
+
+    read, fixed = _read_both_ways(monkeypatch)
     _, res = _deep_search()
     assert len(read) == res.node_count > 10
     searched = res.node_count
@@ -1030,8 +1048,34 @@ def test_bulk_basis_reader_matches_the_enum_reader(monkeypatch):
         search(build_intra_day(da, search(da), act))
         search(build_joint(fc, act, cfg))
     assert len(read) == searched
-    S = lp_module._highs()[1].HighsBasisStatus
-    assert {S.kLower, S.kUpper} <= fixed_status
+    S = _highs_core().HighsBasisStatus
+    assert {S.kLower, S.kUpper} <= {status for status, _ in fixed}
+
+
+def test_bulk_reader_puts_a_fixed_column_dual_on_the_reported_side(
+        monkeypatch):
+    # x is fixed at 1 with a cost that is its dual: zero of either sign,
+    # just off zero on either side, and well off it. Solved cold, where
+    # presolve removes x, and warm from a basis where x was free to move
+    read, fixed = _read_both_ways(monkeypatch)
+    costs = (0.0, -0.0, 1e-14, -1e-14, 1.0, -1.0)
+    for cost in costs:
+        lp = simple_lp([((0.0, 1.0), ">=", 1.0)], (cost, 1.0),
+                       bounds=[(0.0, 2.0), (0.0, 2.0)])
+        node = replace(lp, lb=np.array([1.0, 0.0]),
+                       ub=np.array([1.0, 2.0]))
+        assert solve_lp(node, np.zeros(0), engine="highs").status == \
+            "optimal"
+        solve_lp(lp, np.zeros(0), engine="highs")
+        assert solve_lp(node, np.zeros(0), engine="highs",
+                        warm=True).status == "optimal"
+    assert read == ["optimal"] * 3 * len(costs)
+    # x is the only fixed column, nonbasic at each node: kLower exactly
+    # where its dual is >= 0, and the readers above agreed on every dual
+    S = _highs_core().HighsBasisStatus
+    assert [dual for _, dual in fixed] == [c for c in costs for _ in "cw"]
+    assert [status for status, _ in fixed] == [
+        S.kLower if c >= 0 else S.kUpper for c in costs for _ in "cw"]
 
 
 # ---------------------------------------------------------------------------
@@ -1054,6 +1098,13 @@ def test_optimal_point_outside_a_bound_is_rejected():
     for bad in bad_rows:
         with pytest.raises(LPNumericalError, match="HiGHS"):
             _check_feasible(np.array([0.5, 0.5]), **{**ok, **bad})
+
+
+def test_optimal_point_without_a_basis_is_rejected(monkeypatch):
+    _spy_on_solver(monkeypatch, no_basis=True)
+    lp = simple_lp([((1.0,), ">=", 1.0)], (1.0,))
+    with pytest.raises(LPNumericalError, match="no basis"):
+        solve_lp(lp, np.zeros(0), engine="highs")
 
 
 def _highs_core():
