@@ -46,6 +46,18 @@ __all__ = [
     "run_all_batteries",
 ]
 
+# largest random instances: variables, inequality rows, parameter slots
+# and, in a mixed problem, continuous columns
+MAX_VARS, MAX_ROWS, MAX_PARAMS, MAX_CONT = 10, 8, 3, 4
+
+# pass thresholds
+FD_REL_TOL = 1e-4          # analytic vs finite-difference cost slope
+ENVELOPE_TOL = 1e-10       # implicit-function vs envelope cost slope
+OBJ_TOL = 1e-9             # branch and bound vs enumeration objective
+EQUIVALENCE_TOL = 1e-12    # embedded vs re-solved gradient
+BPTT_REL_TOL = 1e-4        # backward pass vs finite differences
+BPTT_STEP = 1e-5           # finite-difference step on an LSTM weight
+
 
 @dataclass(frozen=True)
 class BatteryResult:
@@ -96,8 +108,7 @@ class _Tally:
 # instance generators
 # ---------------------------------------------------------------------------
 
-def random_box_lp(rng: np.random.Generator, max_vars: int = 10,
-                  max_rows: int = 8, max_params: int = 3):
+def random_box_lp(rng: np.random.Generator):
     """Random bounded-feasible LP whose inequality RHS is parametric.
 
     Feasibility at the returned base point is built in: the RHS leaves a
@@ -105,9 +116,9 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 10,
     finite-difference steps stay solvable. Finite bounds keep every
     instance bounded.
     """
-    n = int(rng.integers(2, max_vars + 1))
-    m = int(rng.integers(1, max_rows + 1))
-    p = int(rng.integers(1, max_params + 1))
+    n = int(rng.integers(2, MAX_VARS + 1))
+    m = int(rng.integers(1, MAX_ROWS + 1))
+    p = int(rng.integers(1, MAX_PARAMS + 1))
     A = rng.normal(size=(m, n))
     ub = rng.uniform(1.0, 5.0, size=n)
     x0 = ub * rng.uniform(0.2, 0.8, size=n)
@@ -123,14 +134,13 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 10,
     return lp, M0
 
 
-def random_milp(rng: np.random.Generator, max_binaries: int = 10,
-                max_cont: int = 4, max_rows: int = 8, max_params: int = 3):
+def random_milp(rng: np.random.Generator, max_binaries: int = 10):
     """Random mixed problem with a guaranteed-feasible binary assignment."""
     nb = int(rng.integers(1, max_binaries + 1))
-    nc = int(rng.integers(0, max_cont + 1))
+    nc = int(rng.integers(0, MAX_CONT + 1))
     n = nb + nc
-    m = int(rng.integers(1, max_rows + 1))
-    p = int(rng.integers(1, max_params + 1))
+    m = int(rng.integers(1, MAX_ROWS + 1))
+    p = int(rng.integers(1, MAX_PARAMS + 1))
     A = rng.normal(size=(m, n))
     ub = np.concatenate([rng.uniform(1.0, 5.0, size=nc), np.ones(nb)])
     z0 = rng.integers(0, 2, size=nb).astype(float)
@@ -152,9 +162,8 @@ def random_milp(rng: np.random.Generator, max_binaries: int = 10,
 # batteries
 # ---------------------------------------------------------------------------
 
-def lp_gradient_battery(n_instances: int = 100, seed: int = 701,
-                        fd_rel_tol: float = 1e-4,
-                        envelope_tol: float = 1e-10) -> BatteryResult:
+def lp_gradient_battery(n_instances: int = 100,
+                        seed: int = 701) -> BatteryResult:
     """Analytic cost slopes vs finite differences and the dual envelope."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
@@ -171,18 +180,18 @@ def lp_gradient_battery(n_instances: int = 100, seed: int = 701,
             if fd.kink[k]:
                 continue
             err = abs(grad.dcost_dM[k] - fd.value[k])
-            tally.check(err / (1.0 + abs(fd.value[k])), fd_rel_tol,
+            tally.check(err / (1.0 + abs(fd.value[k])), FD_REL_TOL,
                         f"lp[{i}] slot {k} vs fd")
         if vertex_degeneracy(lp, M0, sol).nondegenerate:
             env = envelope_gradient(lp, sol)
             err = float(np.max(np.abs(grad.dcost_dM - env)))
-            tally.check(err, envelope_tol, f"lp[{i}] envelope")
+            tally.check(err, ENVELOPE_TOL, f"lp[{i}] envelope")
     return tally.result("lp-gradient", n_instances,
                         time.perf_counter() - t0)
 
 
-def milp_optimality_battery(n_instances: int = 100, seed: int = 702,
-                            obj_tol: float = 1e-9) -> BatteryResult:
+def milp_optimality_battery(n_instances: int = 100,
+                            seed: int = 702) -> BatteryResult:
     """Branch and bound vs brute-force enumeration."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
@@ -196,14 +205,14 @@ def milp_optimality_battery(n_instances: int = 100, seed: int = 702,
                         f"milp[{i}] status {got.status} vs {want.status}")
             continue
         if got.status == "optimal":
-            tally.check(abs(got.objective - want.objective), obj_tol,
+            tally.check(abs(got.objective - want.objective), OBJ_TOL,
                         f"milp[{i}] objective")
     return tally.result("milp-optimality", n_instances,
                         time.perf_counter() - t0)
 
 
-def equivalence_battery(n_instances: int = 50, seed: int = 703,
-                        tol: float = 1e-12) -> BatteryResult:
+def equivalence_battery(n_instances: int = 50,
+                        seed: int = 703) -> BatteryResult:
     """Search-embedded gradient vs differentiating the finished search."""
     rng = np.random.default_rng(seed)
     tally = _Tally()
@@ -215,18 +224,17 @@ def equivalence_battery(n_instances: int = 50, seed: int = 703,
             continue
         two = backward_optimal_subproblem(res, M0)
         err_cost = float(np.max(np.abs(emb.dcost_dM - two.dcost_dM)))
-        tally.check(err_cost, tol, f"eqv[{i}] cost slope")
+        tally.check(err_cost, EQUIVALENCE_TOL, f"eqv[{i}] cost slope")
         if emb.dz_dM is None or two.dz_dM is None:   # dual route: no jacobian
             err_sol = 0.0 if emb.dz_dM is two.dz_dM else np.inf
         else:
             err_sol = float(np.max(np.abs(emb.dz_dM - two.dz_dM)))
-        tally.check(err_sol, tol, f"eqv[{i}] solution jacobian")
+        tally.check(err_sol, EQUIVALENCE_TOL, f"eqv[{i}] solution jacobian")
     return tally.result("gradient-equivalence", n_instances,
                         time.perf_counter() - t0)
 
 
-def bptt_battery(n_configs: int = 20, seed: int = 704,
-                 rel_tol: float = 1e-4, h: float = 1e-5) -> BatteryResult:
+def bptt_battery(n_configs: int = 20, seed: int = 704) -> BatteryResult:
     """Exact backward pass vs central finite differences, all parameters.
 
     The normalization window keeps every forecast strictly positive so the
@@ -247,10 +255,10 @@ def bptt_battery(n_configs: int = 20, seed: int = 704,
         grads = backward_day(model, window, dloss)
         for name in type(params).field_names():
             analytic = getattr(grads, name)
-            fds = _fd_slots(model, name, window, dloss, h)
+            fds = _fd_slots(model, name, window, dloss, BPTT_STEP)
             for idx, fd in zip(np.ndindex(analytic.shape), fds):
                 err = abs(analytic[idx] - fd) / (1.0 + abs(fd))
-                tally.check(err, rel_tol, f"bptt[{i}] {name}{idx}")
+                tally.check(err, BPTT_REL_TOL, f"bptt[{i}] {name}{idx}")
     return tally.result("lstm-bptt", n_configs, time.perf_counter() - t0)
 
 

@@ -12,7 +12,7 @@ Search rules, all deliberately plain:
     incumbent objective when it leaves the stack cannot survive, so its
     LP is not solved: it is neither counted nor logged;
   * branching picks the lowest-index integer variable whose relaxed value
-    sits further than ``int_tol`` from an integer, and splits on floor/ceil;
+    sits further than ``INT_TOL`` from an integer, and splits on floor/ceil;
   * the floor child is explored before the ceil child (LIFO stack, ceil
     pushed first);
   * every integer variable must carry finite bounds, which makes the tree
@@ -158,7 +158,7 @@ def subproblem_for_trail(problem: MILPProblem,
     return replace(problem.lp, lb=lb, ub=ub)
 
 
-def _verified_point(node_lp, b_f, b_h, sol, z, ints, int_tol):
+def _verified_point(node_lp, b_f, b_h, sol, z, ints):
     """Accept a repair proposal only on direct-substitution evidence:
     integral, feasible for every node constraint (right-hand sides ``b_f``
     and ``b_h``), and no costlier than the relaxation bound (within a
@@ -167,7 +167,7 @@ def _verified_point(node_lp, b_f, b_h, sol, z, ints, int_tol):
     z = np.asarray(z, dtype=float)
     if z.shape != sol.primal.shape or not np.all(np.isfinite(z)):
         return None
-    if ints.size and np.max(np.abs(z[ints] - np.round(z[ints]))) > int_tol:
+    if ints.size and np.max(np.abs(z[ints] - np.round(z[ints]))) > INT_TOL:
         return None
     obj = float(node_lp.c @ z) + node_lp.c0
     tie = 1e-9 * (1.0 + abs(sol.objective))
@@ -186,7 +186,15 @@ def _verified_point(node_lp, b_f, b_h, sol, z, ints, int_tol):
     return z
 
 
-def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
+def branch_and_bound(problem: MILPProblem, M: np.ndarray,
+                     engine: str = "bland", max_nodes: int = MAX_NODES,
+                     node_log: list | None = None,
+                     round_repair=False) -> MILPResult:
+    """Solve the integer-constrained problem at parameter vector ``M``.
+
+    ``round_repair``: False (plain search) or a callable repair proposal
+    (see module docstring).
+    """
     M = np.asarray(M, dtype=float)
     int_idx = list(problem.integer_vars)
     ints = np.array(int_idx, dtype=int)
@@ -220,7 +228,7 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
             continue
         vals = sol.primal[ints]
         frac = np.abs(vals - np.round(vals))
-        loose = np.flatnonzero(frac > int_tol)
+        loose = np.flatnonzero(frac > INT_TOL)
         if loose.size == 0:
             best_obj = sol.objective
             best = (sol, sol, trail)
@@ -230,8 +238,7 @@ def _search(problem, M, engine, int_tol, max_nodes, node_log, round_repair):
         if round_repair:
             cand = round_repair(node_lp, M, sol, int_idx)
             z = (None if cand is None else
-                 _verified_point(node_lp, b_f, b_h, sol, cand, ints,
-                                 int_tol))
+                 _verified_point(node_lp, b_f, b_h, sol, cand, ints))
             if z is not None:
                 obj = float(node_lp.c @ z) + node_lp.c0
                 if obj < best_obj:
@@ -267,20 +274,6 @@ def _log(node_log, index, trail, status, objective, outcome, branch_var):
                                    branch_var=branch_var))
 
 
-def branch_and_bound(problem: MILPProblem, M: np.ndarray,
-                     engine: str = "bland", int_tol: float = INT_TOL,
-                     max_nodes: int = MAX_NODES,
-                     node_log: list | None = None,
-                     round_repair=False) -> MILPResult:
-    """Solve the integer-constrained problem at parameter vector ``M``.
-
-    ``round_repair``: False (plain search) or a callable repair proposal
-    (see module docstring).
-    """
-    return _search(problem, M, engine, int_tol, max_nodes, node_log,
-                   round_repair)
-
-
 def _node_gradient(node_lp, M, sol) -> GradientResult:
     # size of the folded system: every finite bound becomes a row
     bound_rows = int(np.isfinite(node_lp.lb).sum()
@@ -292,8 +285,7 @@ def _node_gradient(node_lp, M, sol) -> GradientResult:
 
 
 def embedded_gradient(problem: MILPProblem, M: np.ndarray,
-                      engine: str = "bland", int_tol: float = INT_TOL,
-                      max_nodes: int = MAX_NODES,
+                      engine: str = "bland", max_nodes: int = MAX_NODES,
                       node_log: list | None = None,
                       round_repair=False
                       ) -> tuple[MILPResult, GradientResult | None]:
@@ -304,8 +296,8 @@ def embedded_gradient(problem: MILPProblem, M: np.ndarray,
     relaxation, the same LP the two-stage route re-solves.
     """
     M = np.asarray(M, dtype=float)
-    result = _search(problem, M, engine, int_tol, max_nodes, node_log,
-                     round_repair)
+    result = branch_and_bound(problem, M, engine, max_nodes, node_log,
+                              round_repair)
     if result.status != "optimal":
         return result, None
     return result, _node_gradient(result.subproblem, M, result.relaxation)
@@ -327,9 +319,8 @@ def backward_optimal_subproblem(result: MILPResult, M: np.ndarray,
     return _node_gradient(result.subproblem, M, sol)
 
 
-def enumerate_integer_assignments(problem: MILPProblem, M: np.ndarray,
-                                  max_assignments: int = MAX_ASSIGNMENTS
-                                  ) -> MILPResult:
+def enumerate_integer_assignments(problem: MILPProblem,
+                                  M: np.ndarray) -> MILPResult:
     """Brute-force reference: try every integer assignment, keep the best.
 
     Each assignment ``z`` is an LP over the continuous columns alone,
@@ -352,9 +343,9 @@ def enumerate_integer_assignments(problem: MILPProblem, M: np.ndarray,
                               integer_values=None, node_count=0, trail=None)
         ranges.append(range(lo, hi + 1))
     total = math.prod(len(r) for r in ranges)
-    if total > max_assignments:
+    if total > MAX_ASSIGNMENTS:
         raise ValueError(
-            f"{total} integer assignments exceed the cap {max_assignments}")
+            f"{total} integer assignments exceed the cap {MAX_ASSIGNMENTS}")
     ints = np.array(problem.integer_vars, dtype=int)
     cont = np.setdiff1d(np.arange(lp.n_vars), ints)
     A_f = _dense(lp.A_f)

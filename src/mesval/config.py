@@ -7,6 +7,7 @@ which subcommand produced which artifact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -114,6 +115,16 @@ def experiment_config_from_dict(raw: dict,
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "seed" not in raw:
         raise ConfigError("config must set a seed")
+    # bool is an int subclass, and YAML reads `true` as one
+    for key in ("seed", "train_days", "test_days"):
+        value = raw.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    for key in ("hub", "data_csv", "output_dir"):
+        value = raw.get(key, "")
+        if not (isinstance(value, str)
+                or (key == "data_csv" and value is None)):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
 
     training_raw = raw.pop("training", {})
     if not isinstance(training_raw, dict):

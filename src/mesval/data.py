@@ -17,6 +17,7 @@ from .hub import SECTORS
 
 SCHEMA = ("timestamp", "electricity_kw", "heat_kw", "cooling_kw")
 ONE_HOUR = np.timedelta64(1, "h")
+SYNTH_START = "2016-01-01"     # first day of every synthetic series
 
 
 class DataError(ValueError):
@@ -178,9 +179,10 @@ def write_series_csv(series: LoadSeries, path) -> None:
 # synthesis
 # ---------------------------------------------------------------------------
 
-def synth_data(seed: int, days: int, start: str = "2016-01-01") -> LoadSeries:
-    """Deterministic stand-in series: daily/weekly shapes, seasonal trend
-    (cooling peaks in summer, heat in winter), bounded uniform noise.
+def synth_data(seed: int, days: int) -> LoadSeries:
+    """Deterministic stand-in series from ``SYNTH_START`` on: daily/weekly
+    shapes, seasonal trend (cooling peaks in summer, heat in winter),
+    bounded uniform noise.
 
     Levels are sized to the shipped park hub: all loads stay strictly
     positive and inside converter capacities.
@@ -189,7 +191,7 @@ def synth_data(seed: int, days: int, start: str = "2016-01-01") -> LoadSeries:
         raise DataError("days must be >= 1")
     rng = np.random.default_rng(seed)
     n = days * 24
-    first = np.datetime64(start, "h")
+    first = np.datetime64(SYNTH_START, "h")
     ts = first + np.arange(n) * ONE_HOUR
     hour = np.arange(n) % 24
     dates = ts.astype("datetime64[D]")

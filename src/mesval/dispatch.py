@@ -49,7 +49,7 @@ import numpy as np
 from scipy import sparse
 
 from .bnb import MILPProblem
-from .hub import SECTORS, HubConfig, HubMatrices, build_hub_matrices
+from .hub import HORIZON, SECTORS, HubConfig, HubMatrices, build_hub_matrices
 from .lp import LinearProgram, LPStandardForm, to_standard_form
 
 __all__ = [
@@ -63,6 +63,9 @@ __all__ = [
     "dispatch_cost",
     "verify_dispatch",
 ]
+
+
+AUDIT_TOL = 1e-7     # verify_dispatch's residual bound, times 1 + max |M|
 
 
 class DispatchBuildError(ValueError):
@@ -84,9 +87,6 @@ class DispatchProblem:
     cost_intra: np.ndarray
     cost_storage: np.ndarray
     da_reference: dict | None = None   # committed flows (sequential stage)
-
-    def value(self, result, name: str) -> float:
-        return float(result.primal[self.var_index[name]])
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def _finish(prog: LinearProgram, stage: str, config: HubConfig,
 
 def _add_params(prog: LinearProgram, prefix: str) -> None:
     for sector in SECTORS:
-        for t in range(24):
+        for t in range(HORIZON):
             prog.add_param(f"{prefix}[{sector}][{t}]")
 
 
@@ -946,12 +946,12 @@ def _residuals(a: _Audit, zx: np.ndarray, M: np.ndarray) -> list:
     return out
 
 
-def verify_dispatch(problem: DispatchProblem, result, M=None,
-                    tol: float = 1e-7) -> DispatchCheck:
+def verify_dispatch(problem: DispatchProblem, result,
+                    M=None) -> DispatchCheck:
     """Re-derive every physical requirement from the raw primal vector.
 
-    Residuals are compared against ``tol * (1 + max |M|)`` so the check
-    scales with the load level; a residual that is not finite (a NaN or
+    Residuals are compared against ``AUDIT_TOL * (1 + max |M|)`` so the
+    check scales with the load level; a residual that is not finite (a NaN or
     infinite primal entry) is a violation too, and ``max_residual``
     carries it. Covers junction balances, conversion curves, cogeneration
     coupling, demand balances, deviation links and reserve containment,
@@ -967,7 +967,7 @@ def verify_dispatch(problem: DispatchProblem, result, M=None,
         raise ValueError(f"primal has {z.size} entries, the problem has "
                          f"{audit.n_vars} variables")
     M = np.asarray(problem.M0 if M is None else M, dtype=float)
-    limit = tol * (1.0 + float(np.abs(M).max(initial=0.0)))
+    limit = AUDIT_TOL * (1.0 + float(np.abs(M).max(initial=0.0)))
     lp = problem.milp.lp
     over = np.maximum(z - lp.ub, 0.0)
     under = np.maximum(lp.lb - z, 0.0)

@@ -289,6 +289,7 @@ class PriceSchedule:
 
     @classmethod
     def from_dict(cls, d: dict, enforce_order: bool = True):
+        _require_mapping(d, "prices")
         refund = float(d.get("refund_fraction", 0.0))
         if not 0.0 <= refund <= 1.0:
             raise HubConfigError("refund_fraction must lie in [0, 1]")
@@ -298,6 +299,7 @@ class PriceSchedule:
                 continue
             if carrier not in CARRIERS:
                 raise HubConfigError(f"price carrier {carrier!r} unknown")
+            _require_mapping(spec, f"price {carrier!r}")
             _reject_unknown(spec, _PRICE_KEYS, f"in price {carrier!r}")
             da[carrier] = _price_vector(spec["day_ahead"],
                                         f"{carrier}.day_ahead")
@@ -314,6 +316,11 @@ class PriceSchedule:
 # ---------------------------------------------------------------------------
 # hub config
 # ---------------------------------------------------------------------------
+
+def _require_mapping(value, what: str) -> None:
+    if not isinstance(value, dict):
+        raise HubConfigError(f"{what} must be a mapping, got {value!r}")
+
 
 def _reject_unknown(d: dict, known: frozenset, where: str) -> None:
     unknown = sorted(set(d) - known)
@@ -333,7 +340,11 @@ class HubConfig:
     prices: PriceSchedule
     temporary_purchase_kw: float = 0.0
     require_terminal_soc: bool = True
-    horizon: int = HORIZON
+
+    @property
+    def horizon(self) -> int:
+        """Hours per scheduled day: always ``HORIZON``."""
+        return HORIZON
 
     @classmethod
     def from_dict(cls, d: dict) -> "HubConfig":
@@ -343,6 +354,7 @@ class HubConfig:
                 f"expected {SCHEMA_VERSION}")
         _reject_unknown(d, _TOP_KEYS, "at top level")
         options = d.get("options", {})
+        _require_mapping(options, "options")
         _reject_unknown(options, _OPTION_KEYS, "under options")
         inputs = tuple(InputSpec(**i) for i in d.get("inputs", []))
         outputs = tuple(OutputSpec(**o) for o in d.get("outputs", []))
@@ -489,8 +501,8 @@ class HubConfig:
 
 def load_hub_config(path) -> HubConfig:
     """Read a hub YAML file. An unreadable file, bad YAML, an unknown,
-    misspelled or missing key, or an invalid hub raises
-    :class:`HubConfigError` naming the file."""
+    misspelled or missing key, a value of the wrong type, or an invalid
+    hub raises :class:`HubConfigError` naming the file."""
     try:
         with open(Path(path)) as fh:
             data = yaml.load(fh, Loader=YamlLoader)
@@ -505,7 +517,9 @@ def load_hub_config(path) -> HubConfig:
         return HubConfig.from_dict(data)
     except KeyError as exc:
         raise HubConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, HubConfigError) as exc:  # TypeError: component fields
+    # TypeError: component fields; ValueError: a number that is not one,
+    # and HubConfigError itself
+    except (TypeError, ValueError) as exc:
         raise HubConfigError(f"{path}: {exc}") from exc
 
 

@@ -65,8 +65,9 @@ mapped onto the folded rows through the indices of the finite bounds, so
 no folded matrix is built. The basis is read in bulk: the basic columns
 from ``getBasicVariables``, and a nonbasic column is at the bound its
 value equals exactly. A fixed column equals both; its dual lands on the
-side its sign picks, which is the side HiGHS reports. Used for the larger
-dispatch problems where a dense tableau would be needlessly slow.
+side its sign picks, which is the side HiGHS reports. The basis serves
+the duals alone: a HiGHS solution's ``basis`` is None. HiGHS solves the
+larger dispatch problems, where a dense tableau would be needlessly slow.
 
 The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
 the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
@@ -99,6 +100,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 PIVOT_TOL = 1e-10
+MAX_ITER = 200_000     # Bland pivots per phase before giving up
 
 _SENSES = ("<=", ">=", "==")
 
@@ -359,11 +361,10 @@ def to_standard_form(prog: LinearProgram) -> LPStandardForm:
 class LPSolution:
     """Solver output. Duals index the folded inequality rows (see module doc).
 
-    ``basis`` is the Bland engine's basic column set (internal standard-form
-    numbering) or, for the HiGHS engine, an active-set surrogate: the sorted
-    variables strictly between their bounds (further than 1e-9 from each),
-    read from the primal alone, not from HiGHS's basis. Either way it is
-    deterministic and usable as a "did the active set move" fingerprint.
+    ``basis`` is the Bland engine's sorted basic column set (internal
+    standard-form numbering), deterministic and usable as a "did the
+    active set move" fingerprint. The HiGHS engine reports None: nothing
+    reads a basis from it, so none is built.
     """
 
     status: str
@@ -418,8 +419,7 @@ def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
     raise LPNumericalError("simplex iteration limit exceeded")
 
 
-def _solve_bland(lp: LPStandardForm, M: np.ndarray,
-                 max_iter: int = 200_000) -> LPSolution:
+def _solve_bland(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
     folded = lp.fold_bounds()
     q = folded.n_ineq
     m = folded.n_eq
@@ -470,7 +470,7 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
         cost1 = np.zeros(N)
         cost1[art_mask] = 1.0
         status = _bland_loop(T, basis, cost1, allowed, tol, PIVOT_TOL,
-                             max_iter, refresh)
+                             MAX_ITER, refresh)
         if status != "optimal":
             raise LPNumericalError("phase-1 subproblem unbounded")
         phase1_obj = float(cost1[basis] @ T[:, -1])
@@ -494,7 +494,7 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
     cost2[:n] = folded.c
     cost2[n:2 * n] = -folded.c
     status = _bland_loop(T, basis, cost2, allowed, tol, PIVOT_TOL,
-                         max_iter, refresh)
+                         MAX_ITER, refresh)
     if status == "unbounded":
         return LPSolution("unbounded", None, None, None, None, None)
 
@@ -713,9 +713,7 @@ def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
     lam[q + lo.size:] = np.maximum(-np.where(at_hi[hi], col_dual[hi], 0.0),
                                    0.0)
     mu = -row_dual[q:]
-    interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
-    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0,
-                      tuple(np.flatnonzero(interior).tolist()))
+    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0, None)
 
 
 def solve_lp(lp: LPStandardForm, M: np.ndarray,
@@ -765,9 +763,10 @@ class KktReport:
                     self.stationarity, self.gap)
 
 
-def check_kkt(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
-              tol: float = DEFAULT_TOL) -> KktReport:
-    """Evaluate KKT residuals of an optimal-status solution on the folded form."""
+def check_kkt(lp: LPStandardForm, M: np.ndarray,
+              sol: LPSolution) -> KktReport:
+    """Evaluate KKT residuals of an optimal-status solution on the folded
+    form, each against ``DEFAULT_TOL * (1 + |C*|)``."""
     if sol.status != "optimal":
         raise ValueError(f"cannot check a solution with status {sol.status!r}")
     folded = lp.fold_bounds()
@@ -793,5 +792,5 @@ def check_kkt(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
         "stationarity": float(np.abs(stat).max(initial=0.0)),
         "gap": abs(primal_obj - dual_obj),
     }
-    ok = all(v <= tol * scale for v in rep.values())
-    return KktReport(ok=ok, scale=scale, tol=tol, **rep)
+    ok = all(v <= DEFAULT_TOL * scale for v in rep.values())
+    return KktReport(ok=ok, scale=scale, tol=DEFAULT_TOL, **rep)

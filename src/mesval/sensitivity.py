@@ -40,6 +40,7 @@ from .lp import LPSolution, LPStandardForm, solve_lp
 
 DAMPING = 1e-10
 COND_LIMIT = 1e12
+FD_STEP = 1e-5
 KINK_TOL = 1e-6
 ACTIVE_TOL = 1e-7
 
@@ -141,29 +142,30 @@ def assemble_kkt_jacobians(lp: LPStandardForm, M: np.ndarray,
     return KktJacobians(G_z=G_z, G_M=G_M, n=n, q=q, m=m)
 
 
-def solution_sensitivity(jac: KktJacobians, damping: float = DAMPING,
-                         cond_limit: float = COND_LIMIT
+def solution_sensitivity(jac: KktJacobians
                          ) -> tuple[np.ndarray, Conditioning]:
     """Solve ``dw/dM = -G_z^{-1} G_M``, with one damped retry.
 
     Returns the full primal-dual sensitivity stacked as in the residual map
-    (rows 0..n-1 are dz/dM).  Raises :class:`DegenerateSolutionError` when
-    the system stays ill-conditioned after damping.
+    (rows 0..n-1 are dz/dM).  A system whose condition number exceeds
+    ``COND_LIMIT`` is retried once with ``DAMPING`` added to its diagonal;
+    :class:`DegenerateSolutionError` is raised when it stays above the
+    limit after that.
     """
     A = jac.G_z
     cond = np.linalg.cond(A)
-    if np.isfinite(cond) and cond <= cond_limit:
+    if np.isfinite(cond) and cond <= COND_LIMIT:
         S = -np.linalg.solve(A, jac.G_M)
         return S, Conditioning(cond=float(cond), regularization=0.0,
                                degenerate=False)
-    damped = A + damping * np.eye(A.shape[0])
+    damped = A + DAMPING * np.eye(A.shape[0])
     cond2 = np.linalg.cond(damped)
-    if not np.isfinite(cond2) or cond2 > cond_limit:
+    if not np.isfinite(cond2) or cond2 > COND_LIMIT:
         raise DegenerateSolutionError(
             f"optimality jacobian singular (cond {cond:.3e}, "
             f"damped cond {cond2:.3e})", cond=float(cond2))
     S = -np.linalg.solve(damped, jac.G_M)
-    return S, Conditioning(cond=float(cond2), regularization=damping,
+    return S, Conditioning(cond=float(cond2), regularization=DAMPING,
                            degenerate=False)
 
 
@@ -193,11 +195,10 @@ def dual_gradient_result(lp: LPStandardForm, sol: LPSolution) -> GradientResult:
                           conditioning=None)
 
 
-def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
-                  jac: KktJacobians | None = None) -> GradientResult:
+def cost_gradient(lp: LPStandardForm, M: np.ndarray,
+                  sol: LPSolution) -> GradientResult:
     """Cost slope via the implicit-function solve, dual fallback on failure."""
-    if jac is None:
-        jac = assemble_kkt_jacobians(lp, M, sol)
+    jac = assemble_kkt_jacobians(lp, M, sol)
     try:
         S, cond = solution_sensitivity(jac)
     except DegenerateSolutionError as err:
@@ -209,29 +210,31 @@ def cost_gradient(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
     return GradientResult(dz_dM=dz, dcost_dM=lp.c @ dz, conditioning=cond)
 
 
-def finite_difference_gradient(lp: LPStandardForm, M: np.ndarray,
-                               h: float = 1e-5,
-                               engine: str = "bland") -> FDGradient:
+def finite_difference_gradient(lp: LPStandardForm,
+                               M: np.ndarray) -> FDGradient:
     """Numerical oracle: central and one-sided slopes of C*(M) per slot.
 
-    Every perturbed problem must stay solvable; a non-optimal status raises
-    :class:`FDOracleError` naming the slot.  Kinks are flagged where the two
-    one-sided slopes disagree beyond a scaled tolerance.
+    Each slot moves by ``FD_STEP`` either way and every problem is solved
+    by the Bland engine. Every perturbed problem must stay solvable; a
+    non-optimal status raises :class:`FDOracleError` naming the slot.
+    Kinks are flagged where the two one-sided slopes disagree by more than
+    ``KINK_TOL`` times their scale.
     """
+    h = FD_STEP
     M = np.asarray(M, dtype=float)
     p = M.shape[0]
     value = np.zeros(p)
     left = np.zeros(p)
     right = np.zeros(p)
     kink = np.zeros(p, dtype=bool)
-    base = solve_lp(lp, M, engine=engine)
+    base = solve_lp(lp, M, engine="bland")
     if base.status != "optimal":
         raise FDOracleError(f"base problem is {base.status}")
     for k in range(p):
         e = np.zeros(p)
         e[k] = h
-        up = solve_lp(lp, M + e, engine=engine)
-        dn = solve_lp(lp, M - e, engine=engine)
+        up = solve_lp(lp, M + e, engine="bland")
+        dn = solve_lp(lp, M - e, engine="bland")
         for tag, s in (("+", up), ("-", dn)):
             if s.status != "optimal":
                 raise FDOracleError(
@@ -244,10 +247,12 @@ def finite_difference_gradient(lp: LPStandardForm, M: np.ndarray,
     return FDGradient(value=value, left=left, right=right, kink=kink)
 
 
-def vertex_degeneracy(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
-                      atol: float = ACTIVE_TOL) -> DegeneracyInfo:
+def vertex_degeneracy(lp: LPStandardForm, M: np.ndarray,
+                      sol: LPSolution) -> DegeneracyInfo:
     """Classify the solved vertex (folded form).
 
+    A row is tight when its residual is at most ``ACTIVE_TOL * (1 + max
+    |b_f0|)``, and a multiplier is near zero when at most ``ACTIVE_TOL``.
     Primal degenerate: tight rows plus equalities exceed the variable count.
     Dual degenerate: some tight inequality carries a near-zero multiplier, so
     the active set is not identified by the duals.  ``nondegenerate`` means
@@ -261,10 +266,10 @@ def vertex_degeneracy(lp: LPStandardForm, M: np.ndarray, sol: LPSolution,
     lam = np.asarray(sol.ineq_duals, dtype=float)
     f = folded.A_f @ z - folded.b_f(np.asarray(M, dtype=float))
     scale = 1.0 + np.abs(folded.b_f0).max(initial=0.0)
-    active = np.abs(f) <= atol * scale
+    active = np.abs(f) <= ACTIVE_TOL * scale
     n_active = int(active.sum())
     primal_deg = n_active + folded.n_eq > folded.n_vars
-    dual_deg = bool(np.any(active & (lam <= atol)))
+    dual_deg = bool(np.any(active & (lam <= ACTIVE_TOL)))
     nondeg = (n_active + folded.n_eq == folded.n_vars) and not dual_deg
     return DegeneracyInfo(
         n_active_ineq=n_active, n_eq=folded.n_eq, n_vars=folded.n_vars,

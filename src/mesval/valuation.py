@@ -60,7 +60,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LETTERS = ("e", "h", "c")
-_SECTOR_BY_LETTER = dict(zip(LETTERS, SECTORS))
 
 MAX_SECTORS = 20
 

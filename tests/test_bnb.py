@@ -338,9 +338,9 @@ def test_embedded_gradient_differentiates_the_winner_once(monkeypatch):
     # relaxation is differentiated, after the search
     calls = []
 
-    def counted(lp, M, sol, jac=None):
+    def counted(lp, M, sol):
         calls.append(sol)
-        return cost_gradient(lp, M, sol, jac)
+        return cost_gradient(lp, M, sol)
 
     monkeypatch.setattr("mesval.bnb.cost_gradient", counted)
     prob = knapsack_with_spill()

@@ -151,6 +151,20 @@ def test_misspelled_hub_key_is_usage_error(workdir, capsys):
     assert "typo_hub.yaml" in err and "capacty_kw" in err
 
 
+def test_hub_value_of_the_wrong_type_is_usage_error(workdir, capsys):
+    # a non-numeric price is a hub error, reported without a traceback
+    tmp, config = workdir
+    hub = copy.deepcopy(FLAT_HUB)
+    hub["prices"]["gas"]["day_ahead"] = "cheap"
+    path = tmp / "typed_hub.yaml"
+    path.write_text(yaml.safe_dump(hub))
+    assert main(["run-fto", "--config", str(config),
+                 "--hub", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hub: ") and "typed_hub.yaml" in err
+    assert "Traceback" not in err
+
+
 def test_list_valued_config_is_usage_error(tmp_path, capsys):
     path = tmp_path / "listed.yaml"
     path.write_text("- seed: 1\n- train_days: 3\n")

@@ -63,6 +63,20 @@ def test_seed_required_and_mode_validated():
         experiment_config_from_dict({"seed": 1, "train_days": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hub", [1]),
+    ("output_dir", [1]),
+    ("data_csv", 5),
+    ("seed", 1.9),
+    ("train_days", 5.7),
+    ("test_days", True),
+])
+def test_config_value_of_the_wrong_type_names_the_key(key, value):
+    # a path must be a string and a count an int, never truncated
+    with pytest.raises(ConfigError, match=key):
+        experiment_config_from_dict({"seed": 1, key: value})
+
+
 def test_fan_out_deterministic_and_distinct():
     a = fan_out(123)
     b = fan_out(123)

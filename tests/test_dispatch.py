@@ -30,7 +30,7 @@ from mesval.dispatch import (
     storage_repair,
     verify_dispatch,
 )
-from mesval.hub import SECTORS, HubConfig, load_hub_config
+from mesval.hub import HORIZON, SECTORS, HubConfig, load_hub_config
 
 RNG_SEED = 20240917
 
@@ -352,6 +352,19 @@ def tilted_day_ahead(loads):
     E, H, C = loads
     grid = E + C / COP
     return float(np.sum(ELEC_DA * grid + np.array(GAS_DA_TILT) * H / ETA))
+
+
+def test_hub_horizon_is_the_fixed_day():
+    # the horizon is no setting: every stage has HORIZON hours, in its
+    # parameter slots and in M0 alike
+    cfg = load_hub_config(_shipped("hub_showcase.yaml"))
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, horizon=12)
+    assert cfg.horizon == HORIZON
+    loads = np.full((len(SECTORS), HORIZON), 500.0)
+    joint = build_joint(loads, loads, cfg)
+    assert joint.milp.lp.param_dim == 2 * len(SECTORS) * HORIZON
+    assert joint.M0.shape == (2 * len(SECTORS) * HORIZON,)
 
 
 def test_storage_shifts_adjustment_to_cheap_hours():

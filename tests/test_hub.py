@@ -218,6 +218,30 @@ def test_unknown_hub_key_names_file_and_key(tmp_path, place, key):
     assert load_hub_config(path).name == "boiler-only"
 
 
+@pytest.mark.parametrize("where, key, value", [
+    (("prices", "gas"), "day_ahead", "cheap"),
+    (("converters", 0, "efficiency_curve", 1), 1, "high"),
+    (("prices",), "refund_fraction", "most"),
+    ((), "temporary_purchase_kw", "some"),
+    ((), "prices", 3),
+    ((), "options", []),
+], ids=["day-ahead-price", "curve-point", "refund-fraction",
+        "temporary-purchase", "prices-not-mapping", "options-not-mapping"])
+def test_hub_value_of_the_wrong_type_names_the_file(tmp_path, where, key,
+                                                    value):
+    # a wrong type ends in HubConfigError naming the file, not in a bare
+    # ValueError or AttributeError
+    d = boiler_only_dict()
+    target = d
+    for step in where:
+        target = target[step]
+    target[key] = value
+    path = tmp_path / "typed_hub.yaml"
+    path.write_text(yaml.safe_dump(d))
+    with pytest.raises(HubConfigError, match="typed_hub.yaml"):
+        load_hub_config(path)
+
+
 def test_hub_yaml_reads_exponent_floats(tmp_path):
     # YAML 1.1 leaves 6e3 a string; hub files take the YAML 1.2 float
     text = _shipped("hub_experiment.yaml").read_text()

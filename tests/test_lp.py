@@ -611,9 +611,7 @@ def _linprog_reference(lp, M):
     lam[q + lo.size:] = np.maximum(-res.upper.marginals[hi], 0.0)
     mu = -res.eqlin.marginals if m else np.zeros(0)
     z = np.asarray(res.x, dtype=float)
-    interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
-    return LPSolution("optimal", z, lam, mu, float(res.fun) + lp.c0,
-                      tuple(int(j) for j in np.flatnonzero(interior)))
+    return LPSolution("optimal", z, lam, mu, float(res.fun) + lp.c0, None)
 
 
 def _assert_matches_linprog(lp, M):
@@ -651,6 +649,7 @@ def test_highs_matches_linprog_without_rows():
                    bounds=[(0.0, 2.0), (-1.0, 3.0), (-4.0, 4.0)])
     sol = _assert_matches_linprog(lp, np.zeros(0))
     np.testing.assert_array_equal(sol.primal, [2.0, -1.0, -4.0])
+    assert sol.basis is None     # HiGHS solutions carry no basis
 
 
 def test_highs_matches_linprog_on_fixed_columns():
@@ -986,9 +985,7 @@ def _enum_reader(highs, core, lp, row_hi, status):
     lam[q:q + lo.size] = np.maximum(np.where(at_lo, col_dual[lo], 0.0), 0.0)
     lam[q + lo.size:] = np.maximum(-np.where(at_hi, col_dual[hi], 0.0), 0.0)
     mu = -row_dual[q:]
-    interior = (z > lp.lb + 1e-9) & (z < lp.ub - 1e-9)
-    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0,
-                      tuple(int(j) for j in np.flatnonzero(interior)))
+    return LPSolution("optimal", z, lam, mu, float(objective) + lp.c0, None)
 
 
 def _read_both_ways(monkeypatch):
