@@ -153,6 +153,8 @@ def _month_of(series, absolute_day: int) -> str:
 def cmd_synth(args) -> int:
     if args.days < 1:
         raise ConfigError("--days must be at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out = _out_dir(Path(args.out))
     from .data import synth_data
     series = synth_data(seed=args.seed, days=args.days)

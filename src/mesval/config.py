@@ -58,6 +58,8 @@ class ExperimentConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, "
                               f"got {self.mode!r}")

@@ -27,9 +27,12 @@ Templates: loads enter a problem only through its parameter vector, so
 each stage is compiled once per hub (``LinearProgram`` ->
 ``to_standard_form``, constraint matrices stored as CSR) on the first build
 and reused for every later day. A day-ahead or joint build only checks the
-loads and sets ``M0``. An intra-day build also writes the committed flows
-into the right-hand sides of the ``id.link``, ``id.cres_up`` and
-``id.cres_dn`` rows and the committed cost into ``c0``. Templates are kept
+loads and sets ``M0``. The ``id.link``, ``id.cres_up`` and ``id.cres_dn``
+rows are written once, in the joint form with their ``da.flow`` terms; the
+intra-day stage has no day-ahead columns, so its compile moves each such
+term to the right-hand side and lists it. An intra-day build adds the
+listed terms at the day's committed flows to the template's right-hand
+sides and writes the committed cost into ``c0``. Templates are kept
 per ``HubConfig`` object and dropped when it is collected. Every day's
 problem shares the template's matrices, bounds, cost split and
 ``var_index``; these are read-only.
@@ -298,13 +301,25 @@ def _add_balance_rows(prog: LinearProgram, s: str,
 
 
 def _add_intra_links(prog: LinearProgram, config: HubConfig,
-                     cost_class: dict, da_reference: dict | None) -> None:
+                     cost_class: dict, da_reference: dict | None,
+                     moved: list) -> None:
+    """The rows that settle the recourse against the commitment, each
+    written once with its committed ``da.flow`` terms. Given the committed
+    flows ``da_reference`` (the stage has no day-ahead columns), each such
+    term moves to the right-hand side at its value and is listed in
+    ``moved`` as ``(row, da.flow name, right-hand-side coefficient)``."""
     H = config.horizon
     prices = config.prices
-    coupled = da_reference is None
-    # committed flows: variables of the joint problem (the right-hand
-    # sides then read zero), constants of the intra-day one
-    ref = defaultdict(float) if coupled else da_reference
+
+    def add_row(coeffs, sense, rhs, name):
+        if da_reference is not None:
+            for var in [v for v in coeffs if v.startswith("da.")]:
+                coef = coeffs.pop(var)
+                # a build adds -coef * flow: the same bits, a - b == a + -b
+                rhs = rhs - coef * da_reference[var]
+                moved.append((name, var, -coef))
+        prog.add_constraint(coeffs, sense, rhs, name=name)
+
     for inp in config.inputs:
         branches = [b for b in config.branches if b.source == inp.name]
         for t in range(H):
@@ -321,13 +336,9 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
             coeffs = {f"id.flow[{b.name}][{t}]": 1.0 for b in branches}
             coeffs[upn] = -1.0
             coeffs[dnn] = 1.0
-            if coupled:
-                for b in branches:
-                    coeffs[f"da.flow[{b.name}][{t}]"] = -1.0
-            prog.add_constraint(
-                coeffs, "==",
-                sum(ref[f"da.flow[{b.name}][{t}]"] for b in branches),
-                name=f"id.link[{inp.name}][{t}]")
+            for b in branches:
+                coeffs[f"da.flow[{b.name}][{t}]"] = -1.0
+            add_row(coeffs, "==", 0.0, f"id.link[{inp.name}][{t}]")
 
     if config.temporary_purchase_kw > 0:
         if "electricity" not in prices.intra_day:
@@ -340,26 +351,16 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
             cost_class[tn] = "intra"
 
     for c in config.converters:
-        if c.reserve_up_kw is None and c.reserve_down_kw is None:
-            continue
         feed, _ = _conv_ports(config, c)
         for t in range(H):
             idf = f"id.flow[{feed.name}][{t}]"
             daf = f"da.flow[{feed.name}][{t}]"
             if c.reserve_up_kw is not None:
-                name = f"id.cres_up[{c.name}][{t}]"
-                coeffs = {idf: 1.0}
-                if coupled:
-                    coeffs[daf] = -1.0
-                prog.add_constraint(coeffs, "<=",
-                                    c.reserve_up_kw + ref[daf], name=name)
+                add_row({idf: 1.0, daf: -1.0}, "<=", c.reserve_up_kw,
+                        f"id.cres_up[{c.name}][{t}]")
             if c.reserve_down_kw is not None:
-                name = f"id.cres_dn[{c.name}][{t}]"
-                coeffs = {idf: -1.0}
-                if coupled:
-                    coeffs[daf] = 1.0
-                prog.add_constraint(coeffs, "<=",
-                                    c.reserve_down_kw - ref[daf], name=name)
+                add_row({idf: -1.0, daf: 1.0}, "<=", c.reserve_down_kw,
+                        f"id.cres_dn[{c.name}][{t}]")
 
 
 def _finish(prog: LinearProgram, stage: str, config: HubConfig,
@@ -402,6 +403,13 @@ def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
     ``M0`` is left at zero. The intra-day stage takes the committed flows
     ``da_reference`` and cost ``commitment`` as constants.
     """
+    return _compile_moving(config, stage, da_reference, commitment, [])
+
+
+def _compile_moving(config: HubConfig, stage: str, da_reference: dict | None,
+                    commitment: float, moved: list) -> DispatchProblem:
+    """`_compile`, listing in ``moved`` the committed-flow terms that an
+    intra-day stage takes to its right-hand sides (`_add_intra_links`)."""
     parts = _PARTS[stage]
     prog = LinearProgram()
     for s in parts:
@@ -412,7 +420,7 @@ def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
         _add_stage(prog, s, config, integers, cost_class,
                    day_ahead_prices=s == "da", storage_fees=s == "id")
     if "id" in parts:
-        _add_intra_links(prog, config, cost_class, da_reference)
+        _add_intra_links(prog, config, cost_class, da_reference, moved)
     for s in parts:
         _add_balance_rows(prog, s, config)
     if stage == "intra_day":
@@ -427,17 +435,15 @@ def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
 @dataclass(frozen=True)
 class _Commitment:
     """How the intra-day template takes in a day-ahead solution, compiled
-    once: the committed flows ``flows = primal[cols]`` and the right-hand
-    sides they set, summed in the order of `_add_intra_links`."""
+    once from the committed-flow terms that `_add_intra_links` moved to the
+    right-hand sides: with the committed flows ``flows = primal[cols]``, a
+    build adds ``coef * flows[pos]`` to the right-hand side at ``rows`` of
+    each block, term by term in the order the rows were written."""
 
-    names: tuple             # da.flow names, in day-ahead column order
-    cols: np.ndarray         # their day-ahead columns
-    link_rows: np.ndarray    # A_h rows of the id.link constraints
-    link_flows: np.ndarray   # (terms, rows) positions in [flows, 0.0]
-    reserve_rows: np.ndarray   # A_f rows of the id.cres_* constraints
-    reserve_flows: np.ndarray  # position of each row's flow in flows
-    reserve_kw: np.ndarray
-    reserve_up: np.ndarray     # True: id.cres_up (+ flow), else - flow
+    names: tuple          # da.flow names, in day-ahead column order
+    cols: np.ndarray      # their day-ahead columns
+    ineq: tuple           # (rows, pos, coef) of b_f0: the id.cres_* rows
+    eq: tuple             # (rows, pos, coef) of b_h0: the id.link rows
 
 
 @dataclass(frozen=True)
@@ -470,10 +476,12 @@ def _template(config: HubConfig, stage: str) -> _Template:
 
 def _compile_template(config: HubConfig, stage: str) -> _Template:
     # the intra-day template is compiled against zero committed flows;
-    # each build writes the day's flows into the rows found here
+    # each build adds the day's flows where this compile moved them
     sequential = stage == "intra_day"
-    prob = _compile(config, stage,
-                    defaultdict(float) if sequential else None)
+    moved: list = []
+    prob = _compile_moving(config, stage,
+                           defaultdict(float) if sequential else None, 0.0,
+                           moved)
     lp = prob.milp.lp
     for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
               prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
@@ -487,52 +495,33 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     return _Template(
         problem=replace(prob, config=None, da_reference=None,
                         var_index=MappingProxyType(prob.var_index)),
-        commitment=(_compile_commitment(config, lp) if sequential
+        commitment=(_compile_commitment(config, lp, moved) if sequential
                     else None),
         storage_cols=storage_cols,
         audit=_compile_audit(config, stage, prob.var_index,
                              prob.param_names))
 
 
-def _compile_commitment(config: HubConfig, lp: LPStandardForm
-                        ) -> _Commitment:
-    """The rows of `_add_intra_links` that carry committed flows, as
-    positions in the day-ahead flows."""
+def _compile_commitment(config: HubConfig, lp: LPStandardForm,
+                        moved: list) -> _Commitment:
+    """The ``moved`` terms of the intra-day compile, as positions in its
+    right-hand sides and in the day-ahead flows."""
     da_index = _template(config, "day_ahead").problem.var_index
     names = tuple(n for n in da_index if n.startswith("da.flow["))
     pos = {n: k for k, n in enumerate(names)}
-    eq = {n: i for i, n in enumerate(lp.eq_names)}
-    ineq = {n: i for i, n in enumerate(lp.ineq_names)}
-    link, reserve = {}, []     # row -> flows summed; (row, kW, up, flow)
-    for inp in config.inputs:
-        branches = [b for b in config.branches if b.source == inp.name]
-        for t in range(config.horizon):
-            link[eq[f"id.link[{inp.name}][{t}]"]] = [
-                pos[f"da.flow[{b.name}][{t}]"] for b in branches]
-    for c in config.converters:
-        feed, _ = _conv_ports(config, c)
-        for t in range(config.horizon):
-            flow = pos[f"da.flow[{feed.name}][{t}]"]
-            for kind, kw in (("up", c.reserve_up_kw),
-                             ("dn", c.reserve_down_kw)):
-                if kw is not None:
-                    reserve.append((ineq[f"id.cres_{kind}[{c.name}][{t}]"],
-                                    kw, kind == "up", flow))
-    # short sums padded with the trailing 0.0, which adds nothing
-    link_flows = np.full((max(map(len, link.values()), default=0),
-                          len(link)), len(names), dtype=np.intp)
-    for i, flows in enumerate(link.values()):
-        link_flows[:len(flows), i] = flows
-    reserve = np.array(reserve, dtype=float).reshape(-1, 4)
+
+    def block(row_names):
+        at = {n: i for i, n in enumerate(row_names)}
+        terms = np.array([(at[row], pos[var], coef)
+                          for row, var, coef in moved if row in at],
+                         dtype=float).reshape(-1, 3)
+        return (terms[:, 0].astype(np.intp), terms[:, 1].astype(np.intp),
+                terms[:, 2])
+
     return _Commitment(
         names=names,
         cols=np.array([da_index[n] for n in names], dtype=np.intp),
-        link_rows=np.array(list(link), dtype=np.intp),
-        link_flows=link_flows,
-        reserve_rows=reserve[:, 0].astype(np.intp),
-        reserve_flows=reserve[:, 3].astype(np.intp),
-        reserve_kw=reserve[:, 1],
-        reserve_up=reserve[:, 2] == 1.0)
+        ineq=block(lp.ineq_names), eq=block(lp.eq_names))
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +548,14 @@ def build_intra_day(da_problem: DispatchProblem, da_result,
     cm = tpl.commitment
     flows = np.asarray(da_result.primal, dtype=float)[cm.cols]
     lp = tpl.problem.milp.lp
-    b_h0 = lp.b_h0.copy()
-    b_h0[cm.link_rows] = _sum(np.append(flows, 0.0), cm.link_flows)
-    b_f0 = lp.b_f0.copy()
-    base = flows[cm.reserve_flows]
-    b_f0[cm.reserve_rows] = np.where(cm.reserve_up, cm.reserve_kw + base,
-                                     cm.reserve_kw - base)
-    # frozen like the template's: a warm HiGHS solve trusts their identity
-    b_h0.flags.writeable = False
-    b_f0.flags.writeable = False
+    b_f0, b_h0 = lp.b_f0.copy(), lp.b_h0.copy()
+    for b, (rows, pos, coef) in ((b_f0, cm.ineq), (b_h0, cm.eq)):
+        # the listed rows only: adding 0.0 turns the -0.0 right-hand
+        # side of a negated ">=" row into +0.0
+        np.add.at(b, rows, coef * flows[pos])
+        # frozen like the template's: a warm HiGHS solve trusts their
+        # identity
+        b.flags.writeable = False
     da_ref = dict(zip(cm.names, flows.tolist()))
     lp = replace(lp, c0=float(da_result.objective), b_f0=b_f0, b_h0=b_h0)
     return replace(tpl.problem, config=config,

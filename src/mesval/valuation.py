@@ -214,13 +214,15 @@ def normalize_allocation(raw: Mapping, total_value: float,
 # ---------------------------------------------------------------------------
 
 def _forecast_day(models: Mapping, prev_loads: np.ndarray,
-                  dow: int) -> np.ndarray:
-    rows = []
+                  dow: int) -> tuple:
+    """The day's forecasts, one row per sector, and the input window each
+    sector's forecaster read."""
+    rows, windows = [], []
     for i, sector in enumerate(SECTORS):
         m = models[sector]
-        window = build_window(prev_loads[i], dow, m.norm, m.window)
-        rows.append(forward_day(m, window))
-    return np.vstack(rows)
+        windows.append(build_window(prev_loads[i], dow, m.norm, m.window))
+        rows.append(forward_day(m, windows[-1]))
+    return np.vstack(rows), windows
 
 
 def _check_models(models) -> None:
@@ -273,8 +275,8 @@ def evaluate_cost(models, dataset: DayDataset, hub: HubConfig,
         if models is ORACLE_FORECASTS:
             fc = act
         else:
-            fc = _forecast_day(models, dataset.loads[d - 1],
-                               int(dataset.dows[d - 1]))
+            fc, _ = _forecast_day(models, dataset.loads[d - 1],
+                                  int(dataset.dows[d - 1]))
         total += _dispatch_day(fc, act, hub, mode, engine, d, on_dispatch)
     return total / 1000.0
 
@@ -290,7 +292,7 @@ def sector_metrics(models, dataset: DayDataset) -> dict:
             fc_parts.append(dataset.loads[d])
         else:
             fc_parts.append(_forecast_day(models, dataset.loads[d - 1],
-                                          int(dataset.dows[d - 1])))
+                                          int(dataset.dows[d - 1]))[0])
     fc = np.stack(fc_parts)                  # (days-1, 3, 24)
     act = dataset.loads[1:]
     return {sector: forecast_metrics(fc[:, i, :], act[:, i, :])
@@ -314,16 +316,16 @@ def train_base_models(train: DayDataset, config: ExperimentConfig) -> tuple:
 
 def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                      hub: HubConfig, training, mode: str = "sequential",
-                     engine: str = "highs", snapshot: str = "best",
-                     on_dispatch=None, start_cost=None) -> dict:
+                     engine: str = "highs", on_dispatch=None,
+                     start_cost=None) -> dict:
     """Fine-tune coalition members' forecasters with scheduling-cost slopes.
 
     Every training day solves the joint problem once and takes the cost
     gradient with respect to the forecast slots; only sectors in ``U``
-    step. With ``snapshot="best"`` the returned parameters are the best
-    epoch by training-split cost, the untrained starting point included,
-    so the result never prices worse than the benchmark on that split.
-    ``snapshot="last"`` returns the final epoch unconditionally.
+    step, each from the input window its forecast read. The returned
+    parameters are the best epoch by training-split cost, the untrained
+    starting point included, so the result never prices worse than the
+    benchmark on that split.
 
     A training day whose joint solve is not optimal (an overshooting step
     can push forecasts beyond what the hub can commit to) is logged and
@@ -339,8 +341,6 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     if unknown:
         raise ValuationError(f"unknown sectors in coalition: "
                              f"{sorted(unknown)}")
-    if snapshot not in ("best", "last"):
-        raise ValuationError(f"unknown snapshot rule {snapshot!r}")
     _check_models(models)
     current = dict(models)
     if not U or training.e2e_epochs == 0:
@@ -350,9 +350,7 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     horizon = hub.horizon
 
     best = dict(current)
-    if snapshot == "last":
-        best_cost = np.inf
-    elif start_cost is None:
+    if start_cost is None:
         best_cost = evaluate_cost(current, dataset, hub, mode, engine,
                                   on_dispatch)
     else:
@@ -362,7 +360,7 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             prev = dataset.loads[d - 1]
             dow = int(dataset.dows[d - 1])
             act = dataset.loads[d]
-            fc = _forecast_day(current, prev, dow)
+            fc, windows = _forecast_day(current, prev, dow)
             prob = build_joint(fc, act, hub)
             res, grad = embedded_gradient(prob.milp, prob.M0, engine=engine,
                                           round_repair=storage_repair(prob))
@@ -375,22 +373,19 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             slope = grad.dcost_dM[:len(SECTORS) * horizon]
             slope = slope.reshape(len(SECTORS), horizon)
             for i, sector in members:
-                m = current[sector]
-                window = build_window(prev[i], dow, m.norm, m.window)
                 current[sector] = apply_external_gradient(
-                    m, slope[i], window, training.e2e_lr)
-        if snapshot == "best":
-            try:
-                cost = evaluate_cost(current, dataset, hub, mode, engine,
-                                     on_dispatch)
-            except ValuationError as exc:
-                log.warning("epoch %d model cannot be dispatched (%s), "
-                            "not snapshotted", epoch, exc)
-                cost = np.inf
-            if cost < best_cost:
-                best_cost = cost
-                best = dict(current)
-    return best if snapshot == "best" else current
+                    current[sector], slope[i], windows[i], training.e2e_lr)
+        try:
+            cost = evaluate_cost(current, dataset, hub, mode, engine,
+                                 on_dispatch)
+        except ValuationError as exc:
+            log.warning("epoch %d model cannot be dispatched (%s), "
+                        "not snapshotted", epoch, exc)
+            cost = np.inf
+        if cost < best_cost:
+            best_cost = cost
+            best = dict(current)
+    return best
 
 
 def _letter(sector: str) -> str:
@@ -405,8 +400,6 @@ def _letter(sector: str) -> str:
 class ValuationReport:
     ledger: CoalitionLedger
     allocation: Allocation
-    base_models: dict
-    coalition_models: dict
 
 
 def full_valuation(dataset: DayDataset, config: ExperimentConfig,
@@ -419,7 +412,6 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
     base, _ = train_base_models(train, config)
 
     costs = {}
-    coalition_models = {}
     base_train_cost = None    # every coalition starts from the same models
     for U in subsets_in_order(LETTERS):
         if U and config.training.e2e_epochs > 0 and base_train_cost is None:
@@ -429,7 +421,6 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
                                     mode=config.mode, engine=config.engine,
                                     on_dispatch=on_dispatch,
                                     start_cost=base_train_cost)
-        coalition_models[U] = models_U
         costs[U] = evaluate_cost(models_U, test, hub, config.mode,
                                  config.engine, on_dispatch)
         log.info("coalition %s: test cost %.4f kCNY",
@@ -440,9 +431,7 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
     allocation = normalize_allocation(raw,
                                       ledger.value(frozenset(LETTERS)),
                                       LETTERS)
-    return ValuationReport(ledger=ledger, allocation=allocation,
-                           base_models=base,
-                           coalition_models=coalition_models)
+    return ValuationReport(ledger=ledger, allocation=allocation)
 
 
 # ---------------------------------------------------------------------------

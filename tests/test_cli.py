@@ -165,6 +165,22 @@ def test_hub_value_of_the_wrong_type_is_usage_error(workdir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("route", ["flag", "config", "synth"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, route):
+    out = ["--out", str(tmp_path / "out")]
+    argv = {"flag": ["train-base", "--seed", "-1", "--train-days", "2",
+                     "--test-days", "1", *out],
+            "config": ["train-base", "--config", str(tmp_path / "c.yaml"),
+                       *out],
+            "synth": ["synth", "--seed", "-1", "--days", "2", *out]}[route]
+    (tmp_path / "c.yaml").write_text("seed: -1\ntrain_days: 2\n"
+                                     "test_days: 1\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "seed" in err
+    assert "Traceback" not in err
+
+
 def test_list_valued_config_is_usage_error(tmp_path, capsys):
     path = tmp_path / "listed.yaml"
     path.write_text("- seed: 1\n- train_days: 3\n")

@@ -77,6 +77,14 @@ def test_config_value_of_the_wrong_type_names_the_key(key, value):
         experiment_config_from_dict({"seed": 1, key: value})
 
 
+def test_negative_seed_names_the_key():
+    # numpy's seed sequence takes no negative seed
+    with pytest.raises(ConfigError, match="seed"):
+        experiment_config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=-1)
+
+
 def test_fan_out_deterministic_and_distinct():
     a = fan_out(123)
     b = fan_out(123)

@@ -740,8 +740,9 @@ def _assert_bitwise_equal(got, want):
     assert got.da_reference == want.da_reference
 
 
-def _reserve_toy():
-    base = tri_toy(storage=True, grid_ru=60.0, grid_rd=60.0)
+def _reserve_toy(**toy):
+    base = tri_toy(**{"storage": True, "grid_ru": 60.0, "grid_rd": 60.0,
+                      **toy})
     return dataclasses.replace(base, converters=tuple(
         dataclasses.replace(c, reserve_up_kw=40.0, reserve_down_kw=30.0)
         if c.name == "boiler" else c for c in base.converters))
@@ -758,18 +759,20 @@ def _hub_day_loads(rng, hub):
                           0.0)
 
 
-@pytest.mark.parametrize("hub", ["toy", "two-feed", "hub_experiment.yaml",
-                                 "hub_showcase.yaml"])
+@pytest.mark.parametrize("hub", ["toy", "two-feed", "empty-tank",
+                                 "hub_experiment.yaml", "hub_showcase.yaml"])
 def test_template_builds_equal_one_off_compiles(hub):
     # the two-feed toy's gas link rows sum two committed flows, the grid's
-    # one
+    # one; the empty tank's terminal row has a -0.0 right-hand side
     cfg = {"toy": _reserve_toy,
            "two-feed": lambda: tri_toy(storage=True, grid_ru=60.0,
                                        second_boiler=True),
+           "empty-tank": lambda: _reserve_toy(tank_initial=0.0),
            }.get(hub, lambda: load_hub_config(_shipped(hub)))()
     rng = np.random.default_rng(RNG_SEED + 18)
     for day in range(3):
-        fc, act = _hub_day_loads(rng, "toy" if hub == "two-feed" else hub)
+        fc, act = _hub_day_loads(
+            rng, "toy" if hub in ("two-feed", "empty-tank") else hub)
         da = build_day_ahead(fc, cfg)
         _assert_bitwise_equal(da, dataclasses.replace(
             dispatch._compile(cfg, "day_ahead"), M0=fc.reshape(-1)))
@@ -783,9 +786,13 @@ def test_template_builds_equal_one_off_compiles(hub):
                   for name, i in da.var_index.items()
                   if name.startswith("da.flow[")}
         intra = build_intra_day(da, res, act)
-        if hub in ("toy", "hub_showcase.yaml"):    # converter reserve boxes
-            assert any(n.startswith("id.cres_dn[")
+        if hub in ("toy", "empty-tank", "hub_showcase.yaml"):
+            assert any(n.startswith("id.cres_dn[")     # converter reserves
                        for n in intra.milp.lp.ineq_names)
+        if hub == "empty-tank":
+            lp = intra.milp.lp
+            assert np.signbit(
+                lp.b_f0[lp.ineq_names.index("id.terminal[heat_tank]")])
         if hub == "two-feed":     # both gas branches carry flow
             assert da_ref["da.flow[gas_feed][5]"] > 0.0
             assert da_ref["da.flow[gas_feed2][5]"] > 0.0

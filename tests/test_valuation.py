@@ -22,7 +22,7 @@ import pytest
 
 from mesval.config import experiment_config_from_dict
 from mesval.data import DayDataset, synth_data
-from mesval.hub import HubConfig
+from mesval.hub import SECTORS, HubConfig
 from mesval.lstm import TrainingConfig, train_mse
 from mesval.valuation import (
     LETTERS,
@@ -446,10 +446,11 @@ def test_training_updates_only_coalition_members():
     ds = small_dataset(days=4)
     training = tiny_training(e2e_lr=1e-5)
     models = base_models(ds, training)
-    # snapshot="last" keeps the trained weights even if the epoch did not
-    # help, which is what lets this test pin the update mechanics
+    # an infinite starting cost keeps the trained weights of the one epoch
+    # even if it did not help, which is what lets this test pin the update
+    # mechanics
     out = train_end_to_end(parse_coalition("h"), models, ds, hub, training,
-                           mode="joint", snapshot="last")
+                           mode="joint", start_cost=np.inf)
     heat_moved = any(
         not np.array_equal(getattr(out["heat"].params, n),
                            getattr(models["heat"].params, n))
@@ -457,6 +458,39 @@ def test_training_updates_only_coalition_members():
     assert heat_moved
     for untouched in ("electricity", "cooling"):
         assert out[untouched] is models[untouched]
+
+
+def test_training_steps_members_from_the_forecast_windows(monkeypatch):
+    # each training day builds one input window per sector, for the
+    # forecast, and the members step from those same windows
+    from mesval import valuation
+    hub = flat_hub()
+    ds = small_dataset(days=4)
+    training = tiny_training(e2e_epochs=2, e2e_lr=1e-5)
+    models = base_models(ds, training)
+    built = []
+    real = valuation.build_window
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    stepped = []
+    real_step = valuation.apply_external_gradient
+
+    def step(model, slope, window, lr):
+        stepped.append(window)
+        return real_step(model, slope, window, lr)
+
+    monkeypatch.setattr(valuation, "build_window", counting)
+    monkeypatch.setattr(valuation, "apply_external_gradient", step)
+    monkeypatch.setattr(valuation, "evaluate_cost", lambda *a, **k: 0.0)
+    train_end_to_end(parse_coalition("ehc"), models, ds, hub, training,
+                     mode="joint", start_cost=1.0)
+    days = training.e2e_epochs * (ds.days - 1)
+    assert len(built) == len(SECTORS) * days
+    assert len(stepped) == len(SECTORS) * days
+    assert all(w is b for w, b in zip(stepped, built))
 
 
 def test_training_snapshot_never_worse_on_train_split():
