@@ -5,7 +5,12 @@ Search rules, all deliberately plain:
   * the relaxation at each node is solved exactly, with no cuts; the root
     is solved cold and every later node with ``warm=True``, so HiGHS
     re-solves it from the basis of the node before, which shares its model
-    up to column bounds (the Bland engine always solves cold);
+    up to column bounds (the Bland engine always solves cold). A caller
+    that has just solved another day of the same template may ask for a
+    warm root (``warm_root=True``, passed to HiGHS as ``warm="root"``),
+    which re-solves the root from the held basis after moving the row
+    bounds; the result then depends on what the solver holds, so only a
+    caller that controls what was solved before asks for it;
   * a node survives only if its relaxation is optimal AND its bound is
     strictly below the incumbent objective, so ties prune;
   * a child whose parent's relaxation bound is not strictly below the
@@ -189,13 +194,16 @@ def _verified_point(node_lp, b_f, b_h, sol, z, ints):
 def branch_and_bound(problem: MILPProblem, M: np.ndarray,
                      engine: str = "bland", max_nodes: int = MAX_NODES,
                      node_log: list | None = None,
-                     round_repair=False) -> MILPResult:
+                     round_repair=False, warm_root: bool = False
+                     ) -> MILPResult:
     """Solve the integer-constrained problem at parameter vector ``M``.
 
     ``round_repair``: False (plain search) or a callable repair proposal
-    (see module docstring).
+    (see module docstring). ``warm_root``: solve the root with
+    ``warm="root"`` instead of cold (see module docstring).
     """
     M = np.asarray(M, dtype=float)
+    root_warm = "root" if warm_root else False
     int_idx = list(problem.integer_vars)
     ints = np.array(int_idx, dtype=int)
     if round_repair:
@@ -214,7 +222,8 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
             raise NodeLimitError(f"node budget {max_nodes} exhausted")
         count += 1
         node_lp = subproblem_for_trail(problem, trail)
-        sol = solve_lp(node_lp, M, engine=engine, warm=bool(trail))
+        sol = solve_lp(node_lp, M, engine=engine,
+                       warm=True if trail else root_warm)
         if sol.status == "unbounded":
             return MILPResult(status="unbounded", objective=None, primal=None,
                               integer_values=None, node_count=count,
@@ -287,17 +296,18 @@ def _node_gradient(node_lp, M, sol) -> GradientResult:
 def embedded_gradient(problem: MILPProblem, M: np.ndarray,
                       engine: str = "bland", max_nodes: int = MAX_NODES,
                       node_log: list | None = None,
-                      round_repair=False
+                      round_repair=False, warm_root: bool = False
                       ) -> tuple[MILPResult, GradientResult | None]:
     """Search, then differentiate the winning node's relaxation once.
 
     Returns ``(result, gradient)``; the gradient is None when the search
     ends without an optimum. A rounded incumbent differentiates its node's
-    relaxation, the same LP the two-stage route re-solves.
+    relaxation, the same LP the two-stage route re-solves. ``warm_root``
+    is passed to :func:`branch_and_bound`.
     """
     M = np.asarray(M, dtype=float)
     result = branch_and_bound(problem, M, engine, max_nodes, node_log,
-                              round_repair)
+                              round_repair, warm_root)
     if result.status != "optimal":
         return result, None
     return result, _node_gradient(result.subproblem, M, result.relaxation)

@@ -44,18 +44,28 @@ above, and the bounds as column bounds. No basis carries over into a cold
 solve, so it returns what scipy's LP method returns for the same problem,
 bit for bit; ``tests/test_lp.py`` checks that.
 
-The solver remembers the model it was last passed. A solve asked for
-with ``warm=True`` whose model is that one up to column bounds moves only
-the column bounds that differ and re-runs the dual simplex from the basis
-the solver holds, skipping presolve: the standard re-solve of a
-branch-and-bound child. "That one" means the same ``rows_csc``, ``c``,
-``b_f0``, ``B_f``, ``b_h0`` and ``B_h`` objects and an equal ``M``, as the
-nodes of one search have, so the row bounds are the held ones and are not
-recomputed. An in-place edit of those arrays between solves goes unseen;
-the dispatch builders make theirs read-only. Its status
-and objective are a cold solve's, but at ties it may end at another
-optimal vertex. Any other warm request, and a warm run that fails, is
-solved cold.
+The solver remembers the model it was last passed, and a solve asks for
+one of three things through ``warm``:
+
+  * ``False``, a cold solve: a fresh model, whatever the solver holds;
+  * ``True``, a warm node: when the held model is this one up to column
+    bounds, move only the column bounds that differ and re-run the dual
+    simplex from the basis the solver holds, skipping presolve (the
+    standard re-solve of a branch-and-bound child). "This one" means the
+    same ``rows_csc``, ``c``, ``b_f0``, ``B_f``, ``b_h0`` and ``B_h``
+    objects and an equal ``M``, as the nodes of one search have, so the
+    row bounds are the held ones and are not recomputed;
+  * ``"root"``, a warm root: the same objects at any ``M``, as the roots
+    of one template's days have. The row bounds that moved with ``M`` are
+    moved one row at a time (the binding has no plural form), then the
+    column bounds that differ, and the dual simplex re-runs from the held
+    basis (Bixby, Oper. Res. 2002).
+
+An in-place edit of those arrays between solves goes unseen; the dispatch
+builders make theirs read-only. A warm result's status and objective are
+a cold solve's, but at ties it may end at another optimal vertex. A warm
+request on any other model, and a warm run that fails or whose point
+fails the post-solve check, is solved cold, once.
 
 On both paths, an "optimal" point that breaks a bound or a row by more
 than ``10 * sqrt(1e-9)`` raises :class:`LPNumericalError`, as does any
@@ -609,8 +619,15 @@ def _rhs(lp: LPStandardForm) -> tuple:
     return lp.b_f0, lp.B_f, lp.b_h0, lp.B_h
 
 
+def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
+    """Row bounds ``(lower, upper)`` of ``[A_f; A_h]`` at ``M``."""
+    b_h = lp.b_h(M)
+    return (np.concatenate((np.full(lp.n_ineq, -np.inf), b_h)),
+            np.concatenate((lp.b_f(M), b_h)))
+
+
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
-                 warm: bool = False) -> LPSolution:
+                 warm: bool | str = False) -> LPSolution:
     global _HELD
     highs, core = _highs()
     q = lp.n_ineq
@@ -620,12 +637,10 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
                                                                 lp.A_h)
     held, _HELD = _HELD, None
     if warm and held is not None:
-        sol = _solve_warm(highs, core, held, lp, A, M)
+        sol = _solve_warm(highs, core, held, lp, A, M, warm == "root")
         if sol is not None:
             return sol
-    b_h = lp.b_h(M)
-    row_hi = np.concatenate((lp.b_f(M), b_h))
-    row_lo = np.concatenate((np.full(q, -np.inf), b_h))
+    row_lo, row_hi = _row_bounds(lp, M)
     if highs.passModel(
             n, q + m, A.nnz, core.MatrixFormat.kColwise,
             core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
@@ -641,13 +656,23 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
 
 
 def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
-                M: np.ndarray) -> LPSolution | None:
+                M: np.ndarray, root: bool) -> LPSolution | None:
     """Re-solve ``lp`` from the basis the solver holds, if it holds this
-    model up to column bounds; None if it does not, or if the run fails."""
+    model up to column bounds, or up to row and column bounds when
+    ``root``; None if it does not, or if the run fails."""
     global _HELD
     if not (held.highs is highs and held.rows is A and held.c is lp.c
-            and all(a is b for a, b in zip(held.rhs, _rhs(lp)))
-            and np.array_equal(held.M, M)):
+            and all(a is b for a, b in zip(held.rhs, _rhs(lp)))):
+        return None
+    row_hi = held.row_hi
+    if root:
+        # move the row bounds that changed with M
+        row_lo, row_hi = _row_bounds(lp, M)
+        for i in np.flatnonzero(row_hi != held.row_hi).tolist():
+            if highs.changeRowBounds(i, row_lo[i], row_hi[i]) == (
+                    core.HighsStatus.kError):
+                return None
+    elif not np.array_equal(held.M, M):
         return None
     # move the column bounds that differ and re-run
     moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
@@ -656,9 +681,10 @@ def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
                               lp.ub[moved]) == core.HighsStatus.kError:
         return None
     highs.run()
-    _HELD = replace(held, lb=lp.lb.copy(), ub=lp.ub.copy())
+    _HELD = replace(held, M=M.copy(), row_hi=row_hi, lb=lp.lb.copy(),
+                    ub=lp.ub.copy())
     try:
-        return _highs_solution(highs, core, lp, held.row_hi,
+        return _highs_solution(highs, core, lp, row_hi,
                                highs.getModelStatus())
     except LPNumericalError:
         _HELD = None    # a failed warm start gets one cold solve
@@ -717,14 +743,18 @@ def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
 
 
 def solve_lp(lp: LPStandardForm, M: np.ndarray,
-             engine: str = "bland", warm: bool = False) -> LPSolution:
+             engine: str = "bland", warm: bool | str = False) -> LPSolution:
     """Solve the LP at parameter value M. Statuses, never exceptions, for
     infeasible/unbounded instances.
 
-    ``warm`` (HiGHS only): when the solver still holds this LP's model up
-    to column bounds, move those bounds and re-run from the basis it holds
-    instead of passing a fresh model. At ties the result may be another
-    optimal vertex than a cold solve's. Any other model is solved cold.
+    ``warm`` (HiGHS only; see the module docstring): ``False`` solves cold.
+    ``True`` asks for a warm node: when the solver still holds this LP's
+    model up to column bounds, at this ``M``, move those bounds and re-run
+    from the basis it holds instead of passing a fresh model. ``"root"``
+    asks for a warm root: the same, but the held model may be at another
+    ``M``, and the row bounds that moved with it are moved too. At ties the
+    result may be another optimal vertex than a cold solve's. Any other
+    model is solved cold.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (lp.param_dim,):

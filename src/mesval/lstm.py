@@ -28,10 +28,10 @@ the head), so those files load unchanged.
 
 The unrolled pass and its backward sweep run a batch: windows are
 ``(B, T, D)`` and every step value carries the batch axis first.
-:func:`train_mse` unrolls all of a sector's training windows at once;
-:func:`forward_day` and :func:`backward_day` are the batch of one. The
-batch is bit-identical to running one window at a time because of two
-rules:
+:func:`train_mse` unrolls all of a sector's training windows at once,
+:func:`forward_days` a sequence of forecast days; :func:`forward_day` and
+:func:`backward_day` are the batch of one. The batch is bit-identical to
+running one window at a time because of two rules:
 
   * every product keeps its per-window shape: the gate pre-activations
     come from ``W_x @ x[..., None]`` (for all steps at once) and
@@ -255,6 +255,14 @@ def forward_day(model: ForecastModel, window: np.ndarray) -> np.ndarray:
     """Forecast 24 hourly loads in kW, clamped at zero."""
     arr = _check_window(model, window)
     return forecast_batch(model.params, model.norm, arr[None])[0]
+
+
+def forward_days(model: ForecastModel, windows) -> np.ndarray:
+    """Forecasts ``(B, 24)`` for a non-empty sequence of B windows: each
+    row is :func:`forward_day` of its window, bit for bit, with the same
+    window checks, but all of them run in one batch."""
+    arr = np.stack([_check_window(model, w) for w in windows])
+    return forecast_batch(model.params, model.norm, arr)
 
 
 def backward_day(model: ForecastModel, window: np.ndarray,

@@ -32,7 +32,7 @@ from .dispatch import (build_day_ahead, build_intra_day, build_joint,
                        storage_repair)
 from .hub import SECTORS, HubConfig, load_hub_config
 from .lstm import (apply_external_gradient, build_window, forecast_metrics,
-                   forward_day, train_mse)
+                   forward_day, forward_days, train_mse)
 
 __all__ = [
     "LETTERS",
@@ -225,6 +225,23 @@ def _forecast_day(models: Mapping, prev_loads: np.ndarray,
     return np.vstack(rows), windows
 
 
+def _forecast_split(models, dataset: DayDataset) -> np.ndarray:
+    """Forecasts of every forecastable day, ``(days - 1, sectors, 24)``:
+    all of a sector's windows go through its forecaster in one batch,
+    which equals :func:`_forecast_day` day by day, bit for bit."""
+    if models is ORACLE_FORECASTS:
+        return dataset.loads[1:]
+    days = range(1, dataset.days)
+    rows = []
+    for i, sector in enumerate(SECTORS):
+        m = models[sector]
+        windows = [build_window(dataset.loads[d - 1, i],
+                                int(dataset.dows[d - 1]), m.norm, m.window)
+                   for d in days]
+        rows.append(forward_days(m, windows))
+    return np.stack(rows, axis=1)
+
+
 def _check_models(models) -> None:
     if models is ORACLE_FORECASTS:
         return
@@ -264,20 +281,20 @@ def evaluate_cost(models, dataset: DayDataset, hub: HubConfig,
 
     Day d is priced with forecasts from day d-1's loads, so the first day
     only provides features. ``models`` is a per-sector mapping or the
-    ORACLE_FORECASTS sentinel (forecasts identical to actuals).
+    ORACLE_FORECASTS sentinel (forecasts identical to actuals). Every
+    search solves its root cold, so the cost does not depend on what was
+    solved before.
     """
     if mode not in ("joint", "sequential"):
         raise ValuationError(f"unknown mode {mode!r}")
     _check_models(models)
+    if dataset.days < 2:
+        return 0.0
+    forecasts = _forecast_split(models, dataset)
     total = 0.0
     for d in range(1, dataset.days):
-        act = dataset.loads[d]
-        if models is ORACLE_FORECASTS:
-            fc = act
-        else:
-            fc, _ = _forecast_day(models, dataset.loads[d - 1],
-                                  int(dataset.dows[d - 1]))
-        total += _dispatch_day(fc, act, hub, mode, engine, d, on_dispatch)
+        total += _dispatch_day(forecasts[d - 1], dataset.loads[d], hub, mode,
+                               engine, d, on_dispatch)
     return total / 1000.0
 
 
@@ -286,14 +303,7 @@ def sector_metrics(models, dataset: DayDataset) -> dict:
     _check_models(models)
     if dataset.days < 2:
         raise ValuationError("need at least two days to score forecasts")
-    fc_parts = []
-    for d in range(1, dataset.days):
-        if models is ORACLE_FORECASTS:
-            fc_parts.append(dataset.loads[d])
-        else:
-            fc_parts.append(_forecast_day(models, dataset.loads[d - 1],
-                                          int(dataset.dows[d - 1]))[0])
-    fc = np.stack(fc_parts)                  # (days-1, 3, 24)
+    fc = _forecast_split(models, dataset)     # (days-1, 3, 24)
     act = dataset.loads[1:]
     return {sector: forecast_metrics(fc[:, i, :], act[:, i, :])
             for i, sector in enumerate(SECTORS)}
@@ -322,7 +332,12 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
 
     Every training day solves the joint problem once and takes the cost
     gradient with respect to the forecast slots; only sectors in ``U``
-    step, each from the input window its forecast read. The returned
+    step, each from the input window its forecast read. The first training
+    day of each epoch solves its root cold; every later day of the epoch
+    asks for a warm root (``warm_root``), which HiGHS re-solves from the
+    basis the day before left, the same joint template at another ``M``.
+    No warm start crosses an epoch's pricing or outlives the call, so the
+    result depends only on the arguments. The returned
     parameters are the best epoch by training-split cost, the untrained
     starting point included, so the result never prices worse than the
     benchmark on that split.
@@ -363,7 +378,8 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             fc, windows = _forecast_day(current, prev, dow)
             prob = build_joint(fc, act, hub)
             res, grad = embedded_gradient(prob.milp, prob.M0, engine=engine,
-                                          round_repair=storage_repair(prob))
+                                          round_repair=storage_repair(prob),
+                                          warm_root=d > 1)
             if res.status != "optimal":
                 log.warning("day %d: joint dispatch is %s during coalition "
                             "training, update skipped", d, res.status)

@@ -775,8 +775,10 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
 # ---------------------------------------------------------------------------
 # A warm request re-solves from the basis the solver holds only when it
 # holds the same model up to column bounds; any other request is a cold
-# solve, bit for bit. A search solves its root cold, so it does not depend
-# on what was solved before it.
+# solve, bit for bit. A warm-root request also accepts the same template
+# at another M, and moves the row bounds. A search solves its root cold,
+# so it does not depend on what was solved before it, unless its caller
+# asks for a warm root.
 
 class _SolverSpy:
     """The process's solver, with its model passes and bound moves logged
@@ -793,6 +795,10 @@ class _SolverSpy:
     def passModel(self, *args):
         self.calls.append("passModel")
         return self._highs.passModel(*args)
+
+    def changeRowBounds(self, *args):
+        self.calls.append("changeRowBounds")
+        return self._highs.changeRowBounds(*args)
 
     def changeColsBounds(self, *args):
         self.calls.append("changeColsBounds")
@@ -886,6 +892,89 @@ def test_warm_run_that_stops_short_is_solved_cold(monkeypatch):
     spy.calls.clear()
     got = solve_lp(node, da.M0, engine="highs", warm=True)
     assert spy.calls == ["changeColsBounds", "passModel"]
+    _assert_same_solution(got, cold)
+
+
+def _moved_rows(lp, M_held, M):
+    """How many row bounds differ between the template at two M."""
+    return int(np.count_nonzero(
+        np.concatenate((lp.b_f(M), lp.b_h(M)))
+        != np.concatenate((lp.b_f(M_held), lp.b_h(M_held)))))
+
+
+def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
+    from mesval.dispatch import build_joint
+
+    spy = _spy_on_solver(monkeypatch)
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
+    lp = day2.milp.lp
+    assert lp is day1.milp.lp            # one template, two days
+    node = _floor_node(day2)
+    moved = _moved_rows(lp, day1.M0, day2.M0)
+    assert moved == 144                  # the forecast and load rows
+    for target in (lp, node):
+        cold = solve_lp(target, day2.M0, engine="highs")
+        solve_lp(lp, day1.M0, engine="highs")
+        spy.calls.clear()
+        got = solve_lp(target, day2.M0, engine="highs", warm="root")
+        # the moved row bounds one at a time, then the column bounds
+        assert spy.calls == ["changeRowBounds"] * moved + [
+            "changeColsBounds"]
+        assert got.status == cold.status == "optimal"
+        np.testing.assert_allclose(got.objective, cold.objective,
+                                   rtol=1e-9, atol=0.0)
+        _assert_feasible(target, day2.M0, got.primal)
+    # the held model is now the node at day 2: a warm root on day 1's root
+    # moves the rows back and frees the branched column
+    spy.calls.clear()
+    got = solve_lp(lp, day1.M0, engine="highs", warm="root")
+    assert spy.calls == ["changeRowBounds"] * moved + ["changeColsBounds"]
+    want = solve_lp(lp, day1.M0, engine="highs")
+    assert got.status == want.status == "optimal"
+    np.testing.assert_allclose(got.objective, want.objective,
+                               rtol=1e-9, atol=0.0)
+
+
+def test_warm_root_on_a_model_not_held_is_a_cold_solve(monkeypatch):
+    from mesval.dispatch import build_day_ahead, build_joint
+
+    spy = _spy_on_solver(monkeypatch)
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    da = build_day_ahead(fc, cfg)
+    day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
+    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
+                                5, 4, 1, 2)
+    box = to_standard_form(prog)
+    cold = solve_lp(day2.milp.lp, day2.M0, engine="highs")
+    # another stage's template, and the same template held before an
+    # unrelated LP was solved in between
+    for held in ((da.milp.lp, da.M0), (box, M_box)):
+        solve_lp(day1.milp.lp, day1.M0, engine="highs")
+        solve_lp(*held, engine="highs")
+        spy.calls.clear()
+        got = solve_lp(day2.milp.lp, day2.M0, engine="highs", warm="root")
+        assert spy.calls == ["passModel"]
+        _assert_same_solution(got, cold)
+
+
+def test_warm_root_that_stops_short_is_solved_cold(monkeypatch):
+    from mesval.dispatch import build_joint
+
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
+    lp = day2.milp.lp
+    cold = solve_lp(lp, day2.M0, engine="highs")
+    spy = _spy_on_solver(monkeypatch, fail_warm=True)
+    solve_lp(lp, day1.M0, engine="highs")
+    spy.calls.clear()
+    got = solve_lp(lp, day2.M0, engine="highs", warm="root")
+    assert spy.calls == (["changeRowBounds"] * _moved_rows(lp, day1.M0,
+                                                           day2.M0)
+                         + ["changeColsBounds", "passModel"])
     _assert_same_solution(got, cold)
 
 

@@ -34,6 +34,7 @@ from mesval.lstm import (
     fit_normalization,
     forecast_metrics,
     forward_day,
+    forward_days,
     init_params,
     load_model,
     save_model,
@@ -190,6 +191,27 @@ def test_forward_nan_features_raise():
     bad[3, 1] = np.nan
     with pytest.raises(ForecastError, match="finite"):
         forward_day(model, bad)
+
+
+def test_forward_days_equals_forward_day_bitwise_with_its_checks():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    params = init_params(seed=20240917, hidden_size=6, input_dim=5)
+    model = ForecastModel(params=params, norm=Normalization(lo=50.0, hi=400.0),
+                          window=8, seed=0)
+    windows = [rng.uniform(-1.0, 1.0, (8, 5)) for _ in range(5)]
+    for batch in (windows, windows[:1]):
+        got = forward_days(model, batch)
+        want = np.stack([forward_day(model, w) for w in batch])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    bad = windows[2].copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ForecastError, match="finite"):
+        forward_days(model, [windows[0], bad])
+    with pytest.raises(ForecastError, match="shape"):
+        forward_days(model, [windows[0], np.zeros((8, 4))])
+    with pytest.raises(ForecastError, match="window"):
+        forward_days(model, [np.zeros((10, 5))])
 
 
 def test_forward_randomized_stress_stays_finite():

@@ -419,6 +419,40 @@ def test_infeasible_day_names_day_and_stage():
         evaluate_cost(models, broken, hub, "joint")
 
 
+@pytest.mark.parametrize("days", [5, 2])
+def test_split_forecasts_equal_the_per_day_rows_bitwise(days):
+    # one batch per sector over the split; two days is a batch of one
+    from mesval.valuation import _forecast_day, _forecast_split
+    ds = small_dataset(days=5)
+    models = base_models(ds, tiny_training())
+    split = ds.slice(0, days)
+    got = _forecast_split(models, split)
+    want = np.stack([_forecast_day(models, split.loads[d - 1],
+                                   int(split.dows[d - 1]))[0]
+                     for d in range(1, split.days)])
+    assert got.shape == want.shape == (days - 1, len(SECTORS), 24)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_cost_forecasts_one_batch_per_sector(monkeypatch):
+    from mesval import valuation
+    hub = flat_hub()
+    ds = small_dataset(days=4)
+    models = base_models(ds, tiny_training())
+    batches = []
+    real = valuation.forward_days
+
+    def counting(model, windows):
+        batches.append(len(windows))
+        return real(model, windows)
+
+    monkeypatch.setattr(valuation, "forward_days", counting)
+    monkeypatch.setattr(valuation, "forward_day", None)   # never per day
+    evaluate_cost(models, ds, hub, "sequential")
+    sector_metrics(models, ds)
+    assert batches == [ds.days - 1] * (2 * len(SECTORS))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end training
 # ---------------------------------------------------------------------------
@@ -505,6 +539,91 @@ def test_training_snapshot_never_worse_on_train_split():
                            mode="sequential")
     after = evaluate_cost(out, ds, hub, "sequential")
     assert after <= base_cost + 1e-9
+
+
+def _params_bits(models):
+    return {s: [getattr(m.params, n).tobytes()
+                for n in type(m.params).field_names()]
+            for s, m in models.items()}
+
+
+def test_training_roots_are_warm_after_each_epochs_first_day(monkeypatch):
+    # the first training day of an epoch solves its root cold, later days
+    # ask for a warm root, and every pricing root (here on the same joint
+    # template) is cold
+    from mesval import bnb, valuation
+    hub = flat_hub()
+    ds = small_dataset(days=4)
+    training = tiny_training(e2e_epochs=2, e2e_lr=1e-5)
+    models = base_models(ds, training)
+    phase, roots = ["train"], []
+    real_solve, real_evaluate = bnb.solve_lp, valuation.evaluate_cost
+
+    def solve(lp, M, engine, warm=False):
+        if warm is not True:          # a search's root
+            roots.append((phase[0], warm))
+        return real_solve(lp, M, engine=engine, warm=warm)
+
+    def pricing(*args, **kwargs):
+        phase[0] = "price"
+        try:
+            return real_evaluate(*args, **kwargs)
+        finally:
+            phase[0] = "train"
+
+    monkeypatch.setattr(bnb, "solve_lp", solve)
+    monkeypatch.setattr(valuation, "evaluate_cost", pricing)
+    train_end_to_end(parse_coalition("ehc"), models, ds, hub, training,
+                     mode="joint")
+    priced = [("price", False)] * (ds.days - 1)
+    epoch = [("train", False)] + [("train", "root")] * (ds.days - 2)
+    assert roots == priced + (epoch + priced) * training.e2e_epochs
+
+
+def test_training_does_not_depend_on_what_was_solved_before():
+    from mesval.dispatch import build_joint
+    from mesval.lp import solve_lp
+    hub = flat_hub()
+    ds = small_dataset(days=5)
+    training = tiny_training(e2e_epochs=2, e2e_lr=1e-5)
+    models = base_models(ds, training)
+
+    def train():
+        return train_end_to_end(parse_coalition("ehc"), models, ds, hub,
+                                training, mode="joint", start_cost=np.inf)
+
+    first = train()
+    # the joint template held at another M: a warm root would start here
+    other = build_joint(ds.loads[0] * 0.9, ds.loads[1], hub)
+    assert solve_lp(other.milp.lp, other.M0, engine="highs").status == (
+        "optimal")
+    again = train()
+    assert _params_bits(first) == _params_bits(again)
+    assert _params_bits(first) != _params_bits(models)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["sequential", "joint"])
+def test_warm_training_roots_keep_the_ledger_bitwise(seed, mode,
+                                                     monkeypatch):
+    # the experiment hub at 6 training and 3 test days, 2 epochs: warm
+    # training roots against every root solved cold
+    from mesval import bnb
+    from mesval.config import ExperimentConfig, dataset_from_config
+    from mesval.hub import load_hub_config
+    config = ExperimentConfig(
+        seed=seed, mode=mode, train_days=6, test_days=3,
+        training=TrainingConfig(mse_epochs=10, e2e_epochs=2))
+    ds = dataset_from_config(config)
+    hub = load_hub_config(config.hub_path())
+    warm = full_valuation(ds, config, hub=hub)
+    real_solve = bnb.solve_lp
+    monkeypatch.setattr(bnb, "solve_lp", lambda lp, M, engine, warm=False:
+                        real_solve(lp, M, engine=engine,
+                                   warm=warm is True))
+    cold = full_valuation(ds, config, hub=hub)
+    assert ledger_rows(warm.ledger) == ledger_rows(cold.ledger)
+    assert warm.allocation == cold.allocation
 
 
 # ---------------------------------------------------------------------------
