@@ -58,7 +58,10 @@ included); a larger one takes the dual (envelope) slope only.
 the acceptance battery: it tries every integer assignment in lexicographic
 order, solving the continuous columns with the assignment substituted into
 the right-hand side, and keeps the first optimum within a machine-precision
-tie window. It is exhaustive and runs on the Bland engine.
+tie window. It is exhaustive and runs on the Bland engine: the assignments
+go in lexicographic chunks of ``ENUM_CHUNK`` through one
+:func:`mesval.lp.solve_bland_batch` call each, which returns what solving
+them one by one would, and each chunk is then scanned in order.
 """
 
 from __future__ import annotations
@@ -69,12 +72,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPSolution, LPStandardForm, _dense, solve_lp
+from .lp import (LPNumericalError, LPSolution, LPStandardForm, _dense,
+                 solve_bland_batch, solve_lp)
 from .sensitivity import GradientResult, cost_gradient, dual_gradient_result
 
 INT_TOL = 1e-6
 MAX_NODES = 100_000
 MAX_ASSIGNMENTS = 1 << 20
+ENUM_CHUNK = 256          # assignments per Bland batch
 KKT_AUTO_LIMIT = 600      # folded system rows above which: envelope only
 
 
@@ -341,6 +346,13 @@ def enumerate_integer_assignments(problem: MILPProblem,
     in lexicographic order over ascending variable index; among objectives
     tied within machine precision the first one seen is kept, which makes
     the reported assignment deterministic.
+
+    The assignments are solved in chunks of at most ``ENUM_CHUNK``, one
+    :func:`mesval.lp.solve_bland_batch` call each (the chunk bounds the
+    stacked tableaux in memory), and each chunk is scanned in order: an
+    unbounded assignment ends the search and sets ``node_count``, and a
+    numerical breakdown stored for an assignment is raised only when the
+    scan reaches it, as solving one assignment at a time would.
     """
     lp = problem.lp
     M = np.asarray(M, dtype=float)
@@ -366,24 +378,30 @@ def enumerate_integer_assignments(problem: MILPProblem,
         A_h=A_h[:, cont], b_h0=lp.b_h0, B_h=np.hstack([lp.B_h, -A_h[:, ints]]),
         lb=lp.lb[cont], ub=lp.ub[cont]).fold_bounds()
     c_int = lp.c[ints]
+    combos = itertools.product(*ranges)
     best_obj = math.inf
     best: tuple | None = None
     count = 0
-    for combo in itertools.product(*ranges):
-        count += 1
-        z = np.array(combo, dtype=float)
-        sol = solve_lp(rest, np.concatenate([M, z]), engine="bland")
-        if sol.status == "unbounded":
-            return MILPResult(status="unbounded", objective=None, primal=None,
-                              integer_values=None, node_count=count,
-                              trail=None)
-        if sol.status != "optimal":
-            continue
-        obj = sol.objective + float(c_int @ z)
-        tie = 1e-12 * (1.0 + abs(best_obj) if math.isfinite(best_obj) else 1.0)
-        if obj < best_obj - tie:
-            best_obj = obj
-            best = (sol.primal, z)
+    while chunk := list(itertools.islice(combos, ENUM_CHUNK)):
+        Z = np.array(chunk, dtype=float)
+        sols = solve_bland_batch(rest, np.hstack(
+            (np.broadcast_to(M, (len(Z), M.size)), Z)))
+        for z, sol in zip(Z, sols):
+            count += 1
+            if isinstance(sol, LPNumericalError):
+                raise sol
+            if sol.status == "unbounded":
+                return MILPResult(status="unbounded", objective=None,
+                                  primal=None, integer_values=None,
+                                  node_count=count, trail=None)
+            if sol.status != "optimal":
+                continue
+            obj = sol.objective + float(c_int @ z)
+            tie = 1e-12 * (1.0 + abs(best_obj) if math.isfinite(best_obj)
+                           else 1.0)
+            if obj < best_obj - tie:
+                best_obj = obj
+                best = (sol.primal, z)
     if best is None:
         return MILPResult(status="infeasible", objective=None, primal=None,
                           integer_values=None, node_count=count, trail=None)

@@ -33,6 +33,20 @@ smallest-index rule, fixed variable ordering and no randomization, so repeated
 solves of identical inputs are bit-identical. Intended for desk-scale
 instances; this is also the engine whose pivoting the tests pin down.
 
+:func:`solve_bland_batch` runs it on one LP at many parameter vectors. The
+sign pattern of ``b(M)`` fixes the artificial rows, the column count and the
+column signs, so the items are grouped by it, and each group stacks its
+tableaux, which differ only in the right-hand-side column. A group of more
+than one pivots in lockstep: each step takes the stacked reduced costs,
+runs the ratio test and the smallest-basis-index leaving rule per item, and
+applies :func:`_pivot`'s operations to the whole stack, so each item makes
+the pivots, and the arithmetic, it would make alone. Items leave the stack
+once optimal or unbounded. The rare steps run for the item concerned: the
+tiny-pivot rebuild, driving leftover artificials out, and dropping dependent
+rows, after which the item finishes on its own. A group of one runs the
+2-D loop. A numerical breakdown of one item is stored in its slot, not
+raised. :func:`solve_lp` with this engine is a batch of one that raises it.
+
 ``engine="highs"``: HiGHS behind the same contract, through the binding
 scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). One solver per
 process, created on the first such solve, holds the options scipy's own
@@ -103,6 +117,7 @@ __all__ = [
     "LPNumericalError",
     "to_standard_form",
     "solve_lp",
+    "solve_bland_batch",
     "check_kkt",
     "DEFAULT_TOL",
     "PIVOT_TOL",
@@ -389,6 +404,9 @@ class LPSolution:
 # Bland-rule tableau engine
 # ---------------------------------------------------------------------------
 
+_ENTER_TOL = 1e-9      # a column enters when its reduced cost is below -this
+
+
 def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
     T[i] /= T[i, j]
     col = T[:, j].copy()
@@ -422,92 +440,111 @@ def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
             return "unbounded"
         ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
-        i = int(ties[np.argmin(basis[ties])])
+        ties = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
+        i = int(ties[basis[ties].argmin()])
         _pivot(T, basis, i, j)
         retried = False
     raise LPNumericalError("simplex iteration limit exceeded")
 
 
-def _solve_bland(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
-    folded = lp.fold_bounds()
-    q = folded.n_ineq
-    m = folded.n_eq
-    n = folded.n_vars
-    b_f = folded.b_f(M)
-    b_h = folded.b_h(M)
-    b = np.concatenate([b_f, b_h])
-    rows = q + m
+def _lockstep_pivot(W: np.ndarray, basis: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> None:
+    """:func:`_pivot` on every tableau of a stack: item k on (i[k], j[k])."""
+    k = np.arange(W.shape[0])
+    W[k, i] /= W[k, i, j][:, None]
+    row = W[k, i]
+    col = W[k, :, j]
+    col[k, i] = 0.0
+    W -= col[:, :, None] * row[:, None, :]
+    W[k, :, j] = 0.0
+    W[k, i, j] = 1.0
+    basis[k, i] = j
 
-    # columns: z+ (n) | z- (n) | slack (q) | artificials (eq rows and
-    # negative-RHS ineq rows). Artificial coefficient is sign(b_i) so the
-    # initial basic value is |b_i|.
-    art_rows = np.flatnonzero((np.arange(rows) >= q) | (b < 0.0))
-    n_art = art_rows.size
-    N = 2 * n + q + n_art
-    sign = np.where(b >= 0.0, 1.0, -1.0)
-    D = np.zeros((rows, N + 1))
-    D[:q, :n] = folded.A_f
-    D[:q, n:2 * n] = -folded.A_f
-    D[q:, :n] = folded.A_h
-    D[q:, n:2 * n] = -folded.A_h
-    D[np.arange(q), 2 * n + np.arange(q)] = 1.0
-    # each row's initial basic column: its slack, or its artificial
-    unit = 2 * n + np.arange(rows)
-    unit[art_rows] = 2 * n + q + np.arange(n_art)
-    D[art_rows, unit[art_rows]] = sign[art_rows]
-    D[:, -1] = b
 
-    art_mask = np.zeros(N, dtype=bool)
-    art_mask[2 * n + q:] = True
-    allowed = ~art_mask
-
-    basis = unit.copy()
-
-    T = D.copy()
-    neg = T[:, -1] < 0.0  # rows whose initial basic column has coefficient -1
-    T[neg] *= -1.0
-
-    def refresh(T_, basis_):
-        B = D[:, basis_]
-        try:
-            T_[:] = np.linalg.solve(B, D)
-        except np.linalg.LinAlgError as exc:
-            raise LPNumericalError("basis matrix became singular") from exc
-
-    tol = 1e-9
-    if n_art:
-        cost1 = np.zeros(N)
-        cost1[art_mask] = 1.0
-        status = _bland_loop(T, basis, cost1, allowed, tol, PIVOT_TOL,
-                             MAX_ITER, refresh)
-        if status != "optimal":
-            raise LPNumericalError("phase-1 subproblem unbounded")
-        phase1_obj = float(cost1[basis] @ T[:, -1])
-        if phase1_obj > DEFAULT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LPSolution("infeasible", None, None, None, None, None)
-        # drive leftover artificials out of the basis (degenerate pivots)
-        dead_rows = []
-        for i in np.flatnonzero(art_mask[basis]):
-            cands = np.flatnonzero(~art_mask & (np.abs(T[i, :N]) > PIVOT_TOL))
-            if cands.size:
-                _pivot(T, basis, i, int(cands[0]))
+def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
+    """:func:`_bland_loop` over a stack ``T`` (K, rows, N+1) with bases
+    ``basis`` (K, rows), in place. Each item takes the steps and the
+    arithmetic the 2-D loop takes on it alone, and leaves the stack once
+    it is optimal or unbounded. ``refresh_of(items[k])`` rebuilds item k.
+    Returns one outcome per item: 'optimal', 'unbounded' or the
+    :class:`LPNumericalError` that stopped it."""
+    K, _, width = T.shape
+    N = width - 1
+    if N == 0:
+        return ["optimal"] * K    # no columns, nothing can enter
+    out: list = [None] * K
+    at = np.arange(K)        # the stack position of each working tableau
+    W, B = T, basis
+    retried = np.zeros(K, dtype=bool)
+    for _ in range(MAX_ITER):
+        k = np.arange(at.size)
+        red = cost - (cost[B][:, None, :] @ W[:, :, :N])[:, 0]
+        red[k[:, None], B] = 0.0
+        mask = allowed & (red < -_ENTER_TOL)
+        j = mask.argmax(axis=1)
+        done = ~mask[k, j]
+        col = W[k, :, j]
+        pos = col > PIVOT_TOL
+        stuck = ~(done | pos.any(axis=1))
+        tiny = stuck & ~retried & (col > 0.0).any(axis=1)
+        gone = done | stuck
+        for t in np.flatnonzero(tiny):  # tiny pivots only: rebuild, retry once
+            try:
+                refresh_of(items[at[t]])(W[t], B[t])
+            except LPNumericalError as exc:
+                out[at[t]] = exc
             else:
-                dead_rows.append(i)  # dependent row, implied by the others
-        if dead_rows:
-            keep = np.setdiff1d(np.arange(T.shape[0]), dead_rows)
-            T = T[keep]
-            basis = basis[keep]
-            D = D[keep]   # refresh solves D[:, basis], square only if cut too
+                gone[t] = False
+                retried[t] = True
+        if gone.any():
+            for t in np.flatnonzero(gone):
+                if out[at[t]] is None:
+                    out[at[t]] = "optimal" if done[t] else "unbounded"
+            T[at[gone]] = W[gone]
+            basis[at[gone]] = B[gone]
+            stay = ~gone
+            if not stay.any():
+                return out
+            W, B, at = W[stay], B[stay], at[stay]
+            j, col, pos = j[stay], col[stay], pos[stay]
+            tiny, retried = tiny[stay], retried[stay]
+        ratios = np.where(pos, W[:, :, -1] / np.where(pos, col, 1.0), np.inf)
+        best = ratios.min(axis=1, keepdims=True)
+        ties = ratios <= best + 1e-12 * (1.0 + np.abs(best))
+        i = np.where(ties, B, N).argmin(axis=1)   # smallest basic column
+        if tiny.any():     # the rebuilt items pivot on the next iteration
+            go = ~tiny
+            Wg, Bg = W[go], B[go]
+            _lockstep_pivot(Wg, Bg, i[go], j[go])
+            W[go], B[go] = Wg, Bg
+        else:
+            _lockstep_pivot(W, B, i, j)
+        retried &= tiny    # a pivot re-arms an item's rebuild
+    for t in range(at.size):
+        out[at[t]] = LPNumericalError("simplex iteration limit exceeded")
+    T[at], basis[at] = W, B
+    return out
 
-    cost2 = np.zeros(N)
-    cost2[:n] = folded.c
-    cost2[n:2 * n] = -folded.c
-    status = _bland_loop(T, basis, cost2, allowed, tol, PIVOT_TOL,
-                         MAX_ITER, refresh)
-    if status == "unbounded":
-        return LPSolution("unbounded", None, None, None, None, None)
 
+def _bland_phase(T, basis, cost, allowed, refresh_of, items) -> list:
+    """One simplex phase on a stack of tableaux: the 2-D loop on a stack of
+    one, the lockstep loop on more. One outcome per item, as
+    :func:`_lockstep_loop` returns them."""
+    if T.shape[0] == 1:
+        try:
+            return [_bland_loop(T[0], basis[0], cost, allowed, _ENTER_TOL,
+                                PIVOT_TOL, MAX_ITER, refresh_of(items[0]))]
+        except LPNumericalError as exc:
+            return [exc]
+    return _lockstep_loop(T, basis, cost, allowed, refresh_of, items)
+
+
+def _bland_solution(folded: LPStandardForm, T, basis, cost2, unit,
+                    sign) -> LPSolution:
+    """The optimal point, the duals and the basis of a finished tableau."""
+    n = folded.n_vars
+    q = folded.n_ineq
+    N = T.shape[1] - 1
     values = np.zeros(N)
     values[basis] = T[:, -1]
     z = values[:n] - values[n:2 * n]
@@ -520,7 +557,150 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray) -> LPSolution:
     mu = -y[q:]
     objective = float(folded.c @ z) + folded.c0
     return LPSolution("optimal", z, lam, mu, objective,
-                      tuple(int(v) for v in sorted(basis)))
+                      tuple(sorted(basis.tolist())))
+
+
+def _solve_bland_group(folded: LPStandardForm, bs: np.ndarray) -> list:
+    """Solve ``folded`` at each right-hand side ``bs[k]`` (rows ``[b_f;
+    b_h]``), all of one sign pattern and so of one tableau layout. One
+    result per row: an :class:`LPSolution`, or the
+    :class:`LPNumericalError` that stopped it."""
+    q = folded.n_ineq
+    n = folded.n_vars
+    K, rows = bs.shape
+    b = bs[0]     # the sign pattern every item shares
+
+    # columns: z+ (n) | z- (n) | slack (q) | artificials (eq rows and
+    # negative-RHS ineq rows). Artificial coefficient is sign(b_i) so the
+    # initial basic value is |b_i|.
+    art_rows = np.flatnonzero((np.arange(rows) >= q) | (b < 0.0))
+    n_art = art_rows.size
+    N = 2 * n + q + n_art
+    sign = np.where(b >= 0.0, 1.0, -1.0)
+    D = np.zeros((rows, N + 1))     # each item's b goes in the last column
+    D[:q, :n] = folded.A_f
+    D[:q, n:2 * n] = -folded.A_f
+    D[q:, :n] = folded.A_h
+    D[q:, n:2 * n] = -folded.A_h
+    D[np.arange(q), 2 * n + np.arange(q)] = 1.0
+    # each row's initial basic column: its slack, or its artificial
+    unit = 2 * n + np.arange(rows)
+    unit[art_rows] = 2 * n + q + np.arange(n_art)
+    D[art_rows, unit[art_rows]] = sign[art_rows]
+
+    art_mask = np.zeros(N, dtype=bool)
+    art_mask[2 * n + q:] = True
+    allowed = ~art_mask
+
+    basis = unit[None].repeat(K, axis=0)
+    T = np.empty((K, rows, N + 1))
+    T[:] = D
+    T[:, :, -1] = bs
+    T[:, b < 0.0] *= -1.0  # rows whose initial basic column has coefficient -1
+
+    cut = {}    # item -> the rows it keeps after dropping dependent ones
+
+    def refresh_of(k):
+        def refresh(T_, basis_):
+            Dk = D.copy()
+            Dk[:, -1] = bs[k]
+            if k in cut:
+                Dk = Dk[cut[k]]  # solves Dk[:, basis], square only if cut too
+            try:
+                T_[:] = np.linalg.solve(Dk[:, basis_], Dk)
+            except np.linalg.LinAlgError as exc:
+                raise LPNumericalError("basis matrix became singular") from exc
+        return refresh
+
+    out: list = [None] * K
+    if n_art:
+        cost1 = np.zeros(N)
+        cost1[art_mask] = 1.0
+        outcomes = _bland_phase(T, basis, cost1, allowed, refresh_of,
+                                range(K))
+        limit = DEFAULT_TOL * (1.0 + np.abs(bs).max(axis=1, initial=0.0))
+        leftover = art_mask[basis]
+        for k, status in enumerate(outcomes):
+            if status != "optimal":
+                out[k] = (status if isinstance(status, LPNumericalError)
+                          else LPNumericalError("phase-1 subproblem unbounded"))
+                continue
+            Tk, Bk = T[k], basis[k]
+            if float(cost1[Bk] @ Tk[:, -1]) > limit[k]:
+                out[k] = LPSolution("infeasible", None, None, None, None, None)
+                continue
+            if not leftover[k].any():
+                continue
+            # drive leftover artificials out of the basis (degenerate pivots)
+            dead_rows = []
+            for i in leftover[k].nonzero()[0]:
+                cands = (~art_mask & (np.abs(Tk[i, :N])
+                                      > PIVOT_TOL)).nonzero()[0]
+                if cands.size:
+                    _pivot(Tk, Bk, i, int(cands[0]))
+                else:
+                    dead_rows.append(i)  # dependent row, implied by the others
+            if dead_rows:    # the item's tableau loses rows: it goes on alone
+                cut[k] = np.setdiff1d(np.arange(rows), dead_rows)
+
+    cost2 = np.zeros(N)
+    cost2[:n] = folded.c
+    cost2[n:2 * n] = -folded.c
+
+    def finish(T2, B2, items):
+        outcomes = _bland_phase(T2, B2, cost2, allowed, refresh_of, items)
+        for k, Tk, Bk, status in zip(items, T2, B2, outcomes):
+            if isinstance(status, LPNumericalError):
+                out[k] = status
+            elif status == "unbounded":
+                out[k] = LPSolution("unbounded", None, None, None, None, None)
+            else:
+                out[k] = _bland_solution(folded, Tk, Bk, cost2, unit, sign)
+
+    live = [k for k in range(K) if out[k] is None and k not in cut]
+    if len(live) == K:
+        finish(T, basis, live)
+    elif live:
+        finish(T[live], basis[live], live)
+    for k, keep in cut.items():
+        finish(T[k][keep][None], basis[k][keep][None], [k])
+    return out
+
+
+def solve_bland_batch(lp: LPStandardForm, Ms: np.ndarray) -> list:
+    """Solve ``lp`` with the Bland engine at each parameter vector ``Ms[k]``.
+
+    ``Ms`` has shape ``(K, param_dim)``; the K results come back in order.
+    Each is the :class:`LPSolution` :func:`solve_lp` returns at ``Ms[k]``,
+    bit for bit, or the :class:`LPNumericalError` it raises there, stored
+    in that item's slot instead of raised. The items are grouped by the
+    sign pattern of ``b(M)``, which fixes the tableau layout; each group
+    pivots in lockstep, or with the 2-D loop when it holds one item.
+    """
+    Ms = np.asarray(Ms, dtype=float)
+    if Ms.ndim != 2 or Ms.shape[1] != lp.param_dim:
+        raise ValueError(
+            f"Ms has shape {Ms.shape}, expected (K, {lp.param_dim})")
+    folded = lp.fold_bounds()
+    q = folded.n_ineq
+    # the rows [b_f; b_h] of each item. B @ M runs as a stack of
+    # matrix-vector products, bitwise the 2-D product; a matrix-matrix
+    # product would sum in another order
+    Mv = Ms[:, :, None]
+    bs = np.empty((len(Ms), q + folded.n_eq))
+    np.add(folded.b_f0, (folded.B_f @ Mv)[:, :, 0], out=bs[:, :q])
+    np.add(folded.b_h0, (folded.B_h @ Mv)[:, :, 0], out=bs[:, q:])
+    if len(bs) == 1:
+        return _solve_bland_group(folded, bs)    # one item, one group
+    # the layout reads b < 0 (artificial rows) and b >= 0 (their signs)
+    groups: dict = {}
+    for k, key in enumerate(np.hstack((bs < 0.0, bs >= 0.0))):
+        groups.setdefault(key.tobytes(), []).append(k)
+    out: list = [None] * len(bs)
+    for members in groups.values():
+        for k, res in zip(members, _solve_bland_group(folded, bs[members])):
+            out[k] = res
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +927,9 @@ def solve_lp(lp: LPStandardForm, M: np.ndarray,
     """Solve the LP at parameter value M. Statuses, never exceptions, for
     infeasible/unbounded instances.
 
+    With ``engine="bland"`` this is :func:`solve_bland_batch` on a batch of
+    one, raising the :class:`LPNumericalError` it stores.
+
     ``warm`` (HiGHS only; see the module docstring): ``False`` solves cold.
     ``True`` asks for a warm node: when the solver still holds this LP's
     model up to column bounds, at this ``M``, move those bounds and re-run
@@ -760,7 +943,10 @@ def solve_lp(lp: LPStandardForm, M: np.ndarray,
     if M.shape != (lp.param_dim,):
         raise ValueError(f"M has shape {M.shape}, expected ({lp.param_dim},)")
     if engine == "bland":
-        return _solve_bland(lp, M)
+        sol, = solve_bland_batch(lp, M[None])
+        if isinstance(sol, LPNumericalError):
+            raise sol
+        return sol
     if engine == "highs":
         return _solve_highs(lp, M, warm)
     raise ValueError(f"unknown engine {engine!r}")

@@ -18,6 +18,7 @@ import pytest
 
 from _util import _assert_same_solution, random_box_lp
 from mesval.bnb import (
+    ENUM_CHUNK,
     INT_TOL,
     MAX_ASSIGNMENTS,
     MILPBuildError,
@@ -30,8 +31,8 @@ from mesval.bnb import (
     enumerate_integer_assignments,
     subproblem_for_trail,
 )
-from mesval.lp import (LinearProgram, LPStandardForm, solve_lp,
-                       to_standard_form)
+from mesval.lp import (LinearProgram, LPNumericalError, LPStandardForm,
+                       solve_lp, to_standard_form)
 from mesval.sensitivity import cost_gradient, envelope_gradient
 
 RNG_SEED = 424242
@@ -617,6 +618,32 @@ def with_free_column(problem):
     return replace(problem, lp=lp)
 
 
+def _assert_enumeration_matches_pinned(prob, M0):
+    """The enumeration agrees with the pinned-column reference; returns it."""
+    got = enumerate_integer_assignments(prob, M0)
+    want = _pinned_enumeration(prob, M0)
+    assert got.status == want.status
+    assert got.node_count == want.node_count
+    if got.status != "optimal":
+        assert got.primal is None and got.integer_values is None
+        return got
+    np.testing.assert_array_equal(got.integer_values, want.integer_values)
+    np.testing.assert_allclose(got.objective, want.objective,
+                               rtol=1e-12, atol=1e-12)
+    # the point is feasible for every row of the original problem, and
+    # carries the assignment and the cost it reports
+    lp, z = prob.lp, got.primal
+    feas = 1e-9 * (1.0 + np.abs(z).max())
+    assert np.all(lp.A_f @ z <= lp.b_f(M0) + feas)
+    np.testing.assert_allclose(lp.A_h @ z, lp.b_h(M0), atol=feas)
+    assert np.all(lp.lb - feas <= z) and np.all(z <= lp.ub + feas)
+    np.testing.assert_array_equal(z[list(prob.integer_vars)],
+                                  got.integer_values)
+    np.testing.assert_allclose(lp.c @ z + lp.c0, got.objective,
+                               rtol=1e-12, atol=1e-12)
+    return got
+
+
 def test_enumeration_matches_pinned_columns():
     rng = np.random.default_rng(RNG_SEED + 5)
     seen = {"no continuous": 0, "equality rows": 0, "parameters": 0,
@@ -633,31 +660,66 @@ def test_enumeration_matches_pinned_columns():
                             -prob.lp.ub[j] - 0.5)
         elif trial % 7 == 5:
             prob = with_free_column(prob)
-        got = enumerate_integer_assignments(prob, M0)
-        want = _pinned_enumeration(prob, M0)
-        assert got.status == want.status, trial
-        assert got.node_count == want.node_count, trial
+        got = _assert_enumeration_matches_pinned(prob, M0)
         seen[got.status] += 1
         seen["no continuous"] += n_cont == 0
         seen["equality rows"] += n_eq
         seen["parameters"] += M0.size > 0
         seen["lb == ub"] += trial % 5 == 0
-        if got.status != "optimal":
-            assert got.primal is None and got.integer_values is None
-            continue
-        np.testing.assert_array_equal(got.integer_values,
-                                      want.integer_values)
-        np.testing.assert_allclose(got.objective, want.objective,
-                                   rtol=1e-12, atol=1e-12)
-        # the point is feasible for every row of the original problem, and
-        # carries the assignment and the cost it reports
-        lp, z = prob.lp, got.primal
-        feas = 1e-9 * (1.0 + np.abs(z).max())
-        assert np.all(lp.A_f @ z <= lp.b_f(M0) + feas)
-        np.testing.assert_allclose(lp.A_h @ z, lp.b_h(M0), atol=feas)
-        assert np.all(lp.lb - feas <= z) and np.all(z <= lp.ub + feas)
-        np.testing.assert_array_equal(z[list(prob.integer_vars)],
-                                      got.integer_values)
-        np.testing.assert_allclose(lp.c @ z + lp.c0, got.objective,
-                                   rtol=1e-12, atol=1e-12)
     assert min(seen.values()) >= 3, seen
+
+    # more assignments than one batch holds: 4 x 3**4 = 324
+    for n_eq in (0, 1):
+        prob, M0 = mixed_milp(rng, 2, 5, 3, n_eq, 2)
+        lp, ints = prob.lp, list(prob.integer_vars)
+        ub = lp.ub.copy()
+        ub[ints] = lp.lb[ints] + [3, 2, 2, 2, 2]   # wider: x0 stays feasible
+        prob = replace(prob, lp=replace(lp, ub=ub))
+        got = _assert_enumeration_matches_pinned(prob, M0)
+        assert got.status == "optimal" and got.node_count == 324
+
+    # nine binaries: 512 assignments, two batches of 256; in lexicographic
+    # order assignment 255 is (0, 1, ..., 1) and assignment 256 (1, 0, ..., 0).
+    # Two optima tied exactly, the last of the first batch and the first of
+    # the second: the earlier one is reported
+    assert ENUM_CHUNK == 256
+    tied = binary_program([-8.0] + [-1.0] * 8,
+                          [({j: 8.0 if j == 0 else 1.0 for j in range(9)},
+                            "<=", 8.0)])
+    got = _assert_enumeration_matches_pinned(tied, np.zeros(0))
+    np.testing.assert_array_equal(got.integer_values, [0] + [1] * 8)
+    assert got.objective == -8.0 and got.node_count == 512
+
+    # the first feasible assignment (1, 0, 1, 0, ...) is number 321, in the
+    # second batch, and its LP is unbounded: the scan stops there
+    first_at_321 = with_free_column(binary_program(
+        [1.0] * 9, [({0: -1.0, 2: -1.0}, "<=", -2.0)]))
+    got = _assert_enumeration_matches_pinned(first_at_321, np.zeros(0))
+    assert got.status == "unbounded" and got.node_count == 321
+
+
+def _stored_error_milp(a, m):
+    # twelve rows -9e-11 x + a z <= m over free x, free y at cost -1 in no
+    # row, and z in {0, 1}: where m - a z >= 0 the LP over (x, y) is
+    # unbounded; where it is negative phase 1 breaks down
+    # (tests/test_lp.py::_phase1_breakdown_lp)
+    A_f = np.tile([-9e-11, 0.0, a], (12, 1))
+    lp = LPStandardForm(
+        c=np.array([0.0, -1.0, 0.0]), c0=0.0, A_f=A_f, b_f0=np.full(12, m),
+        B_f=np.zeros((12, 0)), A_h=np.zeros((0, 3)), b_h0=np.zeros(0),
+        B_h=np.zeros((0, 0)), lb=np.array([-np.inf, -np.inf, 0.0]),
+        ub=np.array([np.inf, np.inf, 1.0]))
+    return MILPProblem(lp=lp, integer_vars=(2,))
+
+
+def test_enumeration_raises_a_stored_error_only_when_its_scan_reaches_it():
+    # z = 0 is unbounded and ends the scan before z = 1 breaks down
+    prob = _stored_error_milp(2.0, 1.0)
+    got = _assert_enumeration_matches_pinned(prob, np.zeros(0))
+    assert got.status == "unbounded" and got.node_count == 1
+    # z = 0 breaks down first, although z = 1 is unbounded
+    with pytest.raises(LPNumericalError, match="phase-1"):
+        enumerate_integer_assignments(_stored_error_milp(-2.0, -1.0),
+                                      np.zeros(0))
+    with pytest.raises(LPNumericalError, match="phase-1"):
+        _pinned_enumeration(_stored_error_milp(-2.0, -1.0), np.zeros(0))

@@ -6,8 +6,8 @@ Groups:
   2. Bland-rule simplex engine: frozen small instances, statuses, duals,
      a randomized battery cross-checked against a vertex-enumeration oracle,
      bit-identical determinism, objective affinity in the RHS parameters,
-     and bitwise agreement with a verbatim copy of the engine's earlier
-     per-row loops.
+     and bitwise agreement of single and batched solves with a verbatim
+     copy of the engine's earlier per-row loops.
   3. HiGHS engine adapter: same contracts, cross-engine agreement; bitwise
      agreement of cold solves with scipy.optimize.linprog on random,
      edge-case and dispatch LPs; warm starts inside a search, against cold
@@ -39,6 +39,7 @@ from mesval.lp import (
     _check_feasible,
     _highs_outcome,
     check_kkt,
+    solve_bland_batch,
     solve_lp,
     to_standard_form,
 )
@@ -290,6 +291,12 @@ def test_objective_affine_in_rhs_parameters_for_fixed_basis():
 # before its per-pivot Python was vectorised, kept verbatim as the
 # reference. Only the tiny-pivot refresh after a dropped dependent row
 # differs: the reference raises there (see the test after the comparison).
+# The engine now solves a batch of parameter vectors, grouped by the sign
+# pattern of b(M) and pivoted in lockstep; solve_lp is a batch of one, run
+# by the 2-D loop. Both are held to the reference: every item of a batch,
+# sign bits included, over the same cases spread across several sign
+# patterns and mixed with infeasible, unbounded, dependent-row and
+# tiny-pivot items.
 
 def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
     T[i] /= T[i, j]
@@ -433,7 +440,10 @@ def _solve_bland(lp: LPStandardForm, M: np.ndarray,
                       tuple(int(v) for v in sorted(basis)))
 
 
-def test_bland_engine_matches_its_reference_bitwise():
+def _reference_cases():
+    """The LPs and parameter vectors the engine is held to its reference on:
+    random box LPs, every node of some searches, pinned assignments and
+    hand-made infeasible, one-sided, unbounded and dependent-row LPs."""
     from mesval.batteries import random_milp
     from mesval.bnb import branch_and_bound, subproblem_for_trail
 
@@ -468,8 +478,12 @@ def test_bland_engine_matches_its_reference_bitwise():
                     ((1.0, 0.0), "<=", 1.5)], (-1.0, 0.0),
                    bounds=[(0.0, None), (0.0, None)]), np.zeros(0)),
     ]
+    return cases
+
+
+def test_bland_engine_matches_its_reference_bitwise():
     statuses = set()
-    for lp, M in cases:
+    for lp, M in _reference_cases():
         got = solve_lp(lp, M, engine="bland")
         _assert_same_solution(got, _solve_bland(lp, M))
         statuses.add(got.status)
@@ -498,6 +512,145 @@ def test_tiny_pivot_refresh_after_a_dependent_row_is_dropped():
     assert plain.status == dependent.status == "unbounded"
     with pytest.raises(LPNumericalError, match="singular"):
         _solve_bland(_tiny_pivot_lp(True), np.zeros(0))
+
+
+def _parametric(rows, cost, n_params, bounds=None):
+    """An LP of ``rows`` = [(coeffs, sense, rhs, params)] over free (or
+    ``bounds``-bounded) variables x0, x1, ... and parameters m0, m1, ..."""
+    prog = LinearProgram()
+    for k in range(n_params):
+        prog.add_param(f"m{k}")
+    for j, c in enumerate(cost):
+        lo, hi = bounds[j] if bounds else (None, None)
+        prog.add_var(f"x{j}", lb=lo, ub=hi, cost=c)
+    for coeffs, sense, rhs, params in rows:
+        prog.add_constraint({f"x{j}": a for j, a in enumerate(coeffs)},
+                            sense, rhs,
+                            params={f"m{k}": a for k, a in params.items()})
+    return to_standard_form(prog)
+
+
+def _spread(M, rng, count=6):
+    """``M`` and ``count - 1`` draws around it at growing scales, so that
+    the right-hand sides the parameters reach change sign between items."""
+    return np.array([M] + [M + s * rng.standard_normal(M.size)
+                           for s in np.geomspace(0.3, 30.0, count - 1)])
+
+
+def _sign_patterns(lp, Ms):
+    f = lp.fold_bounds()
+    return {(np.concatenate([f.b_f(M), f.b_h(M)]) < 0.0).tobytes()
+            for M in Ms}
+
+
+def _assert_batch_matches(lp, Ms, reference):
+    got = solve_bland_batch(lp, Ms)
+    assert len(got) == len(Ms)
+    outcomes = []
+    for M, sol in zip(Ms, got):
+        try:
+            want = reference(lp, M)
+        except LPNumericalError as exc:
+            assert isinstance(sol, LPNumericalError)
+            assert str(sol) == str(exc)
+            outcomes.append("error")
+            continue
+        _assert_same_solution(sol, want)
+        outcomes.append(sol.status)
+    return outcomes
+
+
+def test_bland_batch_matches_the_reference_bitwise():
+    # each reference case as one batch of several parameter vectors, so a
+    # call spans several tableau layouts and runs the lockstep loop
+    rng = np.random.default_rng(RNG_SEED + 41)
+    statuses, spanned = set(), 0
+    for lp, M in _reference_cases():
+        Ms = _spread(M, rng)
+        statuses.update(_assert_batch_matches(lp, Ms, _solve_bland))
+        spanned += len(_sign_patterns(lp, Ms)) > 1
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert spanned >= 20
+
+    # rare branches among ordinary items of the same call: dependent rows
+    # dropped after phase 1 (x0 + x1 == 2 + m0 twice over when m1 == 2 m0,
+    # infeasible otherwise), in several sign patterns
+    dependent = _parametric(
+        [((1.0, 1.0), "==", 2.0, {0: 1.0}), ((2.0, 2.0), "==", 4.0, {1: 1.0}),
+         ((1.0, -1.0), "==", 0.0, {2: 1.0}), ((1.0, 0.0), "<=", 3.0, {2: 1.0})],
+        (1.0, -1.0), 3)
+    Ms = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5], [0.0, 1.0, 0.0],
+                   [-3.0, -6.0, 0.2], [-3.0, -6.0, -9.0], [0.5, 1.0, -1.0],
+                   [2.0, 3.0, 0.0]])
+    outcomes = _assert_batch_matches(dependent, Ms, _solve_bland)
+    assert outcomes.count("optimal") >= 3 and "infeasible" in outcomes
+    assert len(_sign_patterns(dependent, Ms)) >= 3
+
+    # the tiny-pivot refresh in the lockstep loop: unbounded after the
+    # rebuild where 1e-11 x0 <= 1 + m0 has b >= 0, infeasible within
+    # tolerance where it has b < 0 (an LP's recession cone does not move
+    # with b, so no item of it is optimal)
+    tiny = _parametric([((1e-11, 0.0), "<=", 1.0, {0: 1.0}),
+                        ((0.0, 1.0), "==", 1.0, {1: 1.0})], (-1.0, 0.0), 2)
+    Ms = np.array([[0.0, 0.0], [0.5, -2.0], [-3.0, 0.0], [0.0, 3.0],
+                   [2.0, -3.0], [-5.0, 1.0]])
+    outcomes = _assert_batch_matches(tiny, Ms, _solve_bland)
+    assert outcomes == ["unbounded", "unbounded", "infeasible", "unbounded",
+                        "unbounded", "infeasible"]
+    # here the items reach the tiny column after different numbers of
+    # pivots, so one iteration rebuilds some items while the others pivot
+    staggered = _parametric([((-0.6, -1.4, 0.0), "<=", 0.3, {0: 1.0}),
+                             ((1.0, -2.2, 0.0), "<=", 0.3, {1: 1.0}),
+                             ((-2.1, 0.2, 0.0), "<=", 0.5, {0: 1.0}),
+                             ((0.0, 0.0, 1e-11), "<=", 1.0, {})],
+                            (-2.1, 0.1, -1.0), 2,
+                            [(-2.0, 2.0), (-2.0, 2.0), (None, None)])
+    Ms = np.array([[3.6, 0.2], [0.8, 2.9], [1.6, 0.6], [1.0, 1.7]])
+    assert _assert_batch_matches(staggered, Ms, _solve_bland) == [
+        "unbounded"] * 4
+
+    # the tiny-pivot refresh after a dropped dependent row, which the
+    # reference cannot rebuild: each item equals its batch-of-one solve
+    tiny_dead = _parametric([((1e-11, 0.0), "<=", 1.0, {0: 1.0}),
+                             ((0.0, 1.0), "==", 1.0, {1: 1.0}),
+                             ((0.0, 2.0), "==", 2.0, {2: 1.0})],
+                            (-1.0, 0.0), 3)
+    Ms = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 1.0], [0.0, 0.0, 1.0],
+                   [2.0, -3.0, -6.0]])
+    outcomes = _assert_batch_matches(tiny_dead, Ms, solve_lp)
+    assert outcomes == ["unbounded", "unbounded", "infeasible", "unbounded"]
+    with pytest.raises(LPNumericalError, match="singular"):
+        _solve_bland(tiny_dead, Ms[0])
+
+
+def _phase1_breakdown_lp():
+    # twelve rows -9e-11 x <= m: at m >= 0 the slacks are a feasible basis
+    # and x = 0 is optimal; at m < 0 phase 1 prices x below -1e-9 while no
+    # entry of its column clears the pivot tolerance, so the engine stops
+    return _parametric([((-9e-11,), "<=", 0.0, {0: 1.0})] * 12, (0.0,), 1)
+
+
+def test_stored_numerical_error_is_raised_by_solve_lp():
+    lp = _phase1_breakdown_lp()
+    got = solve_bland_batch(lp, np.array([[1.0], [-1.0], [0.0], [-2.0]]))
+    assert [type(s).__name__ for s in got] == [
+        "LPSolution", "LPNumericalError", "LPSolution", "LPNumericalError"]
+    assert got[0].status == got[2].status == "optimal"
+    assert "phase-1" in str(got[1])
+    with pytest.raises(LPNumericalError, match="phase-1"):
+        solve_lp(lp, np.array([-1.0]))
+    with pytest.raises(LPNumericalError, match="phase-1"):
+        _solve_bland(lp, np.array([-1.0]))
+
+
+def test_bland_batch_rejects_a_misshapen_parameter_block():
+    lp = _phase1_breakdown_lp()
+    assert solve_bland_batch(lp, np.zeros((0, 1))) == []
+    for Ms in (np.zeros(1), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="Ms has shape"):
+            solve_bland_batch(lp, Ms)
+    with pytest.raises(ValueError, match="M has shape"):
+        solve_lp(lp, np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------
