@@ -7,10 +7,11 @@ Search rules, all deliberately plain:
     re-solves it from the basis of the node before, which shares its model
     up to column bounds (the Bland engine always solves cold). A caller
     that has just solved another day of the same template may ask for a
-    warm root (``warm_root=True``, passed to HiGHS as ``warm="root"``),
-    which re-solves the root from the held basis after moving the row
-    bounds; the result then depends on what the solver holds, so only a
-    caller that controls what was solved before asks for it;
+    warm root (``warm_root=True``, the root also solved with
+    ``warm=True``), which re-solves the root from the held basis after
+    moving the row bounds that changed with ``M``; the result then depends
+    on what the solver holds, so only a caller that controls what was
+    solved before asks for it;
   * a node survives only if its relaxation is optimal AND its bound is
     strictly below the incumbent objective, so ties prune;
   * a child whose parent's relaxation bound is not strictly below the
@@ -205,10 +206,9 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
 
     ``round_repair``: False (plain search) or a callable repair proposal
     (see module docstring). ``warm_root``: solve the root with
-    ``warm="root"`` instead of cold (see module docstring).
+    ``warm=True`` instead of cold (see module docstring).
     """
     M = np.asarray(M, dtype=float)
-    root_warm = "root" if warm_root else False
     int_idx = list(problem.integer_vars)
     ints = np.array(int_idx, dtype=int)
     if round_repair:
@@ -228,7 +228,7 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
         count += 1
         node_lp = subproblem_for_trail(problem, trail)
         sol = solve_lp(node_lp, M, engine=engine,
-                       warm=True if trail else root_warm)
+                       warm=bool(trail) or warm_root)
         if sol.status == "unbounded":
             return MILPResult(status="unbounded", objective=None, primal=None,
                               integer_values=None, node_count=count,

@@ -104,7 +104,11 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 
 def _out_dir(config_dir: Path) -> Path:
-    config_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {config_dir}: "
+                          f"{exc.strerror}") from exc
     return config_dir
 
 

@@ -91,6 +91,8 @@ def read_config_file(path) -> dict:
                         Loader=YamlLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"bad YAML in {path}: {exc}") from exc
     if raw is None:

@@ -9,6 +9,7 @@ coalition must see exactly the same days.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,63 +109,65 @@ class DayDataset:
 
 def load_series_csv(path) -> LoadSeries:
     try:
-        handle = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    if tuple(h.strip() for h in header) != SCHEMA:
+        raise DataError(f"column header must be {','.join(SCHEMA)}, "
+                        f"got {','.join(header)}")
+    stamps = []
+    values = []
+    prev = None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(SCHEMA):
+            raise DataError(f"line {lineno}: expected "
+                            f"{len(SCHEMA)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        if tuple(h.strip() for h in header) != SCHEMA:
-            raise DataError(f"column header must be {','.join(SCHEMA)}, "
-                            f"got {','.join(header)}")
-        stamps = []
-        values = []
-        prev = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCHEMA):
-                raise DataError(f"line {lineno}: expected "
-                                f"{len(SCHEMA)} fields, got {len(row)}")
+            ts = np.datetime64(row[0].strip(), "h")
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: bad timestamp "
+                            f"{row[0]!r}") from exc
+        if prev is not None:
+            if ts <= prev:
+                raise DataError(f"line {lineno}: timestamp {ts} is not "
+                                f"after {prev}")
+            if ts - prev != ONE_HOUR:
+                raise DataError(f"line {lineno}: gap in series, missing "
+                                f"{prev + ONE_HOUR}")
+        prev = ts
+        vals = []
+        for name, field in zip(SCHEMA[1:], row[1:]):
             try:
-                ts = np.datetime64(row[0].strip(), "h")
+                v = float(field)
             except ValueError as exc:
-                raise DataError(f"line {lineno}: bad timestamp "
-                                f"{row[0]!r}") from exc
-            if prev is not None:
-                if ts <= prev:
-                    raise DataError(f"line {lineno}: timestamp {ts} is not "
-                                    f"after {prev}")
-                if ts - prev != ONE_HOUR:
-                    raise DataError(f"line {lineno}: gap in series, missing "
-                                    f"{prev + ONE_HOUR}")
-            prev = ts
-            vals = []
-            for name, field in zip(SCHEMA[1:], row[1:]):
-                try:
-                    v = float(field)
-                except ValueError as exc:
-                    raise DataError(f"line {lineno}: bad {name} value "
-                                    f"{field!r}") from exc
-                if not np.isfinite(v):
-                    raise DataError(f"line {lineno}: non-finite {name}")
-                if v < 0.0:
-                    raise DataError(f"line {lineno}: negative {name}")
-                vals.append(v)
-            stamps.append(ts)
-            values.append(vals)
-        if not stamps:
-            raise DataError(f"{path} holds no data rows")
+                raise DataError(f"line {lineno}: bad {name} value "
+                                f"{field!r}") from exc
+            if not np.isfinite(v):
+                raise DataError(f"line {lineno}: non-finite {name}")
+            if v < 0.0:
+                raise DataError(f"line {lineno}: negative {name}")
+            vals.append(v)
+        stamps.append(ts)
+        values.append(vals)
+    if not stamps:
+        raise DataError(f"{path} holds no data rows")
     return LoadSeries(timestamps=np.array(stamps, dtype="datetime64[h]"),
                       loads=np.array(values, dtype=float).T,
                       source=f"file:{path}")
 
 
 def write_series_csv(series: LoadSeries, path) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(SCHEMA)
         minutes = series.timestamps.astype("datetime64[m]")

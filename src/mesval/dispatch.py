@@ -11,8 +11,9 @@ Three builders share one variable/row vocabulary:
 
 ``build_intra_day``
     Recourse stage after a committed day-ahead solve. Parameters are the
-    72 actual-load slots; the commitment enters as constants plus a fixed
-    objective offset. Upward deviations on purchased inputs trade at the
+    72 actual-load slots followed by one slot per committed day-ahead flow
+    the recourse rows read; the committed cost is the objective's constant
+    ``c0``. Upward deviations on purchased inputs trade at the
     intra-day tariff, downward ones refund a fraction of the day-ahead
     price, and an optional temporary purchase covers electricity beyond
     the reserve band.
@@ -26,16 +27,15 @@ Three builders share one variable/row vocabulary:
 Templates: loads enter a problem only through its parameter vector, so
 each stage is compiled once per hub (``LinearProgram`` ->
 ``to_standard_form``, constraint matrices stored as CSR) on the first build
-and reused for every later day. A day-ahead or joint build only checks the
-loads and sets ``M0``. The ``id.link``, ``id.cres_up`` and ``id.cres_dn``
-rows are written once, in the joint form with their ``da.flow`` terms; the
-intra-day stage has no day-ahead columns, so its compile moves each such
-term to the right-hand side and lists it. An intra-day build adds the
-listed terms at the day's committed flows to the template's right-hand
-sides and writes the committed cost into ``c0``. Templates are kept
-per ``HubConfig`` object and dropped when it is collected. Every day's
-problem shares the template's matrices, bounds, cost split and
-``var_index``; these are read-only.
+and reused for every later day. A build only checks the loads and sets
+``M0``; an intra-day build also appends the day's committed flows to it
+and writes the committed cost into ``c0``. The ``id.link``,
+``id.cres_up`` and ``id.cres_dn`` rows are written once, in the joint form
+with their ``da.flow`` terms; the intra-day stage has no day-ahead
+columns, so there each such term is a parameter slot instead. Templates
+are kept per ``HubConfig`` object and dropped when it is collected. Every
+day's problem shares the template's matrices, right-hand-side arrays,
+bounds, cost split and ``var_index``; these are read-only.
 
 Variable names follow ``<stage>.<kind>[...]`` with stages ``da``/``id``;
 `DispatchProblem.var_index` maps them to primal positions.
@@ -44,7 +44,6 @@ Variable names follow ``<stage>.<kind>[...]`` with stages ``da``/``id``;
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -53,7 +52,7 @@ from scipy import sparse
 
 from .bnb import MILPProblem
 from .hub import HORIZON, SECTORS, HubConfig, HubMatrices, build_hub_matrices
-from .lp import LinearProgram, LPStandardForm, to_standard_form
+from .lp import LinearProgram, to_standard_form
 
 __all__ = [
     "DispatchBuildError",
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 
-AUDIT_TOL = 1e-7     # verify_dispatch's residual bound, times 1 + max |M|
+AUDIT_TOL = 1e-7     # verify_dispatch's residual bound, times 1 + max load
 
 
 class DispatchBuildError(ValueError):
@@ -77,7 +76,11 @@ class DispatchBuildError(ValueError):
 
 @dataclass(frozen=True)
 class DispatchProblem:
-    """A built scheduling problem plus the bookkeeping to read it back."""
+    """A built scheduling problem plus the bookkeeping to read it back.
+
+    ``M0`` holds the parameter values of ``param_names``: the loads, and
+    on the intra-day stage the committed ``da.flow`` values after them.
+    """
 
     stage: str                    # "day_ahead" | "intra_day" | "joint"
     config: HubConfig
@@ -89,7 +92,6 @@ class DispatchProblem:
     cost_day_ahead: np.ndarray    # per-variable objective split
     cost_intra: np.ndarray
     cost_storage: np.ndarray
-    da_reference: dict | None = None   # committed flows (sequential stage)
 
 
 @dataclass(frozen=True)
@@ -301,24 +303,24 @@ def _add_balance_rows(prog: LinearProgram, s: str,
 
 
 def _add_intra_links(prog: LinearProgram, config: HubConfig,
-                     cost_class: dict, da_reference: dict | None,
-                     moved: list) -> None:
+                     cost_class: dict, committed: bool) -> None:
     """The rows that settle the recourse against the commitment, each
-    written once with its committed ``da.flow`` terms. Given the committed
-    flows ``da_reference`` (the stage has no day-ahead columns), each such
-    term moves to the right-hand side at its value and is listed in
-    ``moved`` as ``(row, da.flow name, right-hand-side coefficient)``."""
+    written once with its committed ``da.flow`` terms. On the intra-day
+    stage (``committed``: it has no day-ahead columns) each such term is a
+    parameter slot of the same name, declared on first use."""
     H = config.horizon
     prices = config.prices
+    declared: set = set()
 
     def add_row(coeffs, sense, rhs, name):
-        if da_reference is not None:
+        params = {}
+        if committed:
             for var in [v for v in coeffs if v.startswith("da.")]:
-                coef = coeffs.pop(var)
-                # a build adds -coef * flow: the same bits, a - b == a + -b
-                rhs = rhs - coef * da_reference[var]
-                moved.append((name, var, -coef))
-        prog.add_constraint(coeffs, sense, rhs, name=name)
+                if var not in declared:
+                    prog.add_param(var)
+                    declared.add(var)
+                params[var] = -coeffs.pop(var)
+        prog.add_constraint(coeffs, sense, rhs, params=params, name=name)
 
     for inp in config.inputs:
         branches = [b for b in config.branches if b.source == inp.name]
@@ -364,8 +366,7 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
 
 
 def _finish(prog: LinearProgram, stage: str, config: HubConfig,
-            integers: list, cost_class: dict,
-            da_reference: dict | None) -> DispatchProblem:
+            integers: list, cost_class: dict) -> DispatchProblem:
     sf = to_standard_form(prog)
     sf = replace(sf, A_f=sparse.csr_array(sf.A_f),
                  A_h=sparse.csr_array(sf.A_h)).with_stacked_rows()
@@ -386,7 +387,7 @@ def _finish(prog: LinearProgram, stage: str, config: HubConfig,
         milp=milp, M0=np.zeros(sf.param_dim),
         param_names=sf.param_names, var_index=var_index,
         cost_day_ahead=split["day_ahead"], cost_intra=split["intra"],
-        cost_storage=split["storage"], da_reference=da_reference)
+        cost_storage=split["storage"])
 
 
 def _add_params(prog: LinearProgram, prefix: str) -> None:
@@ -395,21 +396,12 @@ def _add_params(prog: LinearProgram, prefix: str) -> None:
             prog.add_param(f"{prefix}[{sector}][{t}]")
 
 
-def _compile(config: HubConfig, stage: str, da_reference: dict | None = None,
-             commitment: float = 0.0) -> DispatchProblem:
+def _compile(config: HubConfig, stage: str) -> DispatchProblem:
     """One stage through ``LinearProgram`` -> ``to_standard_form``.
 
-    The problem holds for any day: loads enter only through ``M``, and
-    ``M0`` is left at zero. The intra-day stage takes the committed flows
-    ``da_reference`` and cost ``commitment`` as constants.
+    The problem holds for any day: loads, and on the intra-day stage the
+    committed flows, enter only through ``M``, and ``M0`` is left at zero.
     """
-    return _compile_moving(config, stage, da_reference, commitment, [])
-
-
-def _compile_moving(config: HubConfig, stage: str, da_reference: dict | None,
-                    commitment: float, moved: list) -> DispatchProblem:
-    """`_compile`, listing in ``moved`` the committed-flow terms that an
-    intra-day stage takes to its right-hand sides (`_add_intra_links`)."""
     parts = _PARTS[stage]
     prog = LinearProgram()
     for s in parts:
@@ -420,12 +412,10 @@ def _compile_moving(config: HubConfig, stage: str, da_reference: dict | None,
         _add_stage(prog, s, config, integers, cost_class,
                    day_ahead_prices=s == "da", storage_fees=s == "id")
     if "id" in parts:
-        _add_intra_links(prog, config, cost_class, da_reference, moved)
+        _add_intra_links(prog, config, cost_class, "da" not in parts)
     for s in parts:
         _add_balance_rows(prog, s, config)
-    if stage == "intra_day":
-        prog.add_constant(commitment)
-    return _finish(prog, stage, config, integers, cost_class, da_reference)
+    return _finish(prog, stage, config, integers, cost_class)
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +423,11 @@ def _compile_moving(config: HubConfig, stage: str, da_reference: dict | None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Commitment:
-    """How the intra-day template takes in a day-ahead solution, compiled
-    once from the committed-flow terms that `_add_intra_links` moved to the
-    right-hand sides: with the committed flows ``flows = primal[cols]``, a
-    build adds ``coef * flows[pos]`` to the right-hand side at ``rows`` of
-    each block, term by term in the order the rows were written."""
-
-    names: tuple          # da.flow names, in day-ahead column order
-    cols: np.ndarray      # their day-ahead columns
-    ineq: tuple           # (rows, pos, coef) of b_f0: the id.cres_* rows
-    eq: tuple             # (rows, pos, coef) of b_h0: the id.link rows
-
-
-@dataclass(frozen=True)
 class _Template:
     problem: DispatchProblem
-    commitment: _Commitment | None     # the intra-day stage only
+    # the intra-day stage only: the day-ahead column of each committed-flow
+    # parameter slot, in slot order
+    commitment: np.ndarray | None
     # (3, k): the charge, discharge and exclusivity-binary columns of each
     # storage unit and hour, for storage_repair
     storage_cols: np.ndarray
@@ -475,13 +453,7 @@ def _template(config: HubConfig, stage: str) -> _Template:
 
 
 def _compile_template(config: HubConfig, stage: str) -> _Template:
-    # the intra-day template is compiled against zero committed flows;
-    # each build adds the day's flows where this compile moved them
-    sequential = stage == "intra_day"
-    moved: list = []
-    prob = _compile_moving(config, stage,
-                           defaultdict(float) if sequential else None, 0.0,
-                           moved)
+    prob = _compile(config, stage)
     lp = prob.milp.lp
     for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
               prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
@@ -491,37 +463,20 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
           for s in _PARTS[stage] for store in config.storages
           for t in range(config.horizon)]
          for kind in ("q_ch", "q_dis", "u")], dtype=int)
+    commitment = None
+    if stage == "intra_day":
+        da_index = _template(config, "day_ahead").problem.var_index
+        commitment = np.array(
+            [da_index[n] for n in prob.param_names[len(SECTORS) * HORIZON:]],
+            dtype=np.intp)
     # the cache must not keep its key alive: builds put the config back
     return _Template(
-        problem=replace(prob, config=None, da_reference=None,
+        problem=replace(prob, config=None,
                         var_index=MappingProxyType(prob.var_index)),
-        commitment=(_compile_commitment(config, lp, moved) if sequential
-                    else None),
+        commitment=commitment,
         storage_cols=storage_cols,
         audit=_compile_audit(config, stage, prob.var_index,
                              prob.param_names))
-
-
-def _compile_commitment(config: HubConfig, lp: LPStandardForm,
-                        moved: list) -> _Commitment:
-    """The ``moved`` terms of the intra-day compile, as positions in its
-    right-hand sides and in the day-ahead flows."""
-    da_index = _template(config, "day_ahead").problem.var_index
-    names = tuple(n for n in da_index if n.startswith("da.flow["))
-    pos = {n: k for k, n in enumerate(names)}
-
-    def block(row_names):
-        at = {n: i for i, n in enumerate(row_names)}
-        terms = np.array([(at[row], pos[var], coef)
-                          for row, var, coef in moved if row in at],
-                         dtype=float).reshape(-1, 3)
-        return (terms[:, 0].astype(np.intp), terms[:, 1].astype(np.intp),
-                terms[:, 2])
-
-    return _Commitment(
-        names=names,
-        cols=np.array([da_index[n] for n in names], dtype=np.intp),
-        ineq=block(lp.ineq_names), eq=block(lp.eq_names))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +491,9 @@ def build_day_ahead(forecasts, config: HubConfig) -> DispatchProblem:
 
 def build_intra_day(da_problem: DispatchProblem, da_result,
                     actual) -> DispatchProblem:
+    """The recourse stage of the day ``da_result`` committed: the intra-day
+    template at ``M0 = [actual loads, committed flows]``, the flows read
+    from the day-ahead primal, with the committed cost as ``c0``."""
     if da_problem.stage != "day_ahead":
         raise DispatchBuildError("first argument must be a day-ahead "
                                  "problem")
@@ -545,22 +503,11 @@ def build_intra_day(da_problem: DispatchProblem, da_result,
     config = da_problem.config
     act = _check_loads(actual, config, "actual loads")
     tpl = _template(config, "intra_day")
-    cm = tpl.commitment
-    flows = np.asarray(da_result.primal, dtype=float)[cm.cols]
-    lp = tpl.problem.milp.lp
-    b_f0, b_h0 = lp.b_f0.copy(), lp.b_h0.copy()
-    for b, (rows, pos, coef) in ((b_f0, cm.ineq), (b_h0, cm.eq)):
-        # the listed rows only: adding 0.0 turns the -0.0 right-hand
-        # side of a negated ">=" row into +0.0
-        np.add.at(b, rows, coef * flows[pos])
-        # frozen like the template's: a warm HiGHS solve trusts their
-        # identity
-        b.flags.writeable = False
-    da_ref = dict(zip(cm.names, flows.tolist()))
-    lp = replace(lp, c0=float(da_result.objective), b_f0=b_f0, b_h0=b_h0)
-    return replace(tpl.problem, config=config,
-                   milp=replace(tpl.problem.milp, lp=lp),
-                   M0=act.reshape(-1), da_reference=da_ref)
+    flows = np.asarray(da_result.primal, dtype=float)[tpl.commitment]
+    prob = tpl.problem
+    lp = replace(prob.milp.lp, c0=float(da_result.objective))
+    return replace(prob, config=config, milp=replace(prob.milp, lp=lp),
+                   M0=np.concatenate([act.reshape(-1), flows]))
 
 
 def build_joint(forecasts, actual, config: HubConfig) -> DispatchProblem:
@@ -648,15 +595,14 @@ class _Audit:
     Built from the hub config and the variable and parameter names alone,
     never from the constraint rows: the audit checks the solver against
     the physics, not against the builder. Indices point into
-    ``zx = [primal, committed flows read from da_reference, 0.0]``. A sum
-    over a varying number of terms is a ``(terms, items, H)`` index array,
-    short items padded with the trailing zero, and ``(terms, items, 1)``
-    signs; other arrays are ``(items, H)`` indices or ``(items, 1)``
-    constants.
+    ``zx = [primal, M, 0.0]``, so an intra-day check reads each committed
+    flow from its parameter slot. A sum over a varying number of terms is
+    a ``(terms, items, H)`` index array, short items padded with the
+    trailing zero, and ``(terms, items, 1)`` signs; other arrays are
+    ``(items, H)`` indices or ``(items, 1)`` constants.
     """
 
     n_vars: int
-    ref_names: tuple       # da.flow names read from problem.da_reference
     families: tuple        # _Family per kind of `_KINDS`, then part-load
     offsets: np.ndarray    # start of each family in the concatenation
     order: np.ndarray      # concatenation position of each check, in order
@@ -710,7 +656,6 @@ def _compile_audit(config: HubConfig, stage: str, var_index,
     stages = _PARTS[stage]
     n = len(var_index)
     pidx = {p: i for i, p in enumerate(param_names)}
-    ref: dict = {}     # da.flow name -> its position in zx
 
     def cols(s, kind, name):
         return [var_index[f"{s}.{kind}[{name}][{t}]"] for t in hours]
@@ -720,13 +665,10 @@ def _compile_audit(config: HubConfig, stage: str, var_index,
 
     def committed(branch):
         # variables of a joint problem; after a separate day-ahead solve,
-        # constants read from da_reference
+        # parameters
         if "da" in stages:
             return flows("da", branch)
-        names = [f"da.flow[{branch.name}][{t}]" for t in hours]
-        for name in names:
-            ref.setdefault(name, n + len(ref))
-        return [ref[name] for name in names]
+        return [n + pidx[f"da.flow[{branch.name}][{t}]"] for t in hours]
 
     labels = {kind: [] for kind in _KINDS}
     labels["bounds"].append(())
@@ -834,7 +776,7 @@ def _compile_audit(config: HubConfig, stage: str, var_index,
                 if dn is not None:
                     seq.append(("cres_dn", dn, t))
 
-    pad = n + len(ref)
+    pad = n + len(param_names)
 
     def index(rows):
         return np.array(rows, dtype=np.intp).reshape(-1, H)
@@ -861,8 +803,7 @@ def _compile_audit(config: HubConfig, stage: str, var_index,
                 const(field(rows, 2)))
 
     return _Audit(
-        n_vars=n, ref_names=tuple(ref), families=families, offsets=offsets,
-        order=order,
+        n_vars=n, families=families, offsets=offsets, order=order,
         node=_stack_terms(node, H, pad),
         conv=(index(field(conv, 0)),
               _stack_terms(field(conv, 1), H, pad)[0],
@@ -938,14 +879,15 @@ def verify_dispatch(problem: DispatchProblem, result,
                     M=None) -> DispatchCheck:
     """Re-derive every physical requirement from the raw primal vector.
 
-    Residuals are compared against ``AUDIT_TOL * (1 + max |M|)`` so the
-    check scales with the load level; a residual that is not finite (a NaN or
-    infinite primal entry) is a violation too, and ``max_residual``
-    carries it. Covers junction balances, conversion curves, cogeneration
-    coupling, demand balances, deviation links and reserve containment,
-    storage dynamics and exclusivity, and variable bounds. The index
-    arrays behind it are compiled once per ``(hub, stage)`` from the hub
-    config and the variable names, independently of the constraint rows.
+    Residuals are compared against ``AUDIT_TOL * (1 + max load)``, the
+    largest absolute load slot of ``M``, so the check scales with the load
+    level; a residual that is not finite (a NaN or infinite primal entry)
+    is a violation too, and ``max_residual`` carries it. Covers junction
+    balances, conversion curves, cogeneration coupling, demand balances,
+    deviation links and reserve containment, storage dynamics and
+    exclusivity, and variable bounds. The index arrays behind it are
+    compiled once per ``(hub, stage)`` from the hub config and the
+    variable and parameter names, independently of the constraint rows.
     """
     if result.status != "optimal":
         raise ValueError(f"cannot verify a {result.status!r} result")
@@ -955,13 +897,17 @@ def verify_dispatch(problem: DispatchProblem, result,
         raise ValueError(f"primal has {z.size} entries, the problem has "
                          f"{audit.n_vars} variables")
     M = np.asarray(problem.M0 if M is None else M, dtype=float)
-    limit = AUDIT_TOL * (1.0 + float(np.abs(M).max(initial=0.0)))
+    if M.shape != problem.M0.shape:
+        raise ValueError(f"M has {M.size} entries, the problem has "
+                         f"{problem.M0.size} parameters")
+    # the load slots only: an intra-day M also holds the committed flows
+    loads = M[audit.balance[2]]
+    limit = AUDIT_TOL * (1.0 + float(np.abs(loads).max(initial=0.0)))
     lp = problem.milp.lp
     over = np.maximum(z - lp.ub, 0.0)
     under = np.maximum(lp.lb - z, 0.0)
     bounds = np.maximum(over, under).max(initial=0.0)
-    committed = [problem.da_reference[name] for name in audit.ref_names]
-    zx = np.concatenate([z, committed, [0.0]])
+    zx = np.concatenate([z, M, [0.0]])
     amounts = np.concatenate(
         [[bounds], *(r.ravel() for r in _residuals(audit, zx, M))]
     )[audit.order]

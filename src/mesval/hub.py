@@ -504,11 +504,13 @@ def load_hub_config(path) -> HubConfig:
     misspelled or missing key, a value of the wrong type, or an invalid
     hub raises :class:`HubConfigError` naming the file."""
     try:
-        with open(Path(path)) as fh:
+        with open(Path(path), encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=YamlLoader)
     except OSError as exc:
         raise HubConfigError(f"{path}: cannot read hub file "
                              f"({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise HubConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise HubConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):

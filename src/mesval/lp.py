@@ -59,21 +59,19 @@ solve, so it returns what scipy's LP method returns for the same problem,
 bit for bit; ``tests/test_lp.py`` checks that.
 
 The solver remembers the model it was last passed, and a solve asks for
-one of three things through ``warm``:
+one of two things through ``warm``:
 
   * ``False``, a cold solve: a fresh model, whatever the solver holds;
-  * ``True``, a warm node: when the held model is this one up to column
-    bounds, move only the column bounds that differ and re-run the dual
-    simplex from the basis the solver holds, skipping presolve (the
-    standard re-solve of a branch-and-bound child). "This one" means the
-    same ``rows_csc``, ``c``, ``b_f0``, ``B_f``, ``b_h0`` and ``B_h``
-    objects and an equal ``M``, as the nodes of one search have, so the
-    row bounds are the held ones and are not recomputed;
-  * ``"root"``, a warm root: the same objects at any ``M``, as the roots
-    of one template's days have. The row bounds that moved with ``M`` are
-    moved one row at a time (the binding has no plural form), then the
-    column bounds that differ, and the dual simplex re-runs from the held
-    basis (Bixby, Oper. Res. 2002).
+  * ``True``, a warm solve: when the held model is this one up to row and
+    column bounds, move the bounds that differ and re-run the dual simplex
+    from the basis the solver holds, skipping presolve (Bixby, Oper. Res.
+    2002). "This one" means the same ``rows_csc``, ``c``, ``b_f0``,
+    ``B_f``, ``b_h0`` and ``B_h`` objects, as every node and every day of
+    one template have. At the held ``M`` (the nodes of one search) the row
+    bounds are the held ones and are not recomputed; at another ``M`` (a
+    later day's root) the row bounds that moved are moved one row at a
+    time (the binding has no plural form). Then the column bounds that
+    differ move.
 
 An in-place edit of those arrays between solves goes unseen; the dispatch
 builders make theirs read-only. A warm result's status and objective are
@@ -807,7 +805,7 @@ def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
 
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
-                 warm: bool | str = False) -> LPSolution:
+                 warm: bool = False) -> LPSolution:
     global _HELD
     highs, core = _highs()
     q = lp.n_ineq
@@ -817,7 +815,7 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
                                                                 lp.A_h)
     held, _HELD = _HELD, None
     if warm and held is not None:
-        sol = _solve_warm(highs, core, held, lp, A, M, warm == "root")
+        sol = _solve_warm(highs, core, held, lp, A, M)
         if sol is not None:
             return sol
     row_lo, row_hi = _row_bounds(lp, M)
@@ -836,24 +834,22 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
 
 
 def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
-                M: np.ndarray, root: bool) -> LPSolution | None:
+                M: np.ndarray) -> LPSolution | None:
     """Re-solve ``lp`` from the basis the solver holds, if it holds this
-    model up to column bounds, or up to row and column bounds when
-    ``root``; None if it does not, or if the run fails."""
+    model up to row and column bounds; None if it does not, or if the run
+    fails."""
     global _HELD
     if not (held.highs is highs and held.rows is A and held.c is lp.c
             and all(a is b for a, b in zip(held.rhs, _rhs(lp)))):
         return None
     row_hi = held.row_hi
-    if root:
+    if not np.array_equal(held.M, M):
         # move the row bounds that changed with M
         row_lo, row_hi = _row_bounds(lp, M)
         for i in np.flatnonzero(row_hi != held.row_hi).tolist():
             if highs.changeRowBounds(i, row_lo[i], row_hi[i]) == (
                     core.HighsStatus.kError):
                 return None
-    elif not np.array_equal(held.M, M):
-        return None
     # move the column bounds that differ and re-run
     moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
     if highs.changeColsBounds(moved.size, moved.astype(np.int32),
@@ -923,7 +919,7 @@ def _highs_solution(highs, core, lp: LPStandardForm, row_hi: np.ndarray,
 
 
 def solve_lp(lp: LPStandardForm, M: np.ndarray,
-             engine: str = "bland", warm: bool | str = False) -> LPSolution:
+             engine: str = "bland", warm: bool = False) -> LPSolution:
     """Solve the LP at parameter value M. Statuses, never exceptions, for
     infeasible/unbounded instances.
 
@@ -931,13 +927,11 @@ def solve_lp(lp: LPStandardForm, M: np.ndarray,
     one, raising the :class:`LPNumericalError` it stores.
 
     ``warm`` (HiGHS only; see the module docstring): ``False`` solves cold.
-    ``True`` asks for a warm node: when the solver still holds this LP's
-    model up to column bounds, at this ``M``, move those bounds and re-run
-    from the basis it holds instead of passing a fresh model. ``"root"``
-    asks for a warm root: the same, but the held model may be at another
-    ``M``, and the row bounds that moved with it are moved too. At ties the
-    result may be another optimal vertex than a cold solve's. Any other
-    model is solved cold.
+    ``True`` asks for a warm solve: when the solver still holds this LP's
+    model up to row and column bounds, move the bounds that differ and
+    re-run from the basis it holds instead of passing a fresh model. At
+    ties the result may be another optimal vertex than a cold solve's. Any
+    other model is solved cold.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (lp.param_dim,):

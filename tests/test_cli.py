@@ -427,6 +427,52 @@ def test_negative_load_is_data_error(workdir):
                  "--data", str(bad)]) == 2
 
 
+def _non_utf8(path, text):
+    """``text`` with one 0xff byte, which UTF-8 never uses, mid-file."""
+    data = text.encode("utf-8")
+    path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    return str(path)
+
+
+def _bad_path_cases(tmp, config):
+    """(label, argv, documented exit code) for each reader given a file
+    that is not UTF-8, and each subcommand given an output path that
+    cannot be a directory: an existing file, or a path below one."""
+    blocker = tmp / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    exp = ["--config", str(config), "--train-days", "2", "--test-days", "1"]
+    series = tmp / "series.csv"
+    write_series_csv(synth_data(seed=4, days=3), series)
+    return [
+        ("config yaml", ["train-base", "--config", _non_utf8(
+            tmp / "config_ff.yaml", config.read_text())], 1),
+        ("hub yaml", ["run-fto", *exp, "--hub", _non_utf8(
+            tmp / "hub_ff.yaml", yaml.safe_dump(FLAT_HUB))], 1),
+        ("data csv", ["train-base", *exp, "--data", _non_utf8(
+            tmp / "data_ff.csv", series.read_text())], 2),
+        ("synth --out", ["synth", "--days", "1", "--out", str(blocker)], 1),
+        ("gradcheck --out", ["gradcheck", "--quick", "--out",
+                             str(blocker)], 1),
+        ("train-base --out", ["train-base", *exp, "--out", str(blocker)], 1),
+        ("run-fto --out", ["run-fto", *exp, "--out",
+                           str(blocker / "below")], 1),
+        ("train-e2e --out", ["train-e2e", *exp, "--coalition", "e",
+                             "--out", str(blocker)], 1),
+        ("valuate --out", ["valuate", *exp, "--out", str(blocker)], 1),
+        ("metrics --out", ["metrics", *exp, "--out", str(blocker)], 1),
+    ]
+
+
+def test_bad_paths_and_bytes_exit_with_their_code(workdir, capsys):
+    tmp, config = workdir
+    for label, argv, code in _bad_path_cases(tmp, config):
+        assert main(argv) == code, label
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, label
+        assert err.strip(), label            # a one-line reason
+        assert str(tmp) in err, label        # naming the path
+
+
 def test_unservable_day_is_infeasibility_error(workdir):
     tmp, config = workdir
     series = synth_data(seed=11, days=5)

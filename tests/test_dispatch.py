@@ -737,7 +737,6 @@ def _assert_bitwise_equal(got, want):
     assert got.param_names == want.param_names
     assert got.stage == want.stage
     assert got.config is want.config
-    assert got.da_reference == want.da_reference
 
 
 def _reserve_toy(**toy):
@@ -757,6 +756,33 @@ def _hub_day_loads(rng, hub):
                         rng.uniform(300.0, 900.0, 24)])
     return fc, np.maximum(fc + rng.normal(0.0, 0.05 * fc.mean(), fc.shape),
                           0.0)
+
+
+def _committed_rhs(cfg, lp, M, da_ref):
+    """The recourse rows' right-hand sides at ``M``, and the values the
+    hub config gives them at the committed flows ``da_ref``: an
+    ``id.link`` row sums its input's committed branch flows, a converter
+    reserve row is the reserve plus (up) or minus (down) the committed
+    feed."""
+    got, want = [], []
+    b_f, b_h = lp.b_f(M), lp.b_h(M)
+    for inp in cfg.inputs:
+        branches = [b for b in cfg.branches if b.source == inp.name]
+        for t in range(HORIZON):
+            got.append(b_h[lp.eq_names.index(f"id.link[{inp.name}][{t}]")])
+            want.append(sum(da_ref[f"da.flow[{b.name}][{t}]"]
+                            for b in branches))
+    for c in cfg.converters:
+        feed, _ = dispatch._conv_ports(cfg, c)
+        for t in range(HORIZON):
+            flow = da_ref[f"da.flow[{feed.name}][{t}]"]
+            for kind, kw, sign in (("up", c.reserve_up_kw, 1.0),
+                                   ("dn", c.reserve_down_kw, -1.0)):
+                if kw is not None:
+                    got.append(b_f[lp.ineq_names.index(
+                        f"id.cres_{kind}[{c.name}][{t}]")])
+                    want.append(kw + sign * flow)
+    return np.array(got), np.array(want)
 
 
 @pytest.mark.parametrize("hub", ["toy", "two-feed", "empty-tank",
@@ -789,17 +815,56 @@ def test_template_builds_equal_one_off_compiles(hub):
         if hub in ("toy", "empty-tank", "hub_showcase.yaml"):
             assert any(n.startswith("id.cres_dn[")     # converter reserves
                        for n in intra.milp.lp.ineq_names)
+        lp = intra.milp.lp
         if hub == "empty-tank":
-            lp = intra.milp.lp
-            assert np.signbit(
-                lp.b_f0[lp.ineq_names.index("id.terminal[heat_tank]")])
+            terminal = lp.ineq_names.index("id.terminal[heat_tank]")
+            assert np.signbit(lp.b_f0[terminal])
+            assert not np.signbit(lp.b_f(intra.M0)[terminal])
         if hub == "two-feed":     # both gas branches carry flow
             assert da_ref["da.flow[gas_feed][5]"] > 0.0
             assert da_ref["da.flow[gas_feed2][5]"] > 0.0
-        _assert_bitwise_equal(intra, dataclasses.replace(
-            dispatch._compile(cfg, "intra_day", da_ref,
-                              float(res.objective)),
-            M0=act.reshape(-1)))
+        # the one-off compile at [actual loads, committed flows]
+        want = dispatch._compile(cfg, "intra_day")
+        M0 = np.concatenate([act.reshape(-1), [
+            da_ref[n] for n in want.param_names[len(SECTORS) * HORIZON:]]])
+        want_lp = dataclasses.replace(want.milp.lp, c0=float(res.objective))
+        want = dataclasses.replace(
+            want, M0=M0, milp=dataclasses.replace(want.milp, lp=want_lp))
+        _assert_bitwise_equal(intra, want)
+        for b in ("b_f", "b_h"):
+            assert _bits(getattr(lp, b)(intra.M0)) == \
+                _bits(getattr(want_lp, b)(M0)), b
+        got, pinned = _committed_rhs(cfg, lp, intra.M0, da_ref)
+        assert got.size > 0
+        assert _bits(got) == _bits(pinned)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(pinned))
+
+
+def test_intra_day_days_share_the_template():
+    # the committed flows are parameters: each day's recourse problem is
+    # the template's arrays at that day's M0
+    cfg = _reserve_toy()
+    rng = np.random.default_rng(RNG_SEED + 21)
+    days = []
+    for day in range(2):
+        fc, act = _hub_day_loads(rng, "toy")
+        da = build_day_ahead(fc, cfg)
+        res = solve(da)
+        days.append((da, res, act, build_intra_day(da, res, act)))
+    (_, _, _, one), (_, _, _, two) = days
+    a, b = one.milp.lp, two.milp.lp
+    for field in ("rows_csc", "c", "b_f0", "B_f", "b_h0", "B_h"):
+        assert getattr(a, field) is getattr(b, field), field
+    n_loads = len(SECTORS) * HORIZON
+    for da, res, act, intra in days:
+        slots = intra.param_names[n_loads:]
+        assert slots and all(n.startswith("da.flow[") for n in slots)
+        assert intra.milp.lp.param_names == intra.param_names
+        assert _bits(intra.M0[:n_loads]) == _bits(act.reshape(-1))
+        assert _bits(intra.M0[n_loads:]) == _bits(
+            res.primal[[da.var_index[n] for n in slots]])
+        assert intra.milp.lp.c0 == res.objective
+    assert not np.array_equal(one.M0, two.M0)
 
 
 def test_repeated_builds_compile_each_stage_once(monkeypatch):
@@ -855,11 +920,22 @@ def _reference_verify(problem, result, M=None, tol=1e-7):
     config = problem.config
     H = config.horizon
     z = result.primal
-    limit = tol * (1.0 + float(np.abs(M).max(initial=0.0)))
     pidx = {n: i for i, n in enumerate(problem.param_names)}
+    stages = _PARTS[problem.stage]
+    # the load slots of the balance rows; an intra-day M also holds the
+    # committed flows, which do not scale the limit
+    loads = [M[pidx[f"{_LOAD_PREFIX[s]}[{sector}][{t}]"]]
+             for s in stages for sector in SECTORS
+             if config.output_for_sector(sector) is not None
+             for t in range(H)]
+    limit = tol * (1.0 + float(np.abs(loads).max(initial=0.0)))
 
     def g(name):
         return float(z[problem.var_index[name]])
+
+    def committed(name):
+        # a variable of the joint problem, a parameter of the intra-day one
+        return g(name) if "da" in stages else float(M[pidx[name]])
 
     violations = []
     state = {"checks": 0, "max": 0.0}
@@ -869,8 +945,6 @@ def _reference_verify(problem, result, M=None, tol=1e-7):
         state["max"] = max(state["max"], amount)
         if amount > limit:
             violations.append((name, amount))
-
-    stages = _PARTS[problem.stage]
 
     lp = problem.milp.lp
     over = np.maximum(z - lp.ub, 0.0)
@@ -949,12 +1023,8 @@ def _reference_verify(problem, result, M=None, tol=1e-7):
             branches = [b for b in config.branches if b.source == inp.name]
             for t in range(H):
                 idv = sum(g(f"id.flow[{b.name}][{t}]") for b in branches)
-                if problem.da_reference is None:
-                    dav = sum(g(f"da.flow[{b.name}][{t}]")
-                              for b in branches)
-                else:
-                    dav = sum(problem.da_reference[
-                        f"da.flow[{b.name}][{t}]"] for b in branches)
+                dav = sum(committed(f"da.flow[{b.name}][{t}]")
+                          for b in branches)
                 up = g(f"id.up[{inp.name}][{t}]")
                 down = g(f"id.down[{inp.name}][{t}]")
                 record(f"id.link[{inp.name}][{t}]",
@@ -969,10 +1039,7 @@ def _reference_verify(problem, result, M=None, tol=1e-7):
             feed, _ = _conv_ports(config, c)
             for t in range(H):
                 idf = g(f"id.flow[{feed.name}][{t}]")
-                if problem.da_reference is None:
-                    daf = g(f"da.flow[{feed.name}][{t}]")
-                else:
-                    daf = problem.da_reference[f"da.flow[{feed.name}][{t}]"]
+                daf = committed(f"da.flow[{feed.name}][{t}]")
                 if c.reserve_up_kw is not None:
                     record(f"id.cres_up[{c.name}][{t}]",
                            max(idf - daf - c.reserve_up_kw, 0.0))
@@ -1005,7 +1072,7 @@ def _assert_audits_agree(problem, result, M=None):
 
 def _stage_dispatches(cfg, fc, act):
     """(problem, result) of every stage of one day: the sequential pair,
-    the recourse stage reading the commitment from da_reference, and the
+    the recourse stage holding the commitment in its parameters, and the
     joint problem."""
     da = build_day_ahead(fc, cfg)
     da_res = solve(da)
@@ -1030,7 +1097,8 @@ def test_audit_matches_the_loop_on_shipped_hubs(hub):
         fc, act = _hub_day_loads(rng, hub)
         for prob, res in _stage_dispatches(cfg, fc, act):
             assert res.status == "optimal"
-            assert prob.stage != "intra_day" or prob.da_reference
+            assert prob.stage != "intra_day" or prob.M0.size > len(
+                SECTORS) * HORIZON
             assert _assert_audits_agree(prob, res).ok
             assert not _assert_audits_agree(prob, _noisy(res, rng, 0.05)).ok
 
@@ -1115,18 +1183,28 @@ def test_audit_flags_each_family_like_the_loop(family, var, delta, names):
     assert set(names) <= flagged, (names, check.violations)
 
 
-def test_audit_reads_the_commitment_from_da_reference():
+def test_audit_reads_the_commitment_from_its_parameters():
     cfg = load_hub_config(_shipped("hub_showcase.yaml"))
     fc, act = _hub_day_loads(np.random.default_rng(RNG_SEED + 25),
                              "hub_showcase.yaml")
     _, (intra, res), _ = _stage_dispatches(cfg, fc, act)
-    ref = dict(intra.da_reference)
-    ref["da.flow[grid_draw][3]"] += 2.0
-    ref["da.flow[chp_fuel][4]"] -= 1000.0
-    moved = dataclasses.replace(intra, da_reference=ref)
-    check = _assert_audits_agree(moved, res)
+    assert verify_dispatch(intra, res).ok
+    grid = intra.param_names.index("da.flow[grid_draw][3]")
+    M = intra.M0.copy()
+    M[grid] += 2.0
+    M[intra.param_names.index("da.flow[chp_fuel][4]")] -= 1000.0
+    check = _assert_audits_agree(intra, res, M=M)
     assert {n for n, _ in check.violations} >= {"id.link[grid][3]",
                                                 "id.cres_up[chp][4]"}
+    # the loads alone set the limit, not the committed flows, which here
+    # exceed every load: a shift between the two limits is flagged
+    top_load = np.abs(intra.M0[:len(SECTORS) * HORIZON]).max()
+    top = np.abs(intra.M0).max()
+    assert top > 1.2 * top_load
+    M = intra.M0.copy()
+    M[grid] += dispatch.AUDIT_TOL * (1.0 + (top_load + top) / 2)
+    check = _assert_audits_agree(dataclasses.replace(intra, M0=M), res)
+    assert [n for n, _ in check.violations] == ["id.link[grid][3]"]
 
 
 def test_audit_compiles_once_per_hub_and_stage(monkeypatch):
@@ -1174,3 +1252,11 @@ def test_audit_rejects_a_primal_of_the_wrong_length():
     short = dataclasses.replace(res, primal=res.primal[:-1])
     with pytest.raises(ValueError, match=f"{n - 1} entries.* {n} variables"):
         verify_dispatch(prob, short)
+    # an M of another length: the intra-day stage has more parameters than
+    # its 72 loads
+    _, (intra, res), _ = _stage_dispatches(cfg, prob.M0.reshape(3, 24),
+                                           prob.M0.reshape(3, 24))
+    p = intra.M0.size
+    assert p > 72
+    with pytest.raises(ValueError, match=f"72 entries.* {p} parameters"):
+        verify_dispatch(intra, res, M=intra.M0[:72])

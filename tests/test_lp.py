@@ -927,11 +927,12 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
 # 3c. warm starts
 # ---------------------------------------------------------------------------
 # A warm request re-solves from the basis the solver holds only when it
-# holds the same model up to column bounds; any other request is a cold
-# solve, bit for bit. A warm-root request also accepts the same template
-# at another M, and moves the row bounds. A search solves its root cold,
-# so it does not depend on what was solved before it, unless its caller
-# asks for a warm root.
+# holds the same model up to row and column bounds; any other request is a
+# cold solve, bit for bit. At the held M (a search's nodes) only column
+# bounds move; at another M (the same template on another day) the row
+# bounds that moved with M move too. A search solves its root cold, so it
+# does not depend on what was solved before it, unless its caller asks for
+# a warm root.
 
 class _SolverSpy:
     """The process's solver, with its model passes and bound moves logged
@@ -1014,13 +1015,11 @@ def test_warm_request_on_a_model_not_held_is_a_cold_solve(monkeypatch):
         assert spy.calls == ["passModel"]
         return got
 
-    # another stage's template, the same template at another M, and the
-    # same model again after an unrelated LP was solved in between
+    # another stage's template, and the same model again after an
+    # unrelated LP was solved in between
     _assert_same_solution(
         warm_after(da.milp.lp, da.M0, joint.milp.lp, joint.M0),
         cold["joint"])
-    _assert_same_solution(warm_after(da.milp.lp, da.M0, node, da2.M0),
-                          cold["node2"])
     solve_lp(da.milp.lp, da.M0, engine="highs")
     _assert_same_solution(warm_after(box, M_box, node, da.M0), cold["node"])
     # the held model up to column bounds: the bounds move, no model passes
@@ -1030,6 +1029,15 @@ def test_warm_request_on_a_model_not_held_is_a_cold_solve(monkeypatch):
     assert spy.calls == ["changeColsBounds"]
     assert got.status == cold["node"].status == "optimal"
     np.testing.assert_allclose(got.objective, cold["node"].objective,
+                               rtol=1e-9, atol=0.0)
+    # the same template at another M: the row bounds that moved move too
+    solve_lp(da.milp.lp, da.M0, engine="highs")
+    spy.calls.clear()
+    got = solve_lp(node, da2.M0, engine="highs", warm=True)
+    assert spy.calls == ["changeRowBounds"] * _moved_rows(
+        node, da.M0, da2.M0) + ["changeColsBounds"]
+    assert got.status == cold["node2"].status == "optimal"
+    np.testing.assert_allclose(got.objective, cold["node2"].objective,
                                rtol=1e-9, atol=0.0)
 
 
@@ -1071,7 +1079,7 @@ def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
         cold = solve_lp(target, day2.M0, engine="highs")
         solve_lp(lp, day1.M0, engine="highs")
         spy.calls.clear()
-        got = solve_lp(target, day2.M0, engine="highs", warm="root")
+        got = solve_lp(target, day2.M0, engine="highs", warm=True)
         # the moved row bounds one at a time, then the column bounds
         assert spy.calls == ["changeRowBounds"] * moved + [
             "changeColsBounds"]
@@ -1082,7 +1090,7 @@ def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
     # the held model is now the node at day 2: a warm root on day 1's root
     # moves the rows back and frees the branched column
     spy.calls.clear()
-    got = solve_lp(lp, day1.M0, engine="highs", warm="root")
+    got = solve_lp(lp, day1.M0, engine="highs", warm=True)
     assert spy.calls == ["changeRowBounds"] * moved + ["changeColsBounds"]
     want = solve_lp(lp, day1.M0, engine="highs")
     assert got.status == want.status == "optimal"
@@ -1108,7 +1116,7 @@ def test_warm_root_on_a_model_not_held_is_a_cold_solve(monkeypatch):
         solve_lp(day1.milp.lp, day1.M0, engine="highs")
         solve_lp(*held, engine="highs")
         spy.calls.clear()
-        got = solve_lp(day2.milp.lp, day2.M0, engine="highs", warm="root")
+        got = solve_lp(day2.milp.lp, day2.M0, engine="highs", warm=True)
         assert spy.calls == ["passModel"]
         _assert_same_solution(got, cold)
 
@@ -1124,7 +1132,7 @@ def test_warm_root_that_stops_short_is_solved_cold(monkeypatch):
     spy = _spy_on_solver(monkeypatch, fail_warm=True)
     solve_lp(lp, day1.M0, engine="highs")
     spy.calls.clear()
-    got = solve_lp(lp, day2.M0, engine="highs", warm="root")
+    got = solve_lp(lp, day2.M0, engine="highs", warm=True)
     assert spy.calls == (["changeRowBounds"] * _moved_rows(lp, day1.M0,
                                                            day2.M0)
                          + ["changeColsBounds", "passModel"])

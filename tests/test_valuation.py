@@ -556,11 +556,16 @@ def test_training_roots_are_warm_after_each_epochs_first_day(monkeypatch):
     ds = small_dataset(days=4)
     training = tiny_training(e2e_epochs=2, e2e_lr=1e-5)
     models = base_models(ds, training)
-    phase, roots = ["train"], []
+    phase, roots, at_root = ["train"], [], [False]
     real_solve, real_evaluate = bnb.solve_lp, valuation.evaluate_cost
+    real_node = bnb.subproblem_for_trail
+
+    def node(problem, trail):
+        at_root[0] = not trail        # a search's root
+        return real_node(problem, trail)
 
     def solve(lp, M, engine, warm=False):
-        if warm is not True:          # a search's root
+        if at_root[0]:
             roots.append((phase[0], warm))
         return real_solve(lp, M, engine=engine, warm=warm)
 
@@ -571,12 +576,13 @@ def test_training_roots_are_warm_after_each_epochs_first_day(monkeypatch):
         finally:
             phase[0] = "train"
 
+    monkeypatch.setattr(bnb, "subproblem_for_trail", node)
     monkeypatch.setattr(bnb, "solve_lp", solve)
     monkeypatch.setattr(valuation, "evaluate_cost", pricing)
     train_end_to_end(parse_coalition("ehc"), models, ds, hub, training,
                      mode="joint")
     priced = [("price", False)] * (ds.days - 1)
-    epoch = [("train", False)] + [("train", "root")] * (ds.days - 2)
+    epoch = [("train", False)] + [("train", True)] * (ds.days - 2)
     assert roots == priced + (epoch + priced) * training.e2e_epochs
 
 
@@ -608,7 +614,7 @@ def test_warm_training_roots_keep_the_ledger_bitwise(seed, mode,
                                                      monkeypatch):
     # the experiment hub at 6 training and 3 test days, 2 epochs: warm
     # training roots against every root solved cold
-    from mesval import bnb
+    from mesval import valuation
     from mesval.config import ExperimentConfig, dataset_from_config
     from mesval.hub import load_hub_config
     config = ExperimentConfig(
@@ -617,10 +623,10 @@ def test_warm_training_roots_keep_the_ledger_bitwise(seed, mode,
     ds = dataset_from_config(config)
     hub = load_hub_config(config.hub_path())
     warm = full_valuation(ds, config, hub=hub)
-    real_solve = bnb.solve_lp
-    monkeypatch.setattr(bnb, "solve_lp", lambda lp, M, engine, warm=False:
-                        real_solve(lp, M, engine=engine,
-                                   warm=warm is True))
+    real_search = valuation.embedded_gradient
+    monkeypatch.setattr(valuation, "embedded_gradient",
+                        lambda *args, **kwargs: real_search(
+                            *args, **{**kwargs, "warm_root": False}))
     cold = full_valuation(ds, config, hub=hub)
     assert ledger_rows(warm.ledger) == ledger_rows(cold.ledger)
     assert warm.allocation == cold.allocation
