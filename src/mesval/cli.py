@@ -104,11 +104,7 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 
 def _out_dir(config_dir: Path) -> Path:
-    try:
-        config_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {config_dir}: "
-                          f"{exc.strerror}") from exc
+    config_dir.mkdir(parents=True, exist_ok=True)
     return config_dir
 
 
@@ -461,6 +457,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ConfigError, HubConfigError, ValuationError) as exc:
         print(_qualified(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:    # an output path that cannot be made or written
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, ForecastError, DispatchBuildError) as exc:
         print(_qualified(exc), file=sys.stderr)

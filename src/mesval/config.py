@@ -13,10 +13,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .data import DayDataset, DataError, load_series_csv, synth_data
-from .hub import YamlLoader
+from .hub import read_yaml_mapping
 from .lstm import TrainingConfig
 
 MODES = ("sequential", "joint")
@@ -85,21 +84,7 @@ class ExperimentConfig:
 
 def read_config_file(path) -> dict:
     """The mapping a YAML config file holds; an empty file holds {}."""
-    path = Path(path)
-    try:
-        raw = yaml.load(path.read_text(encoding="utf-8"),
-                        Loader=YamlLoader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"bad YAML in {path}: {exc}") from exc
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} does not hold a mapping")
-    return raw
+    return read_yaml_mapping(path, ConfigError)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -55,7 +55,8 @@ class HubConfigError(ValueError):
 class YamlLoader(yaml.SafeLoader):
     """``yaml.SafeLoader`` that also reads YAML 1.2 floats written with an
     exponent that YAML 1.1 leaves as strings (``1e-3``, ``5E-4``,
-    ``6e3``); hub and experiment config files are both read with it."""
+    ``6e3``); :func:`read_yaml_mapping` reads hub and experiment config
+    files with it."""
 
 
 YamlLoader.add_implicit_resolver(
@@ -499,22 +500,32 @@ class HubConfig:
                                      f"carrier {i.carrier!r}")
 
 
-def load_hub_config(path) -> HubConfig:
-    """Read a hub YAML file. An unreadable file, bad YAML, an unknown,
-    misspelled or missing key, a value of the wrong type, or an invalid
-    hub raises :class:`HubConfigError` naming the file."""
+def read_yaml_mapping(path, error) -> dict:
+    """The mapping a UTF-8 YAML file holds, read with :class:`YamlLoader`;
+    an empty file holds {}. An unreadable file, bytes that are not UTF-8,
+    bad YAML or a top-level value that is not a mapping raise ``error``
+    naming the file. Hub and experiment config files are read here."""
     try:
         with open(Path(path), encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=YamlLoader)
     except OSError as exc:
-        raise HubConfigError(f"{path}: cannot read hub file "
-                             f"({exc.strerror})") from exc
+        raise error(f"{path}: cannot read file ({exc.strerror})") from exc
     except UnicodeDecodeError as exc:
-        raise HubConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise HubConfigError(f"{path}: not valid YAML: {exc}") from exc
+        raise error(f"{path}: not valid YAML: {exc}") from exc
+    if data is None:
+        return {}
     if not isinstance(data, dict):
-        raise HubConfigError(f"{path}: expected a mapping at top level")
+        raise error(f"{path}: expected a mapping at top level")
+    return data
+
+
+def load_hub_config(path) -> HubConfig:
+    """Read a hub YAML file. An unreadable file, bad YAML, an unknown,
+    misspelled or missing key, a value of the wrong type, or an invalid
+    hub raises :class:`HubConfigError` naming the file."""
+    data = read_yaml_mapping(path, HubConfigError)
     try:
         return HubConfig.from_dict(data)
     except KeyError as exc:

@@ -41,11 +41,14 @@ than one pivots in lockstep: each step takes the stacked reduced costs,
 runs the ratio test and the smallest-basis-index leaving rule per item, and
 applies :func:`_pivot`'s operations to the whole stack, so each item makes
 the pivots, and the arithmetic, it would make alone. Items leave the stack
-once optimal or unbounded. The rare steps run for the item concerned: the
-tiny-pivot rebuild, driving leftover artificials out, and dropping dependent
-rows, after which the item finishes on its own. A group of one runs the
-2-D loop. A numerical breakdown of one item is stored in its slot, not
-raised. :func:`solve_lp` with this engine is a batch of one that raises it.
+once optimal or unbounded. Every rare step runs for the item concerned
+alone, on the 2-D loop: an item whose entering column has only tiny
+positive entries leaves the stack too, and the 2-D loop rebuilds its
+tableau and finishes it within the iterations it has left; driving leftover
+artificials out and dropping dependent rows also leave the item to finish
+on its own. A group of one runs the 2-D loop. A numerical breakdown of one
+item is stored in its slot, not raised. :func:`solve_lp` with this engine
+is a batch of one that raises it.
 
 ``engine="highs"``: HiGHS behind the same contract, through the binding
 scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). One solver per
@@ -156,13 +159,6 @@ class LinearProgram:
         self._param_index: dict[str, int] = {}
         self._rows: list[tuple[str, dict[str, float], str, float, dict[str, float]]] = []
         self._row_names: set[str] = set()
-        self._constant: float = 0.0
-
-    def add_constant(self, value: float) -> None:
-        """Add a fixed offset to the objective (accumulates)."""
-        if not np.isfinite(value):
-            raise LPBuildError("non-finite objective constant")
-        self._constant += float(value)
 
     def add_param(self, name: str) -> int:
         if name in self._param_index:
@@ -366,7 +362,7 @@ def to_standard_form(prog: LinearProgram) -> LPStandardForm:
     A_f = np.array(ineq_rows, dtype=float).reshape(len(ineq_rows), n)
     A_h = np.array(eq_rows, dtype=float).reshape(len(eq_rows), n)
     return LPStandardForm(
-        c=c, c0=prog._constant,
+        c=c, c0=0.0,
         A_f=A_f, b_f0=np.array(ineq_rhs, dtype=float),
         B_f=np.array(ineq_par, dtype=float).reshape(len(ineq_rows), p),
         A_h=A_h, b_h0=np.array(eq_rhs, dtype=float),
@@ -415,7 +411,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
     basis[i] = j
 
 
-def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
+def _bland_loop(T, basis, cost, allowed, max_iter, refresh):
     """Run Bland iterations in place. Returns 'optimal' or 'unbounded'."""
     N = T.shape[1] - 1
     if N == 0:
@@ -424,12 +420,12 @@ def _bland_loop(T, basis, cost, allowed, tol, pivot_tol, max_iter, refresh):
     for _ in range(max_iter):
         red = cost - cost[basis] @ T[:, :N]
         red[basis] = 0.0
-        mask = allowed & (red < -tol)
+        mask = allowed & (red < -_ENTER_TOL)
         j = int(mask.argmax())
         if not mask[j]:
             return "optimal"
         col = T[:, j]
-        pos = col > pivot_tol
+        pos = col > PIVOT_TOL
         if not pos.any():
             if (col > 0.0).any() and not retried:
                 refresh(T, basis)  # tiny pivots only: rebuild and retry once
@@ -459,13 +455,15 @@ def _lockstep_pivot(W: np.ndarray, basis: np.ndarray, i: np.ndarray,
     basis[k, i] = j
 
 
-def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
-    """:func:`_bland_loop` over a stack ``T`` (K, rows, N+1) with bases
-    ``basis`` (K, rows), in place. Each item takes the steps and the
-    arithmetic the 2-D loop takes on it alone, and leaves the stack once
-    it is optimal or unbounded. ``refresh_of(items[k])`` rebuilds item k.
-    Returns one outcome per item: 'optimal', 'unbounded' or the
-    :class:`LPNumericalError` that stopped it."""
+def _lockstep_loop(T, basis, cost, allowed) -> list:
+    """:func:`_bland_loop`'s common pivot over a stack ``T`` (K, rows, N+1)
+    with bases ``basis`` (K, rows), in place. Each item takes the steps and
+    the arithmetic the 2-D loop takes on it alone, and leaves the stack once
+    it is optimal or unbounded, or once its entering column has only tiny
+    positive entries. Returns one outcome per item: 'optimal', 'unbounded',
+    the :class:`LPNumericalError` that stopped it, or, for an item that met
+    tiny pivots, the number of iterations it has left: the 2-D loop takes
+    it from there (see :func:`_bland_phase`)."""
     K, _, width = T.shape
     N = width - 1
     if N == 0:
@@ -473,8 +471,7 @@ def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
     out: list = [None] * K
     at = np.arange(K)        # the stack position of each working tableau
     W, B = T, basis
-    retried = np.zeros(K, dtype=bool)
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER):
         k = np.arange(at.size)
         red = cost - (cost[B][:, None, :] @ W[:, :, :N])[:, 0]
         red[k[:, None], B] = 0.0
@@ -483,21 +480,12 @@ def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
         done = ~mask[k, j]
         col = W[k, :, j]
         pos = col > PIVOT_TOL
-        stuck = ~(done | pos.any(axis=1))
-        tiny = stuck & ~retried & (col > 0.0).any(axis=1)
-        gone = done | stuck
-        for t in np.flatnonzero(tiny):  # tiny pivots only: rebuild, retry once
-            try:
-                refresh_of(items[at[t]])(W[t], B[t])
-            except LPNumericalError as exc:
-                out[at[t]] = exc
-            else:
-                gone[t] = False
-                retried[t] = True
+        gone = done | ~pos.any(axis=1)
         if gone.any():
+            tiny = (col > 0.0).any(axis=1)
             for t in np.flatnonzero(gone):
-                if out[at[t]] is None:
-                    out[at[t]] = "optimal" if done[t] else "unbounded"
+                out[at[t]] = ("optimal" if done[t] else
+                              MAX_ITER - it if tiny[t] else "unbounded")
             T[at[gone]] = W[gone]
             basis[at[gone]] = B[gone]
             stay = ~gone
@@ -505,19 +493,11 @@ def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
                 return out
             W, B, at = W[stay], B[stay], at[stay]
             j, col, pos = j[stay], col[stay], pos[stay]
-            tiny, retried = tiny[stay], retried[stay]
         ratios = np.where(pos, W[:, :, -1] / np.where(pos, col, 1.0), np.inf)
         best = ratios.min(axis=1, keepdims=True)
         ties = ratios <= best + 1e-12 * (1.0 + np.abs(best))
         i = np.where(ties, B, N).argmin(axis=1)   # smallest basic column
-        if tiny.any():     # the rebuilt items pivot on the next iteration
-            go = ~tiny
-            Wg, Bg = W[go], B[go]
-            _lockstep_pivot(Wg, Bg, i[go], j[go])
-            W[go], B[go] = Wg, Bg
-        else:
-            _lockstep_pivot(W, B, i, j)
-        retried &= tiny    # a pivot re-arms an item's rebuild
+        _lockstep_pivot(W, B, i, j)
     for t in range(at.size):
         out[at[t]] = LPNumericalError("simplex iteration limit exceeded")
     T[at], basis[at] = W, B
@@ -525,16 +505,23 @@ def _lockstep_loop(T, basis, cost, allowed, refresh_of, items) -> list:
 
 
 def _bland_phase(T, basis, cost, allowed, refresh_of, items) -> list:
-    """One simplex phase on a stack of tableaux: the 2-D loop on a stack of
-    one, the lockstep loop on more. One outcome per item, as
-    :func:`_lockstep_loop` returns them."""
-    if T.shape[0] == 1:
-        try:
-            return [_bland_loop(T[0], basis[0], cost, allowed, _ENTER_TOL,
-                                PIVOT_TOL, MAX_ITER, refresh_of(items[0]))]
-        except LPNumericalError as exc:
-            return [exc]
-    return _lockstep_loop(T, basis, cost, allowed, refresh_of, items)
+    """One simplex phase on a stack of tableaux. A stack of more than one
+    runs the common pivots in lockstep; the 2-D loop runs a stack of one,
+    and finishes each item the lockstep hands back within the iterations
+    it has left, rebuilding the item's tableau through
+    ``refresh_of(items[k])`` when only tiny pivots remain. One outcome per
+    item: 'optimal', 'unbounded' or the :class:`LPNumericalError` that
+    stopped it."""
+    outcomes = ([MAX_ITER] if T.shape[0] == 1
+                else _lockstep_loop(T, basis, cost, allowed))
+    for k, left in enumerate(outcomes):
+        if isinstance(left, int):
+            try:
+                outcomes[k] = _bland_loop(T[k], basis[k], cost, allowed,
+                                          left, refresh_of(items[k]))
+            except LPNumericalError as exc:
+                outcomes[k] = exc
+    return outcomes
 
 
 def _bland_solution(folded: LPStandardForm, T, basis, cost2, unit,

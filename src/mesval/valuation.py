@@ -213,33 +213,24 @@ def normalize_allocation(raw: Mapping, total_value: float,
 # cost evaluation
 # ---------------------------------------------------------------------------
 
-def _forecast_day(models: Mapping, prev_loads: np.ndarray,
-                  dow: int) -> tuple:
-    """The day's forecasts, one row per sector, and the input window each
-    sector's forecaster read."""
-    rows, windows = [], []
-    for i, sector in enumerate(SECTORS):
-        m = models[sector]
-        windows.append(build_window(prev_loads[i], dow, m.norm, m.window))
-        rows.append(forward_day(m, windows[-1]))
-    return np.vstack(rows), windows
+def _split_windows(models, dataset: DayDataset) -> list:
+    """Each forecastable day's input window, per sector:
+    ``windows[i][d - 1]`` is what sector i's forecaster reads for day d,
+    day d-1's loads and weekday."""
+    return [[build_window(dataset.loads[d - 1, i], int(dataset.dows[d - 1]),
+                          models[sector].norm, models[sector].window)
+             for d in range(1, dataset.days)]
+            for i, sector in enumerate(SECTORS)]
 
 
 def _forecast_split(models, dataset: DayDataset) -> np.ndarray:
     """Forecasts of every forecastable day, ``(days - 1, sectors, 24)``:
-    all of a sector's windows go through its forecaster in one batch,
-    which equals :func:`_forecast_day` day by day, bit for bit."""
+    all of a sector's windows go through its forecaster in one batch."""
     if models is ORACLE_FORECASTS:
         return dataset.loads[1:]
-    days = range(1, dataset.days)
-    rows = []
-    for i, sector in enumerate(SECTORS):
-        m = models[sector]
-        windows = [build_window(dataset.loads[d - 1, i],
-                                int(dataset.dows[d - 1]), m.norm, m.window)
-                   for d in days]
-        rows.append(forward_days(m, windows))
-    return np.stack(rows, axis=1)
+    windows = _split_windows(models, dataset)
+    return np.stack([forward_days(models[sector], windows[i])
+                     for i, sector in enumerate(SECTORS)], axis=1)
 
 
 def _check_models(models) -> None:
@@ -332,15 +323,16 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
 
     Every training day solves the joint problem once and takes the cost
     gradient with respect to the forecast slots; only sectors in ``U``
-    step, each from the input window its forecast read. The first training
-    day of each epoch solves its root cold; every later day of the epoch
-    asks for a warm root (``warm_root``), which HiGHS re-solves from the
-    basis the day before left, the same joint template at another ``M``.
-    No warm start crosses an epoch's pricing or outlives the call, so the
-    result depends only on the arguments. The returned
-    parameters are the best epoch by training-split cost, the untrained
-    starting point included, so the result never prices worse than the
-    benchmark on that split.
+    step, each from the input window its forecast read. The windows are
+    built once per call, by the same per-split builder pricing uses, and
+    serve every epoch. The first training day of each epoch solves its
+    root cold; every later day of the epoch asks for a warm root
+    (``warm_root``), which HiGHS re-solves from the basis the day before
+    left, the same joint template at another ``M``. No warm start crosses
+    an epoch's pricing or outlives the call, so the result depends only on
+    the arguments. The returned parameters are the best epoch by
+    training-split cost, the untrained starting point included, so the
+    result never prices worse than the benchmark on that split.
 
     A training day whose joint solve is not optimal (an overshooting step
     can push forecasts beyond what the hub can commit to) is logged and
@@ -363,6 +355,9 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     members = [(i, sector) for i, sector in enumerate(SECTORS)
                if _letter(sector) in U]
     horizon = hub.horizon
+    # a step changes a forecaster's weights, never its norm or window, so
+    # the windows built once serve every epoch
+    windows = _split_windows(models, dataset)
 
     best = dict(current)
     if start_cost is None:
@@ -372,11 +367,9 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
         best_cost = start_cost
     for epoch in range(training.e2e_epochs):
         for d in range(1, dataset.days):
-            prev = dataset.loads[d - 1]
-            dow = int(dataset.dows[d - 1])
-            act = dataset.loads[d]
-            fc, windows = _forecast_day(current, prev, dow)
-            prob = build_joint(fc, act, hub)
+            fc = np.vstack([forward_day(current[sector], windows[i][d - 1])
+                            for i, sector in enumerate(SECTORS)])
+            prob = build_joint(fc, dataset.loads[d], hub)
             res, grad = embedded_gradient(prob.milp, prob.M0, engine=engine,
                                           round_repair=storage_repair(prob),
                                           warm_root=d > 1)
@@ -390,7 +383,8 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             slope = slope.reshape(len(SECTORS), horizon)
             for i, sector in members:
                 current[sector] = apply_external_gradient(
-                    current[sector], slope[i], windows[i], training.e2e_lr)
+                    current[sector], slope[i], windows[i][d - 1],
+                    training.e2e_lr)
         try:
             cost = evaluate_cost(current, dataset, hub, mode, engine,
                                  on_dispatch)

@@ -434,16 +434,40 @@ def _non_utf8(path, text):
     return str(path)
 
 
+def _squatted(tmp, artifact):
+    """An output directory in which a directory holds ``artifact``'s name."""
+    out = tmp / f"squat_{artifact}"
+    (out / artifact).mkdir(parents=True)
+    return str(out)
+
+
 def _bad_path_cases(tmp, config):
     """(label, argv, documented exit code) for each reader given a file
-    that is not UTF-8, and each subcommand given an output path that
-    cannot be a directory: an existing file, or a path below one."""
+    that is not UTF-8, each subcommand given an output path that cannot be
+    a directory (an existing file, or a path below one), and each
+    subcommand whose output directory holds a directory under the name of
+    one of its artifacts."""
     blocker = tmp / "blocker"
     blocker.write_text("a file, not a directory\n")
     exp = ["--config", str(config), "--train-days", "2", "--test-days", "1"]
     series = tmp / "series.csv"
     write_series_csv(synth_data(seed=4, days=3), series)
     return [
+        ("synth artifact", ["synth", "--days", "1", "--out",
+                            _squatted(tmp, "synthetic_loads.csv")], 1),
+        ("gradcheck artifact", ["gradcheck", "--quick", "--out",
+                                _squatted(tmp, "gradcheck_report.csv")], 1),
+        ("train-base artifact", ["train-base", *exp, "--out",
+                                 _squatted(tmp, "training_trace.csv")], 1),
+        ("run-fto artifact", ["run-fto", *exp, "--out",
+                              _squatted(tmp, "fto_monthly_costs.csv")], 1),
+        ("train-e2e artifact", ["train-e2e", *exp, "--coalition", "e",
+                                "--out", _squatted(
+                                    tmp, "model_e2e_e_electricity.npz")], 1),
+        ("valuate artifact", ["valuate", *exp, "--out",
+                              _squatted(tmp, "valuation_ledger.csv")], 1),
+        ("metrics artifact", ["metrics", *exp, "--out",
+                              _squatted(tmp, "metrics_summary.txt")], 1),
         ("config yaml", ["train-base", "--config", _non_utf8(
             tmp / "config_ff.yaml", config.read_text())], 1),
         ("hub yaml", ["run-fto", *exp, "--hub", _non_utf8(

@@ -586,7 +586,7 @@ def test_bland_batch_matches_the_reference_bitwise():
     assert outcomes.count("optimal") >= 3 and "infeasible" in outcomes
     assert len(_sign_patterns(dependent, Ms)) >= 3
 
-    # the tiny-pivot refresh in the lockstep loop: unbounded after the
+    # items that meet tiny pivots in a lockstep batch: unbounded after the
     # rebuild where 1e-11 x0 <= 1 + m0 has b >= 0, infeasible within
     # tolerance where it has b < 0 (an LP's recession cone does not move
     # with b, so no item of it is optimal)
@@ -598,15 +598,9 @@ def test_bland_batch_matches_the_reference_bitwise():
     assert outcomes == ["unbounded", "unbounded", "infeasible", "unbounded",
                         "unbounded", "infeasible"]
     # here the items reach the tiny column after different numbers of
-    # pivots, so one iteration rebuilds some items while the others pivot
-    staggered = _parametric([((-0.6, -1.4, 0.0), "<=", 0.3, {0: 1.0}),
-                             ((1.0, -2.2, 0.0), "<=", 0.3, {1: 1.0}),
-                             ((-2.1, 0.2, 0.0), "<=", 0.5, {0: 1.0}),
-                             ((0.0, 0.0, 1e-11), "<=", 1.0, {})],
-                            (-2.1, 0.1, -1.0), 2,
-                            [(-2.0, 2.0), (-2.0, 2.0), (None, None)])
+    # pivots, so some leave the stack while the others pivot on
     Ms = np.array([[3.6, 0.2], [0.8, 2.9], [1.6, 0.6], [1.0, 1.7]])
-    assert _assert_batch_matches(staggered, Ms, _solve_bland) == [
+    assert _assert_batch_matches(_staggered_tiny_lp(), Ms, _solve_bland) == [
         "unbounded"] * 4
 
     # the tiny-pivot refresh after a dropped dependent row, which the
@@ -621,6 +615,41 @@ def test_bland_batch_matches_the_reference_bitwise():
     assert outcomes == ["unbounded", "unbounded", "infeasible", "unbounded"]
     with pytest.raises(LPNumericalError, match="singular"):
         _solve_bland(tiny_dead, Ms[0])
+
+
+def _staggered_tiny_lp():
+    # the items of a batch reach the tiny entering column (x2) after
+    # different numbers of pivots, and then leave the lockstep
+    return _parametric([((-0.6, -1.4, 0.0), "<=", 0.3, {0: 1.0}),
+                        ((1.0, -2.2, 0.0), "<=", 0.3, {1: 1.0}),
+                        ((-2.1, 0.2, 0.0), "<=", 0.5, {0: 1.0}),
+                        ((0.0, 0.0, 1e-11), "<=", 1.0, {})],
+                       (-2.1, 0.1, -1.0), 2,
+                       [(-2.0, 2.0), (-2.0, 2.0), (None, None)])
+
+
+def test_tiny_pivot_item_keeps_its_iteration_limit(monkeypatch):
+    # an item that leaves the lockstep at its tiny column after j pivots
+    # finishes on the 2-D loop within the limit it had left, so at every
+    # limit it stops, or not, where its batch-of-one solve does
+    from mesval import lp as lp_module
+    lp = _staggered_tiny_lp()
+    Ms = np.array([[3.6, 0.2], [0.8, 2.9], [1.6, 0.6], [1.0, 1.7]])
+    assert len(_sign_patterns(lp, Ms)) == 1     # one stack of four
+    seen = set()
+    for limit in range(1, 9):
+        monkeypatch.setattr(lp_module, "MAX_ITER", limit)
+        got = solve_bland_batch(lp, Ms)
+        for k, sol in enumerate(got):
+            alone = solve_bland_batch(lp, Ms[k:k + 1])[0]
+            if isinstance(alone, LPNumericalError):
+                assert isinstance(sol, LPNumericalError), (limit, k)
+                assert str(sol) == str(alone)
+                seen.add("limit")
+            else:
+                _assert_same_solution(sol, alone)
+                seen.add(sol.status)
+    assert seen == {"limit", "unbounded"}
 
 
 def _phase1_breakdown_lp():

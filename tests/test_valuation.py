@@ -422,14 +422,18 @@ def test_infeasible_day_names_day_and_stage():
 @pytest.mark.parametrize("days", [5, 2])
 def test_split_forecasts_equal_the_per_day_rows_bitwise(days):
     # one batch per sector over the split; two days is a batch of one
-    from mesval.valuation import _forecast_day, _forecast_split
+    from mesval.lstm import build_window, forward_day
+    from mesval.valuation import _forecast_split
     ds = small_dataset(days=5)
     models = base_models(ds, tiny_training())
     split = ds.slice(0, days)
     got = _forecast_split(models, split)
-    want = np.stack([_forecast_day(models, split.loads[d - 1],
-                                   int(split.dows[d - 1]))[0]
-                     for d in range(1, split.days)])
+    want = np.stack([
+        np.vstack([forward_day(m, build_window(split.loads[d - 1, i],
+                                               int(split.dows[d - 1]),
+                                               m.norm, m.window))
+                   for i, m in enumerate(models[s] for s in SECTORS)])
+        for d in range(1, split.days)])
     assert got.shape == want.shape == (days - 1, len(SECTORS), 24)
     assert got.tobytes() == want.tobytes()
 
@@ -495,8 +499,9 @@ def test_training_updates_only_coalition_members():
 
 
 def test_training_steps_members_from_the_forecast_windows(monkeypatch):
-    # each training day builds one input window per sector, for the
-    # forecast, and the members step from those same windows
+    # training builds one input window per sector and day, once per call;
+    # every epoch forecasts from those windows, and the members step from
+    # the very objects their forecasts read
     from mesval import valuation
     hub = flat_hub()
     ds = small_dataset(days=4)
@@ -509,22 +514,32 @@ def test_training_steps_members_from_the_forecast_windows(monkeypatch):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    stepped = []
+    read, stepped = [], []
+    real_forward = valuation.forward_day
     real_step = valuation.apply_external_gradient
+
+    def forward(model, window):
+        read.append(window)
+        return real_forward(model, window)
 
     def step(model, slope, window, lr):
         stepped.append(window)
         return real_step(model, slope, window, lr)
 
     monkeypatch.setattr(valuation, "build_window", counting)
+    monkeypatch.setattr(valuation, "forward_day", forward)
     monkeypatch.setattr(valuation, "apply_external_gradient", step)
     monkeypatch.setattr(valuation, "evaluate_cost", lambda *a, **k: 0.0)
     train_end_to_end(parse_coalition("ehc"), models, ds, hub, training,
                      mode="joint", start_cost=1.0)
-    days = training.e2e_epochs * (ds.days - 1)
+    days = ds.days - 1
     assert len(built) == len(SECTORS) * days
-    assert len(stepped) == len(SECTORS) * days
-    assert all(w is b for w, b in zip(stepped, built))
+    # (sector, day) order: sector i's window for day d is built[i*days+d-1]
+    once = [built[i * days + d] for d in range(days)
+            for i in range(len(SECTORS))]
+    assert len(read) == len(stepped) == training.e2e_epochs * len(once)
+    assert all(w is b for w, b in zip(read, once * training.e2e_epochs))
+    assert all(w is b for w, b in zip(stepped, once * training.e2e_epochs))
 
 
 def test_training_snapshot_never_worse_on_train_split():
