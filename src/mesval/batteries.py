@@ -13,8 +13,8 @@ reference on freshly generated instances:
   * lstm-bptt: backpropagation through time vs central finite differences
     over every parameter tensor.
 
-The batteries are deterministic per seed and power both the ``gradcheck``
-command and the acceptance tests.
+Battery k (1-4 in the order above) draws its instances from ``SEED + k``;
+the batteries power both the ``gradcheck`` command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ EQUIVALENCE_TOL = 1e-12    # embedded vs re-solved gradient
 BPTT_REL_TOL = 1e-4        # backward pass vs finite differences
 BPTT_STEP = 1e-5           # finite-difference step on an LSTM weight
 
+SEED = 700                 # battery k draws from SEED + k
+KEEP_NOTES = 5             # failure notes kept per battery
+
 
 @dataclass(frozen=True)
 class BatteryResult:
@@ -81,19 +84,18 @@ class BatteryResult:
 
 
 class _Tally:
-    def __init__(self, keep: int = 5):
+    def __init__(self):
         self.checks = 0
         self.failed = 0
         self.worst = 0.0
         self.notes = []
-        self._keep = keep
 
     def check(self, err: float, limit: float, label: str) -> None:
         self.checks += 1
         self.worst = max(self.worst, float(err))
         if err > limit:
             self.failed += 1
-            if len(self.notes) < self._keep:
+            if len(self.notes) < KEEP_NOTES:
                 self.notes.append(f"{label}: {err:.3e} > {limit:.1e}")
 
     def result(self, name: str, n_instances: int,
@@ -162,10 +164,9 @@ def random_milp(rng: np.random.Generator, max_binaries: int = 10):
 # batteries
 # ---------------------------------------------------------------------------
 
-def lp_gradient_battery(n_instances: int = 100,
-                        seed: int = 701) -> BatteryResult:
+def lp_gradient_battery(n_instances: int = 100) -> BatteryResult:
     """Analytic cost slopes vs finite differences and the dual envelope."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED + 1)
     tally = _Tally()
     t0 = time.perf_counter()
     for i in range(n_instances):
@@ -190,10 +191,9 @@ def lp_gradient_battery(n_instances: int = 100,
                         time.perf_counter() - t0)
 
 
-def milp_optimality_battery(n_instances: int = 100,
-                            seed: int = 702) -> BatteryResult:
+def milp_optimality_battery(n_instances: int = 100) -> BatteryResult:
     """Branch and bound vs brute-force enumeration."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED + 2)
     tally = _Tally()
     t0 = time.perf_counter()
     for i in range(n_instances):
@@ -211,10 +211,9 @@ def milp_optimality_battery(n_instances: int = 100,
                         time.perf_counter() - t0)
 
 
-def equivalence_battery(n_instances: int = 50,
-                        seed: int = 703) -> BatteryResult:
+def equivalence_battery(n_instances: int = 50) -> BatteryResult:
     """Search-embedded gradient vs differentiating the finished search."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED + 3)
     tally = _Tally()
     t0 = time.perf_counter()
     for i in range(n_instances):
@@ -234,13 +233,13 @@ def equivalence_battery(n_instances: int = 50,
                         time.perf_counter() - t0)
 
 
-def bptt_battery(n_configs: int = 20, seed: int = 704) -> BatteryResult:
+def bptt_battery(n_configs: int = 20) -> BatteryResult:
     """Exact backward pass vs central finite differences, all parameters.
 
     The normalization window keeps every forecast strictly positive so the
     output clamp never kinks the finite differences.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED + 4)
     tally = _Tally()
     t0 = time.perf_counter()
     for i in range(n_configs):
@@ -285,12 +284,12 @@ def _fd_slots(model: ForecastModel, name: str, window, dloss,
     return [(loss[k] - loss[n + k]) / (2.0 * h) for k in range(n)]
 
 
-def run_all_batteries(quick: bool = False, seed: int = 700) -> list:
+def run_all_batteries(quick: bool = False) -> list:
     """Every battery at acceptance sizes (or a fifth of them for quick)."""
     scale = 5 if quick else 1
     return [
-        lp_gradient_battery(max(100 // scale, 5), seed=seed + 1),
-        milp_optimality_battery(max(100 // scale, 5), seed=seed + 2),
-        equivalence_battery(max(50 // scale, 5), seed=seed + 3),
-        bptt_battery(max(20 // scale, 2), seed=seed + 4),
+        lp_gradient_battery(max(100 // scale, 5)),
+        milp_optimality_battery(max(100 // scale, 5)),
+        equivalence_battery(max(50 // scale, 5)),
+        bptt_battery(max(20 // scale, 2)),
     ]

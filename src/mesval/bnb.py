@@ -22,7 +22,9 @@ Search rules, all deliberately plain:
   * the floor child is explored before the ceil child (LIFO stack, ceil
     pushed first);
   * every integer variable must carry finite bounds, which makes the tree
-    finite without any extra termination argument.
+    finite without any extra termination argument;
+  * a search past ``MAX_NODES`` nodes raises :class:`NodeLimitError`; the
+    budget is a module constant, read when the search runs.
 
 ``round_repair`` adds one shortcut on top of those rules: before branching
 a fractional node, a callable ``(node_lp, M, sol, int_idx) -> point or
@@ -198,8 +200,7 @@ def _verified_point(node_lp, b_f, b_h, sol, z, ints):
 
 
 def branch_and_bound(problem: MILPProblem, M: np.ndarray,
-                     engine: str = "bland", max_nodes: int = MAX_NODES,
-                     node_log: list | None = None,
+                     engine: str = "bland", node_log: list | None = None,
                      round_repair=False, warm_root: bool = False
                      ) -> MILPResult:
     """Solve the integer-constrained problem at parameter vector ``M``.
@@ -223,8 +224,8 @@ def branch_and_bound(problem: MILPProblem, M: np.ndarray,
         trail, parent_bound = stack.pop()
         if not parent_bound < best_obj:
             continue
-        if count >= max_nodes:
-            raise NodeLimitError(f"node budget {max_nodes} exhausted")
+        if count >= MAX_NODES:
+            raise NodeLimitError(f"node budget {MAX_NODES} exhausted")
         count += 1
         node_lp = subproblem_for_trail(problem, trail)
         sol = solve_lp(node_lp, M, engine=engine,
@@ -299,8 +300,7 @@ def _node_gradient(node_lp, M, sol) -> GradientResult:
 
 
 def embedded_gradient(problem: MILPProblem, M: np.ndarray,
-                      engine: str = "bland", max_nodes: int = MAX_NODES,
-                      node_log: list | None = None,
+                      engine: str = "bland", node_log: list | None = None,
                       round_repair=False, warm_root: bool = False
                       ) -> tuple[MILPResult, GradientResult | None]:
     """Search, then differentiate the winning node's relaxation once.
@@ -311,8 +311,8 @@ def embedded_gradient(problem: MILPProblem, M: np.ndarray,
     is passed to :func:`branch_and_bound`.
     """
     M = np.asarray(M, dtype=float)
-    result = branch_and_bound(problem, M, engine, max_nodes, node_log,
-                              round_repair, warm_root)
+    result = branch_and_bound(problem, M, engine, node_log, round_repair,
+                              warm_root)
     if result.status != "optimal":
         return result, None
     return result, _node_gradient(result.subproblem, M, result.relaxation)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .config import (ConfigError, ExperimentConfig,
                      series_from_config, split_dataset)
 from .data import DataError, DayDataset, write_series_csv
 from .dispatch import DispatchBuildError, verify_dispatch
-from .hub import SECTORS, HubConfigError, load_hub_config
+from .hub import HORIZON, SECTORS, HubConfigError, load_hub_config
 from .lp import LPNumericalError
 from .lstm import ForecastError, save_model
 from .valuation import (LETTERS, DispatchInfeasible, ValuationError,
@@ -98,14 +99,20 @@ def _table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _emit(out_dir: Path, name: str, text: str) -> None:
-    (out_dir / name).write_text(text + "\n", encoding="utf-8")
+def _emit(path: Path, text: str) -> None:
+    path.write_text(text + "\n", encoding="utf-8")
     print(text)
 
 
-def _out_dir(config_dir: Path) -> Path:
-    config_dir.mkdir(parents=True, exist_ok=True)
-    return config_dir
+def _artifacts(out_dir: Path, *names) -> list:
+    """A subcommand's artifact paths in ``out_dir``, made if missing; a name
+    held by a directory fails here, before the work, not after it."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    return paths
 
 
 def _money(x: float) -> str:
@@ -124,7 +131,7 @@ def _config_from_args(args) -> ExperimentConfig:
         base_dir = Path(args.config).resolve().parent
     overrides = {
         "seed": args.seed, "hub": args.hub, "mode": args.mode,
-        "engine": args.engine, "data_csv": args.data,
+        "data_csv": args.data,
         "train_days": args.train_days, "test_days": args.test_days,
         "output_dir": args.out,
     }
@@ -143,7 +150,7 @@ def _experiment_inputs(config: ExperimentConfig):
 
 
 def _month_of(series, absolute_day: int) -> str:
-    return str(series.timestamps[24 * absolute_day])[:7]
+    return str(series.timestamps[HORIZON * absolute_day])[:7]
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +162,10 @@ def cmd_synth(args) -> int:
         raise ConfigError("--days must be at least 1")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    out = _out_dir(Path(args.out))
+    csv_path, summary = _artifacts(Path(args.out), "synthetic_loads.csv",
+                                   "synth_summary.txt")
     from .data import synth_data
     series = synth_data(seed=args.seed, days=args.days)
-    csv_path = out / "synthetic_loads.csv"
     write_series_csv(series, csv_path)
     rows = []
     for i, sector in enumerate(SECTORS):
@@ -170,24 +177,24 @@ def cmd_synth(args) -> int:
         f"({series.loads.shape[1]} hours) -> {csv_path}",
         _table(("sector", "min kW", "mean kW", "max kW"), rows),
     ])
-    _emit(out, "synth_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
 def cmd_train_base(args) -> int:
     config = _config_from_args(args)
+    trace_csv, summary, *model_paths = _artifacts(
+        config.output_dir, "training_trace.csv", "train_base_summary.txt",
+        *(f"model_base_{sector}.npz" for sector in SECTORS))
     _, _, train, _ = _experiment_inputs(config)
-    out = _out_dir(config.output_dir)
     models, traces = train_base_models(train, config)
     trace_rows = []
     for sector in SECTORS:
         for epoch, loss in enumerate(traces[sector]):
             trace_rows.append((sector, epoch, f"{loss:.12g}"))
-    _write_csv(out / "training_trace.csv", ("sector", "epoch", "mse"),
-               trace_rows)
+    _write_csv(trace_csv, ("sector", "epoch", "mse"), trace_rows)
     rows = []
-    for sector in SECTORS:
-        path = out / f"model_base_{sector}.npz"
+    for sector, path in zip(SECTORS, model_paths):
         save_model(models[sector], path)
         rows.append((sector, f"{traces[sector][-1]:.6g}", path.name))
     text = "\n".join([
@@ -195,19 +202,19 @@ def cmd_train_base(args) -> int:
         f"{train.days} training days, {config.training.mse_epochs} epochs",
         _table(("sector", "final mse", "model file"), rows),
     ])
-    _emit(out, "train_base_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
 def cmd_run_fto(args) -> int:
     config = _config_from_args(args)
+    month_csv, summary = _artifacts(config.output_dir,
+                                    "fto_monthly_costs.csv", "fto_summary.txt")
     series, _, train, test = _experiment_inputs(config)
     hub = load_hub_config(config.hub_path())
-    out = _out_dir(config.output_dir)
     models, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
-    total = evaluate_cost(models, test, hub, config.mode, config.engine,
-                          on_dispatch=monitor)
+    total = evaluate_cost(models, test, hub, config.mode, on_dispatch=monitor)
     monitor.fail_if_violated()
 
     months = {}
@@ -216,8 +223,7 @@ def cmd_run_fto(args) -> int:
         days, acc = months.get(month, (0, 0.0))
         months[month] = (days + 1, acc + cost)
     month_rows = [(m, d, _money(c)) for m, (d, c) in sorted(months.items())]
-    _write_csv(out / "fto_monthly_costs.csv",
-               ("month", "priced_days", "cost_kcny"), month_rows)
+    _write_csv(month_csv, ("month", "priced_days", "cost_kcny"), month_rows)
     spread = sum(c for _, c in months.values())
     if abs(spread - total) > CONSERVATION_TOL:
         raise _InvariantFailure(
@@ -231,7 +237,7 @@ def cmd_run_fto(args) -> int:
         f"dispatch checks: {monitor.n_solves} solves, "
         f"max residual {monitor.max_residual:.2e} kW",
     ])
-    _emit(out, "fto_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
@@ -239,34 +245,35 @@ def cmd_train_e2e(args) -> int:
     config = _config_from_args(args)
     U = parse_coalition(args.coalition)
     label = coalition_label(U)
+    cost_csv, summary, *model_paths = _artifacts(
+        config.output_dir, f"e2e_{label}_costs.csv",
+        f"e2e_{label}_summary.txt",
+        *(f"model_e2e_{label}_{sector}.npz" for sector in SECTORS))
     _, _, train, test = _experiment_inputs(config)
     hub = load_hub_config(config.hub_path())
-    out = _out_dir(config.output_dir)
     base, _ = train_base_models(train, config)
     monitor = DispatchMonitor()
-    base_train = evaluate_cost(base, train, hub, config.mode, config.engine,
-                               monitor)
+
+    def price(models, split):
+        return evaluate_cost(models, split, hub, config.mode,
+                             on_dispatch=monitor)
+
+    base_train = price(base, train)
     trained = train_end_to_end(U, base, train, hub, config.training,
-                               mode=config.mode, engine=config.engine,
-                               on_dispatch=monitor, start_cost=base_train)
+                               mode=config.mode, on_dispatch=monitor,
+                               start_cost=base_train)
     costs = {
         ("train", "benchmark"): base_train,
-        ("train", "end-to-end"): evaluate_cost(trained, train, hub,
-                                               config.mode, config.engine,
-                                               monitor),
-        ("test", "benchmark"): evaluate_cost(base, test, hub, config.mode,
-                                             config.engine, monitor),
-        ("test", "end-to-end"): evaluate_cost(trained, test, hub,
-                                              config.mode, config.engine,
-                                              monitor),
+        ("train", "end-to-end"): price(trained, train),
+        ("test", "benchmark"): price(base, test),
+        ("test", "end-to-end"): price(trained, test),
     }
     monitor.fail_if_violated()
-    for sector in SECTORS:
-        save_model(trained[sector], out / f"model_e2e_{label}_{sector}.npz")
+    for sector, path in zip(SECTORS, model_paths):
+        save_model(trained[sector], path)
     rows = [(split, model, _money(cost))
             for (split, model), cost in costs.items()]
-    _write_csv(out / f"e2e_{label}_costs.csv",
-               ("split", "model", "cost_kcny"), rows)
+    _write_csv(cost_csv, ("split", "model", "cost_kcny"), rows)
     text = "\n".join([
         f"end-to-end refit: coalition {label}, seed {config.seed}, "
         f"{config.training.e2e_epochs} epochs at lr "
@@ -276,27 +283,29 @@ def cmd_train_e2e(args) -> int:
         f"{_money(costs[('test', 'benchmark')] - costs[('test', 'end-to-end')])}"
         f" kCNY",
     ])
-    _emit(out, f"e2e_{label}_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
 def cmd_valuate(args) -> int:
     config = _config_from_args(args)
+    ledger_csv, allocation_csv, summary = _artifacts(
+        config.output_dir, "valuation_ledger.csv", "valuation_allocation.csv",
+        "valuate_summary.txt")
     _, ds, train, test = _experiment_inputs(config)
     hub = load_hub_config(config.hub_path())
-    out = _out_dir(config.output_dir)
     monitor = DispatchMonitor()
     report = full_valuation(ds, config, hub=hub, on_dispatch=monitor)
     monitor.fail_if_violated()
 
     led_rows = [(label, _money(cost), _money(value))
                 for label, cost, value in ledger_rows(report.ledger)]
-    _write_csv(out / "valuation_ledger.csv",
-               ("coalition", "cost_kcny", "value_kcny"), led_rows)
+    _write_csv(ledger_csv, ("coalition", "cost_kcny", "value_kcny"),
+               led_rows)
     alloc_rows = [(s, _money(raw), _money(pay))
                   for s, raw, pay in allocation_rows(report.allocation)]
-    _write_csv(out / "valuation_allocation.csv",
-               ("sector", "raw_value_kcny", "payout_kcny"), alloc_rows)
+    _write_csv(allocation_csv, ("sector", "raw_value_kcny", "payout_kcny"),
+               alloc_rows)
 
     v_total = coalition_value(report.ledger, frozenset(LETTERS))
     paid = sum(report.allocation.payouts)
@@ -319,19 +328,19 @@ def cmd_valuate(args) -> int:
         f"dispatch checks: {monitor.n_solves} solves, "
         f"max residual {monitor.max_residual:.2e} kW",
     ])
-    _emit(out, "valuate_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
     config = _config_from_args(args)
+    metrics_csv, summary = _artifacts(config.output_dir, "sector_metrics.csv",
+                                      "metrics_summary.txt")
     _, _, train, test = _experiment_inputs(config)
     hub = load_hub_config(config.hub_path())
-    out = _out_dir(config.output_dir)
     base, _ = train_base_models(train, config)
     trained = train_end_to_end(frozenset(LETTERS), base, train, hub,
-                               config.training, mode=config.mode,
-                               engine=config.engine)
+                               config.training, mode=config.mode)
     rows = []
     for name, models in (("benchmark", base), ("end-to-end", trained)):
         scored = sector_metrics(models, test)
@@ -339,30 +348,31 @@ def cmd_metrics(args) -> int:
             mae, rmse, mape = scored[sector]
             rows.append((name, sector, f"{mae:.6f}", f"{rmse:.6f}",
                          f"{mape:.6f}"))
-    _write_csv(out / "sector_metrics.csv",
+    _write_csv(metrics_csv,
                ("model", "sector", "mae_kw", "rmse_kw", "mape_pct"), rows)
     text = "\n".join([
         f"held-out forecast accuracy: seed {config.seed}, "
         f"{test.days - 1} scored days",
         _table(("model", "sector", "MAE kW", "RMSE kW", "MAPE %"), rows),
     ])
-    _emit(out, "metrics_summary.txt", text)
+    _emit(summary, text)
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    out = _out_dir(Path(args.out))
+    report_csv, summary = _artifacts(Path(args.out), "gradcheck_report.csv",
+                                     "gradcheck_summary.txt")
     results = run_all_batteries(quick=args.quick)
     rows = [(r.name, r.n_instances, r.n_checks, r.n_failures,
              f"{r.worst:.3e}", "PASS" if r.passed else "FAIL")
             for r in results]
-    _write_csv(out / "gradcheck_report.csv",
+    _write_csv(report_csv,
                ("battery", "instances", "checks", "failures", "worst",
                 "status"), rows)
     lines = [r.line() for r in results]
     for r in results:
         lines += [f"    {note}" for note in r.failures]
-    _emit(out, "gradcheck_summary.txt", "\n".join(lines))
+    _emit(summary, "\n".join(lines))
     if not all(r.passed for r in results):
         return EXIT_INVARIANT
     return EXIT_OK
@@ -378,8 +388,6 @@ def _add_experiment_flags(sub) -> None:
     sub.add_argument("--hub", help="hub name (experiment|showcase) or path")
     sub.add_argument("--mode", choices=("sequential", "joint"),
                      help="settlement protocol override")
-    sub.add_argument("--engine", choices=("highs", "bland"),
-                     help="LP engine override")
     sub.add_argument("--data", help="hourly load CSV instead of synthesis")
     sub.add_argument("--train-days", type=int, help="training days override")
     sub.add_argument("--test-days", type=int, help="held-out days override")

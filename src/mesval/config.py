@@ -14,12 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DayDataset, DataError, load_series_csv, synth_data
+from .data import DayDataset, load_series_csv, synth_data
 from .hub import read_yaml_mapping
 from .lstm import TrainingConfig
 
 MODES = ("sequential", "joint")
-ENGINES = ("highs", "bland")
 SHIPPED_HUBS = {"experiment": "hub_experiment.yaml",
                 "showcase": "hub_showcase.yaml"}
 
@@ -44,7 +43,8 @@ def fan_out(seed: int) -> SeedPlan:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs: hub, data source, split, training, seed."""
+    """Everything a run needs: hub, data source, split, training, seed and
+    settlement protocol (every run solves on ``valuation.ENGINE``)."""
 
     seed: int
     hub: str = "experiment"
@@ -53,7 +53,6 @@ class ExperimentConfig:
     test_days: int = 10
     data_csv: Optional[Path] = None      # None: synthesize the series
     mode: str = "sequential"
-    engine: str = "highs"
     output_dir: Path = Path("out")
 
     def __post_init__(self):
@@ -62,9 +61,6 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, "
                               f"got {self.mode!r}")
-        if self.engine not in ENGINES:
-            raise ConfigError(f"engine must be one of {ENGINES}, "
-                              f"got {self.engine!r}")
         if self.train_days < 2:
             raise ConfigError("train_days must be >= 2 (the first day only "
                               "provides features)")
@@ -98,7 +94,7 @@ def experiment_config_from_dict(raw: dict,
                                 ) -> ExperimentConfig:
     raw = dict(raw)
     known = {"seed", "hub", "training", "train_days", "test_days",
-             "data_csv", "mode", "engine", "output_dir"}
+             "data_csv", "mode", "output_dir"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -143,7 +139,7 @@ def experiment_config_from_dict(raw: dict,
             train_days=int(raw.get("train_days", 30)),
             test_days=int(raw.get("test_days", 10)),
             data_csv=data_csv, mode=raw.get("mode", "sequential"),
-            engine=raw.get("engine", "highs"), output_dir=out)
+            output_dir=out)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

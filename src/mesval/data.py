@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hub import SECTORS
+from .hub import HORIZON, SECTORS
 
 SCHEMA = ("timestamp", "electricity_kw", "heat_kw", "cooling_kw")
 ONE_HOUR = np.timedelta64(1, "h")
@@ -55,19 +55,18 @@ class LoadSeries:
         return self.timestamps.size
 
     def day_loads(self) -> np.ndarray:
-        """(days, 3, 24) view; requires midnight alignment and whole days."""
+        """(days, 3, HORIZON) view; needs midnight alignment, whole days."""
         first = self.timestamps[0]
         if (first - first.astype("datetime64[D]")) != np.timedelta64(0, "h"):
             raise DataError(f"series starts at {first}, not at midnight")
-        if self.n_hours % 24 != 0:
+        if self.n_hours % HORIZON != 0:
             raise DataError(f"{self.n_hours} hours do not form whole days")
-        days = self.n_hours // 24
-        return self.loads.reshape(len(SECTORS), days, 24).transpose(1, 0, 2)
+        return self.loads.reshape(len(SECTORS), -1, HORIZON).transpose(1, 0, 2)
 
     def day_of_week(self) -> np.ndarray:
         """Weekday per whole day, Monday = 0."""
         days = self.day_loads().shape[0]
-        dates = self.timestamps[::24][:days].astype("datetime64[D]")
+        dates = self.timestamps[::HORIZON][:days].astype("datetime64[D]")
         # 1970-01-01 was a Thursday
         return (dates.astype(int) + 3) % 7
 
@@ -76,13 +75,13 @@ class LoadSeries:
 class DayDataset:
     """Day-major loads plus weekday labels, the shape valuation consumes."""
 
-    loads: np.ndarray             # (days, 3, 24) kW
+    loads: np.ndarray             # (days, 3, HORIZON) kW
     dows: np.ndarray              # (days,) int, Monday = 0
 
     def __post_init__(self):
         if self.loads.ndim != 3 or self.loads.shape[1] != len(SECTORS) \
-                or self.loads.shape[2] != 24:
-            raise DataError(f"loads must be (days, 3, 24), "
+                or self.loads.shape[2] != HORIZON:
+            raise DataError(f"loads must be (days, 3, {HORIZON}), "
                             f"got {self.loads.shape}")
         if self.dows.shape != (self.loads.shape[0],):
             raise DataError("one weekday label per day required")
@@ -193,17 +192,17 @@ def synth_data(seed: int, days: int) -> LoadSeries:
     if days < 1:
         raise DataError("days must be >= 1")
     rng = np.random.default_rng(seed)
-    n = days * 24
+    n = days * HORIZON
     first = np.datetime64(SYNTH_START, "h")
     ts = first + np.arange(n) * ONE_HOUR
-    hour = np.arange(n) % 24
+    hour = np.arange(n) % HORIZON
     dates = ts.astype("datetime64[D]")
     dow = (dates.astype(int) + 3) % 7
     doy = (dates - dates.astype("datetime64[Y]")).astype(int)
 
     weekend = 1.0 - 0.08 * (dow >= 5)
     season = 2.0 * np.pi * doy / 365.0
-    daily = lambda peak_hour: np.cos(2.0 * np.pi * (hour - peak_hour) / 24.0)
+    daily = lambda peak: np.cos(2.0 * np.pi * (hour - peak) / HORIZON)
 
     elec = (2000.0 + 420.0 * daily(14) + 120.0 * np.cos(season)) * weekend \
         + rng.uniform(-50.0, 50.0, n)

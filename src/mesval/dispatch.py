@@ -121,9 +121,9 @@ _LOAD_PREFIX = {"da": "fc", "id": "act"}
 
 def _check_loads(loads, config: HubConfig, label: str) -> np.ndarray:
     arr = np.asarray(loads, dtype=float)
-    if arr.shape != (len(SECTORS), config.horizon):
+    if arr.shape != (len(SECTORS), HORIZON):
         raise DispatchBuildError(
-            f"{label} must have shape ({len(SECTORS)}, {config.horizon}), "
+            f"{label} must have shape ({len(SECTORS)}, {HORIZON}), "
             f"got {arr.shape}")
     if not np.isfinite(arr).all():
         raise DispatchBuildError(f"{label} contains non-finite entries")
@@ -161,7 +161,7 @@ def _conv_ports(config: HubConfig, conv):
 def _add_stage(prog: LinearProgram, s: str, config: HubConfig,
                integers: list, cost_class: dict, *,
                day_ahead_prices: bool, storage_fees: bool) -> None:
-    H = config.horizon
+    H = HORIZON
     inputs = {i.name: i for i in config.inputs}
     prices = config.prices
 
@@ -274,7 +274,7 @@ def _add_stage(prog: LinearProgram, s: str, config: HubConfig,
                 name=f"{s}.excl_dis[{st.name}][{t}]")
         if config.require_terminal_soc:
             prog.add_constraint(
-                {f"{s}.soc[{st.name}][{config.horizon - 1}]": 1.0},
+                {f"{s}.soc[{st.name}][{HORIZON - 1}]": 1.0},
                 ">=", st.initial_soc_kwh, name=f"{s}.terminal[{st.name}]")
 
 
@@ -285,7 +285,7 @@ def _add_balance_rows(prog: LinearProgram, s: str,
         out = config.output_for_sector(sector)
         if out is None:
             continue
-        for t in range(config.horizon):
+        for t in range(HORIZON):
             coeffs = {}
             for b in config.branches:
                 if b.target == out.name:
@@ -308,7 +308,7 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
     written once with its committed ``da.flow`` terms. On the intra-day
     stage (``committed``: it has no day-ahead columns) each such term is a
     parameter slot of the same name, declared on first use."""
-    H = config.horizon
+    H = HORIZON
     prices = config.prices
     declared: set = set()
 
@@ -461,7 +461,7 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     storage_cols = np.array(
         [[prob.var_index[f"{s}.{kind}[{store.name}][{t}]"]
           for s in _PARTS[stage] for store in config.storages
-          for t in range(config.horizon)]
+          for t in range(HORIZON)]
          for kind in ("q_ch", "q_dis", "u")], dtype=int)
     commitment = None
     if stage == "intra_day":
@@ -651,7 +651,7 @@ def _stack_terms(rows, H: int, pad: int) -> tuple:
 
 def _compile_audit(config: HubConfig, stage: str, var_index,
                    param_names) -> _Audit:
-    H = config.horizon
+    H = HORIZON
     hours = range(H)
     stages = _PARTS[stage]
     n = len(var_index)

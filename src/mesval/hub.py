@@ -18,14 +18,14 @@ problems are built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 SCHEMA_VERSION = 1
-HORIZON = 24
+HORIZON = 24            # hours per scheduled day, the one day length
 
 SECTORS = ("electricity", "heat", "cooling")
 CARRIERS = SECTORS + ("gas",)
@@ -341,11 +341,6 @@ class HubConfig:
     prices: PriceSchedule
     temporary_purchase_kw: float = 0.0
     require_terminal_soc: bool = True
-
-    @property
-    def horizon(self) -> int:
-        """Hours per scheduled day: always ``HORIZON``."""
-        return HORIZON
 
     @classmethod
     def from_dict(cls, d: dict) -> "HubConfig":

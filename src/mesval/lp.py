@@ -94,9 +94,9 @@ side its sign picks, which is the side HiGHS reports. The basis serves
 the duals alone: a HiGHS solution's ``basis`` is None. HiGHS solves the
 larger dispatch problems, where a dense tableau would be needlessly slow.
 
-The Bland engine, :meth:`LPStandardForm.fold_bounds`, :func:`check_kkt` and
-the KKT routines in :mod:`mesval.sensitivity` work on dense matrices: folding
-expands a sparse ``A_f``/``A_h``, and each of them folds first.
+The Bland engine, :meth:`LPStandardForm.fold_bounds` and the KKT routines
+in :mod:`mesval.sensitivity` work on dense matrices: folding expands a
+sparse ``A_f``/``A_h``, and each of them folds first.
 
 Infeasible and unbounded problems are reported through
 :attr:`LPSolution.status`, never as exceptions.
@@ -113,13 +113,11 @@ __all__ = [
     "LinearProgram",
     "LPStandardForm",
     "LPSolution",
-    "KktReport",
     "LPBuildError",
     "LPNumericalError",
     "to_standard_form",
     "solve_lp",
     "solve_bland_batch",
-    "check_kkt",
     "DEFAULT_TOL",
     "PIVOT_TOL",
 ]
@@ -931,63 +929,3 @@ def solve_lp(lp: LPStandardForm, M: np.ndarray,
     if engine == "highs":
         return _solve_highs(lp, M, warm)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-# ---------------------------------------------------------------------------
-# KKT residual report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KktReport:
-    """Worst-case residuals of the five optimality condition groups plus the
-    primal/dual objective gap, each compared against tol * (1 + |C*|)."""
-
-    ok: bool
-    primal_ineq: float
-    primal_eq: float
-    dual_nonneg: float
-    complementarity: float
-    stationarity: float
-    gap: float
-    scale: float
-    tol: float
-
-    def __str__(self) -> str:  # compact diagnostic line
-        return ("KKT(ok={0}, f+={1:.2e}, |h|={2:.2e}, lam-={3:.2e}, "
-                "comp={4:.2e}, stat={5:.2e}, gap={6:.2e})").format(
-                    self.ok, self.primal_ineq, self.primal_eq,
-                    self.dual_nonneg, self.complementarity,
-                    self.stationarity, self.gap)
-
-
-def check_kkt(lp: LPStandardForm, M: np.ndarray,
-              sol: LPSolution) -> KktReport:
-    """Evaluate KKT residuals of an optimal-status solution on the folded
-    form, each against ``DEFAULT_TOL * (1 + |C*|)``."""
-    if sol.status != "optimal":
-        raise ValueError(f"cannot check a solution with status {sol.status!r}")
-    folded = lp.fold_bounds()
-    M = np.asarray(M, dtype=float)
-    z = sol.primal
-    lam = sol.ineq_duals
-    mu = sol.eq_duals
-    f = folded.A_f @ z - folded.b_f(M)
-    h = folded.A_h @ z - folded.b_h(M) if folded.n_eq else np.zeros(0)
-    stat = folded.c + folded.A_f.T @ lam
-    if folded.n_eq:
-        stat = stat + folded.A_h.T @ mu
-    primal_obj = float(folded.c @ z)
-    dual_obj = -float(lam @ folded.b_f(M))
-    if folded.n_eq:
-        dual_obj -= float(mu @ folded.b_h(M))
-    scale = 1.0 + abs(primal_obj)
-    rep = {
-        "primal_ineq": float(np.maximum(f, 0.0).max(initial=0.0)),
-        "primal_eq": float(np.abs(h).max(initial=0.0)),
-        "dual_nonneg": float(np.maximum(-lam, 0.0).max(initial=0.0)),
-        "complementarity": float(np.abs(lam * f).max(initial=0.0)),
-        "stationarity": float(np.abs(stat).max(initial=0.0)),
-        "gap": abs(primal_obj - dual_obj),
-    }
-    ok = all(v <= DEFAULT_TOL * scale for v in rep.values())
-    return KktReport(ok=ok, scale=scale, tol=DEFAULT_TOL, **rep)

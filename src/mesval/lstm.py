@@ -52,12 +52,12 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-HORIZON = 24
+from .hub import HORIZON
+
 FEATURES = ("load", "sin_hour", "cos_hour", "sin_dow", "cos_dow")
 GATES = ("forget", "input", "output", "candidate")
 FORMAT_VERSION = 1
@@ -157,15 +157,13 @@ def _field_shapes(hidden: int, input_dim: int, horizon: int) -> dict:
             "b": (n, hidden), "W_out": (horizon, hidden), "b_out": (horizon,)}
 
 
-def init_params(seed: int, hidden_size: int = 32,
-                input_dim: int = len(FEATURES),
-                horizon: int = HORIZON) -> LstmParams:
+def init_params(seed: int, hidden_size: int = 32) -> LstmParams:
     """Seeded uniform init on [-1/sqrt(hidden), +1/sqrt(hidden)]."""
-    if hidden_size < 1 or input_dim < 1 or horizon < 1:
-        raise ForecastError("hidden_size, input_dim and horizon must be >= 1")
+    if hidden_size < 1:
+        raise ForecastError("hidden_size must be >= 1")
     rng = np.random.default_rng(seed)
     lim = 1.0 / math.sqrt(hidden_size)
-    shapes = _field_shapes(hidden_size, input_dim, horizon)
+    shapes = _field_shapes(hidden_size, len(FEATURES), HORIZON)
     return LstmParams(**{name: rng.uniform(-lim, lim, shape)
                          for name, shape in shapes.items()})
 
@@ -243,7 +241,7 @@ class ForecastModel:
 
     params: LstmParams
     norm: Normalization
-    window: int = HORIZON
+    window: int
     seed: int = 0
 
     def __post_init__(self):
@@ -338,8 +336,7 @@ def apply_external_gradient(model: ForecastModel, dloss_dforecast: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def build_window(prev_loads: np.ndarray, day_of_week: int,
-                 norm: Normalization,
-                 window: Optional[int] = None) -> np.ndarray:
+                 norm: Normalization, window: int) -> np.ndarray:
     """Feature matrix for one forecast day.
 
     Rows are the trailing `window` hours of the previous day: scaled load,
@@ -350,7 +347,7 @@ def build_window(prev_loads: np.ndarray, day_of_week: int,
         raise ForecastError("prev_loads must be a non-empty 1-D array")
     if not np.all(np.isfinite(loads)):
         raise ForecastError("prev_loads must be finite")
-    w = loads.size if window is None else int(window)
+    w = int(window)
     if not 1 <= w <= loads.size:
         raise ForecastError(f"window {w} exceeds the {loads.size} "
                             f"available hours")
@@ -359,8 +356,8 @@ def build_window(prev_loads: np.ndarray, day_of_week: int,
     dow = int(day_of_week) % 7
     return np.column_stack([
         norm.scale(tail),
-        np.sin(2.0 * np.pi * hours / 24.0),
-        np.cos(2.0 * np.pi * hours / 24.0),
+        np.sin(2.0 * np.pi * hours / HORIZON),
+        np.cos(2.0 * np.pi * hours / HORIZON),
         np.full(w, np.sin(2.0 * np.pi * dow / 7.0)),
         np.full(w, np.cos(2.0 * np.pi * dow / 7.0)),
     ])
@@ -454,8 +451,7 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
                         for d in range(1, loads.shape[0])])
     targets = norm.scale(loads[1:])
 
-    params = init_params(seed, hidden_size=config.hidden_size,
-                         input_dim=len(FEATURES))
+    params = init_params(seed, hidden_size=config.hidden_size)
     trace = np.zeros(config.mse_epochs)
     for epoch in range(config.mse_epochs):
         loss, grads = _mse_gradient(params, windows, targets)

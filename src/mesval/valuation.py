@@ -30,7 +30,7 @@ from .config import ExperimentConfig, fan_out, split_dataset
 from .data import DayDataset
 from .dispatch import (build_day_ahead, build_intra_day, build_joint,
                        storage_repair)
-from .hub import SECTORS, HubConfig, load_hub_config
+from .hub import HORIZON, SECTORS, HubConfig, load_hub_config
 from .lstm import (apply_external_gradient, build_window, forecast_metrics,
                    forward_day, forward_days, train_mse)
 
@@ -60,6 +60,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LETTERS = ("e", "h", "c")
+
+ENGINE = "highs"          # the pipeline's LP engine; Bland is the reference
 
 MAX_SECTORS = 20
 
@@ -266,7 +268,7 @@ def _dispatch_day(fc, act, hub, mode, engine, day, on_dispatch) -> float:
 
 
 def evaluate_cost(models, dataset: DayDataset, hub: HubConfig,
-                  mode: str = "sequential", engine: str = "highs",
+                  mode: str = "sequential", engine: str = ENGINE,
                   on_dispatch=None) -> float:
     """Total scheduling cost over the dataset's forecastable days, kCNY.
 
@@ -274,7 +276,8 @@ def evaluate_cost(models, dataset: DayDataset, hub: HubConfig,
     only provides features. ``models`` is a per-sector mapping or the
     ORACLE_FORECASTS sentinel (forecasts identical to actuals). Every
     search solves its root cold, so the cost does not depend on what was
-    solved before.
+    solved before. The pipeline prices on ``ENGINE``; another ``engine``
+    may break ties between equal-cost commitments another way.
     """
     if mode not in ("joint", "sequential"):
         raise ValuationError(f"unknown mode {mode!r}")
@@ -317,13 +320,13 @@ def train_base_models(train: DayDataset, config: ExperimentConfig) -> tuple:
 
 def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                      hub: HubConfig, training, mode: str = "sequential",
-                     engine: str = "highs", on_dispatch=None,
-                     start_cost=None) -> dict:
+                     on_dispatch=None, start_cost=None) -> dict:
     """Fine-tune coalition members' forecasters with scheduling-cost slopes.
 
-    Every training day solves the joint problem once and takes the cost
-    gradient with respect to the forecast slots; only sectors in ``U``
-    step, each from the input window its forecast read. The windows are
+    Every training day solves the joint problem once on ``ENGINE`` and
+    takes the cost gradient with respect to the forecast slots; every
+    epoch is priced on ``ENGINE`` too. Only sectors in ``U`` step, each
+    from the input window its forecast read. The windows are
     built once per call, by the same per-split builder pricing uses, and
     serve every epoch. The first training day of each epoch solves its
     root cold; every later day of the epoch asks for a warm root
@@ -354,15 +357,14 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
         return current
     members = [(i, sector) for i, sector in enumerate(SECTORS)
                if _letter(sector) in U]
-    horizon = hub.horizon
     # a step changes a forecaster's weights, never its norm or window, so
     # the windows built once serve every epoch
     windows = _split_windows(models, dataset)
 
     best = dict(current)
     if start_cost is None:
-        best_cost = evaluate_cost(current, dataset, hub, mode, engine,
-                                  on_dispatch)
+        best_cost = evaluate_cost(current, dataset, hub, mode,
+                                  on_dispatch=on_dispatch)
     else:
         best_cost = start_cost
     for epoch in range(training.e2e_epochs):
@@ -370,7 +372,7 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             fc = np.vstack([forward_day(current[sector], windows[i][d - 1])
                             for i, sector in enumerate(SECTORS)])
             prob = build_joint(fc, dataset.loads[d], hub)
-            res, grad = embedded_gradient(prob.milp, prob.M0, engine=engine,
+            res, grad = embedded_gradient(prob.milp, prob.M0, engine=ENGINE,
                                           round_repair=storage_repair(prob),
                                           warm_root=d > 1)
             if res.status != "optimal":
@@ -379,15 +381,15 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
                 continue
             if on_dispatch is not None:
                 on_dispatch(d, prob, res)
-            slope = grad.dcost_dM[:len(SECTORS) * horizon]
-            slope = slope.reshape(len(SECTORS), horizon)
+            slope = grad.dcost_dM[:len(SECTORS) * HORIZON]
+            slope = slope.reshape(len(SECTORS), HORIZON)
             for i, sector in members:
                 current[sector] = apply_external_gradient(
                     current[sector], slope[i], windows[i][d - 1],
                     training.e2e_lr)
         try:
-            cost = evaluate_cost(current, dataset, hub, mode, engine,
-                                 on_dispatch)
+            cost = evaluate_cost(current, dataset, hub, mode,
+                                 on_dispatch=on_dispatch)
         except ValuationError as exc:
             log.warning("epoch %d model cannot be dispatched (%s), "
                         "not snapshotted", epoch, exc)
@@ -426,13 +428,13 @@ def full_valuation(dataset: DayDataset, config: ExperimentConfig,
     for U in subsets_in_order(LETTERS):
         if U and config.training.e2e_epochs > 0 and base_train_cost is None:
             base_train_cost = evaluate_cost(base, train, hub, config.mode,
-                                            config.engine, on_dispatch)
+                                            on_dispatch=on_dispatch)
         models_U = train_end_to_end(U, base, train, hub, config.training,
-                                    mode=config.mode, engine=config.engine,
+                                    mode=config.mode,
                                     on_dispatch=on_dispatch,
                                     start_cost=base_train_cost)
         costs[U] = evaluate_cost(models_U, test, hub, config.mode,
-                                 config.engine, on_dispatch)
+                                 on_dispatch=on_dispatch)
         log.info("coalition %s: test cost %.4f kCNY",
                  coalition_label(U), costs[U])
 

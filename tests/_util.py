@@ -1,15 +1,18 @@
-"""Shared test helpers: a vertex-enumeration LP oracle, instance factories
-and bitwise comparisons of arrays and LP solutions.
+"""Shared test helpers: a vertex-enumeration LP oracle, instance factories,
+bitwise comparisons of arrays and LP solutions, and a KKT residual check.
 
-Everything here is written directly against the math (enumerate active sets,
-solve, filter, take the best) and shares no logic with the package under test.
+The oracle is written directly against the math (enumerate active sets,
+solve, filter, take the best) and shares no logic with the package under
+test. The KKT check reads a solution against the optimality conditions of
+the folded form, which it gets from ``LPStandardForm.fold_bounds``.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from mesval.lp import LinearProgram
+from mesval.lp import DEFAULT_TOL, LinearProgram, LPSolution, LPStandardForm
 
 
 def oracle_min_objective(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9):
@@ -114,3 +117,59 @@ def _assert_same_solution(got, want):
         assert (a is None) == (b is None), name
         if a is not None:
             assert _bits(a) == _bits(b), name
+
+
+@dataclass(frozen=True)
+class KktReport:
+    """Worst-case residuals of the five optimality condition groups plus the
+    primal/dual objective gap, each compared against tol * (1 + |C*|)."""
+
+    ok: bool
+    primal_ineq: float
+    primal_eq: float
+    dual_nonneg: float
+    complementarity: float
+    stationarity: float
+    gap: float
+    scale: float
+    tol: float
+
+    def __str__(self) -> str:  # compact diagnostic line
+        return ("KKT(ok={0}, f+={1:.2e}, |h|={2:.2e}, lam-={3:.2e}, "
+                "comp={4:.2e}, stat={5:.2e}, gap={6:.2e})").format(
+                    self.ok, self.primal_ineq, self.primal_eq,
+                    self.dual_nonneg, self.complementarity,
+                    self.stationarity, self.gap)
+
+
+def check_kkt(lp: LPStandardForm, M: np.ndarray,
+              sol: LPSolution) -> KktReport:
+    """Evaluate KKT residuals of an optimal-status solution on the folded
+    form, each against ``DEFAULT_TOL * (1 + |C*|)``."""
+    if sol.status != "optimal":
+        raise ValueError(f"cannot check a solution with status {sol.status!r}")
+    folded = lp.fold_bounds()
+    M = np.asarray(M, dtype=float)
+    z = sol.primal
+    lam = sol.ineq_duals
+    mu = sol.eq_duals
+    f = folded.A_f @ z - folded.b_f(M)
+    h = folded.A_h @ z - folded.b_h(M) if folded.n_eq else np.zeros(0)
+    stat = folded.c + folded.A_f.T @ lam
+    if folded.n_eq:
+        stat = stat + folded.A_h.T @ mu
+    primal_obj = float(folded.c @ z)
+    dual_obj = -float(lam @ folded.b_f(M))
+    if folded.n_eq:
+        dual_obj -= float(mu @ folded.b_h(M))
+    scale = 1.0 + abs(primal_obj)
+    rep = {
+        "primal_ineq": float(np.maximum(f, 0.0).max(initial=0.0)),
+        "primal_eq": float(np.abs(h).max(initial=0.0)),
+        "dual_nonneg": float(np.maximum(-lam, 0.0).max(initial=0.0)),
+        "complementarity": float(np.abs(lam * f).max(initial=0.0)),
+        "stationarity": float(np.abs(stat).max(initial=0.0)),
+        "gap": abs(primal_obj - dual_obj),
+    }
+    ok = all(v <= DEFAULT_TOL * scale for v in rep.values())
+    return KktReport(ok=ok, scale=scale, tol=DEFAULT_TOL, **rep)

@@ -156,11 +156,10 @@ def _run_seed(seed):
     base, _ = train_base_models(train, config)
     coop = train_end_to_end(frozenset(LETTERS), base, train, hub,
                             config.training, mode=config.mode,
-                            engine=config.engine, on_dispatch=monitor)
+                            on_dispatch=monitor)
 
     def cost(models, split, mode=config.mode):
-        return evaluate_cost(models, split, hub, mode, config.engine,
-                             monitor)
+        return evaluate_cost(models, split, hub, mode, on_dispatch=monitor)
 
     base_scores = sector_metrics(base, test)
     coop_scores = sector_metrics(coop, test)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from _util import _assert_same_solution, random_box_lp
+from mesval import bnb
 from mesval.bnb import (
     ENUM_CHUNK,
     INT_TOL,
@@ -106,8 +107,6 @@ def test_child_of_a_tied_parent_is_skipped(monkeypatch):
     # next:  floor child reaches -1 with x1 = 1: incumbent
     # then:  the ceil child's parent bound -1 is not below -1, so its LP
     #        (infeasible: 2 x0 <= 1) is never solved, counted or logged
-    from mesval import bnb
-
     prog = LinearProgram()
     prog.add_var("x0", lb=0.0, ub=1.0)
     prog.add_var("x1", lb=0.0, ub=1.0)
@@ -217,11 +216,13 @@ def test_valid_integer_vars_are_kept_sorted():
     assert MILPProblem(lp=lp, integer_vars=()).integer_vars == ()
 
 
-def test_node_limit_raises():
-    # the trace fixture needs 5 nodes; a budget of 1 must trip the guard
+def test_node_limit_raises(monkeypatch):
+    # the trace fixture needs 5 nodes; a budget of 1 must trip the guard,
+    # which the search reads from the module when it runs
+    monkeypatch.setattr(bnb, "MAX_NODES", 1)
     prob = binary_program([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.5)])
-    with pytest.raises(NodeLimitError):
-        branch_and_bound(prob, np.zeros(0), max_nodes=1)
+    with pytest.raises(NodeLimitError, match="node budget 1 exhausted"):
+        branch_and_bound(prob, np.zeros(0))
 
 
 # ---------------------------------------------------------------------------

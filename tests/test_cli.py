@@ -79,7 +79,6 @@ def workdir(tmp_path):
         "train_days": 3,
         "test_days": 2,
         "mode": "sequential",
-        "engine": "highs",
         "output_dir": str(tmp_path / "out"),
         "training": {"hidden_size": 4, "mse_epochs": 6, "e2e_epochs": 1,
                      "e2e_lr": 1.0e-7},
@@ -128,6 +127,15 @@ def test_usage_exit_codes(tmp_path):
     assert main(["run-fto", "--config", str(tmp_path / "missing.yaml")]) == 1
     assert main(["train-e2e", "--coalition", "zz",
                  "--config", str(tmp_path / "missing.yaml")]) == 1
+
+
+def test_engine_is_no_option(workdir, capsys):
+    # the pipeline always solves on HiGHS
+    tmp, config = workdir
+    assert main(["valuate", "--config", str(config), "--engine", "bland"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "unrecognized arguments: --engine bland" in err
 
 
 def test_missing_hub_file_is_usage_error(workdir, capsys):
@@ -442,11 +450,13 @@ def _squatted(tmp, artifact):
 
 
 def _bad_path_cases(tmp, config):
-    """(label, argv, documented exit code) for each reader given a file
-    that is not UTF-8, each subcommand given an output path that cannot be
-    a directory (an existing file, or a path below one), and each
-    subcommand whose output directory holds a directory under the name of
-    one of its artifacts."""
+    """(label, argv, documented exit code, entry point) for each reader
+    given a file that is not UTF-8, each subcommand given an output path
+    that cannot be a directory (an existing file, or a path below one), and
+    each subcommand whose output directory holds a directory under the name
+    of one of its artifacts. A squatted artifact must fail before the work:
+    the named entry point (the subcommand's synthesis, training, pricing or
+    batteries) must not be called."""
     blocker = tmp / "blocker"
     blocker.write_text("a file, not a directory\n")
     exp = ["--config", str(config), "--train-days", "2", "--test-days", "1"]
@@ -454,47 +464,65 @@ def _bad_path_cases(tmp, config):
     write_series_csv(synth_data(seed=4, days=3), series)
     return [
         ("synth artifact", ["synth", "--days", "1", "--out",
-                            _squatted(tmp, "synthetic_loads.csv")], 1),
+                            _squatted(tmp, "synthetic_loads.csv")], 1,
+         "mesval.data.synth_data"),
         ("gradcheck artifact", ["gradcheck", "--quick", "--out",
-                                _squatted(tmp, "gradcheck_report.csv")], 1),
+                                _squatted(tmp, "gradcheck_report.csv")], 1,
+         "mesval.cli.run_all_batteries"),
         ("train-base artifact", ["train-base", *exp, "--out",
-                                 _squatted(tmp, "training_trace.csv")], 1),
+                                 _squatted(tmp, "training_trace.csv")], 1,
+         "mesval.cli.train_base_models"),
         ("run-fto artifact", ["run-fto", *exp, "--out",
-                              _squatted(tmp, "fto_monthly_costs.csv")], 1),
+                              _squatted(tmp, "fto_monthly_costs.csv")], 1,
+         "mesval.cli.train_base_models"),
         ("train-e2e artifact", ["train-e2e", *exp, "--coalition", "e",
                                 "--out", _squatted(
-                                    tmp, "model_e2e_e_electricity.npz")], 1),
+                                    tmp, "model_e2e_e_electricity.npz")], 1,
+         "mesval.cli.train_base_models"),
         ("valuate artifact", ["valuate", *exp, "--out",
-                              _squatted(tmp, "valuation_ledger.csv")], 1),
+                              _squatted(tmp, "valuation_ledger.csv")], 1,
+         "mesval.cli.full_valuation"),
         ("metrics artifact", ["metrics", *exp, "--out",
-                              _squatted(tmp, "metrics_summary.txt")], 1),
+                              _squatted(tmp, "metrics_summary.txt")], 1,
+         "mesval.cli.train_base_models"),
         ("config yaml", ["train-base", "--config", _non_utf8(
-            tmp / "config_ff.yaml", config.read_text())], 1),
+            tmp / "config_ff.yaml", config.read_text())], 1, None),
         ("hub yaml", ["run-fto", *exp, "--hub", _non_utf8(
-            tmp / "hub_ff.yaml", yaml.safe_dump(FLAT_HUB))], 1),
+            tmp / "hub_ff.yaml", yaml.safe_dump(FLAT_HUB))], 1, None),
         ("data csv", ["train-base", *exp, "--data", _non_utf8(
-            tmp / "data_ff.csv", series.read_text())], 2),
-        ("synth --out", ["synth", "--days", "1", "--out", str(blocker)], 1),
+            tmp / "data_ff.csv", series.read_text())], 2, None),
+        ("synth --out", ["synth", "--days", "1", "--out", str(blocker)], 1,
+         None),
         ("gradcheck --out", ["gradcheck", "--quick", "--out",
-                             str(blocker)], 1),
-        ("train-base --out", ["train-base", *exp, "--out", str(blocker)], 1),
+                             str(blocker)], 1, None),
+        ("train-base --out", ["train-base", *exp, "--out", str(blocker)], 1,
+         None),
         ("run-fto --out", ["run-fto", *exp, "--out",
-                           str(blocker / "below")], 1),
+                           str(blocker / "below")], 1, None),
         ("train-e2e --out", ["train-e2e", *exp, "--coalition", "e",
-                             "--out", str(blocker)], 1),
-        ("valuate --out", ["valuate", *exp, "--out", str(blocker)], 1),
-        ("metrics --out", ["metrics", *exp, "--out", str(blocker)], 1),
+                             "--out", str(blocker)], 1, None),
+        ("valuate --out", ["valuate", *exp, "--out", str(blocker)], 1, None),
+        ("metrics --out", ["metrics", *exp, "--out", str(blocker)], 1, None),
     ]
 
 
-def test_bad_paths_and_bytes_exit_with_their_code(workdir, capsys):
+def test_bad_paths_and_bytes_exit_with_their_code(workdir, capsys,
+                                                  monkeypatch):
     tmp, config = workdir
-    for label, argv, code in _bad_path_cases(tmp, config):
-        assert main(argv) == code, label
+    for label, argv, code, entry in _bad_path_cases(tmp, config):
+        def work_started(*args, **kwargs):
+            raise AssertionError(f"{label}: {entry} ran before the check")
+
+        with monkeypatch.context() as patch:
+            if entry is not None:
+                patch.setattr(entry, work_started)
+            assert main(argv) == code, label
         err = capsys.readouterr().err
         assert "Traceback" not in err, label
-        assert err.strip(), label            # a one-line reason
+        assert len(err.strip().splitlines()) == 1, label   # one reason
         assert str(tmp) in err, label        # naming the path
+        if entry is not None:    # the line writing the artifact would give
+            assert err.strip().endswith(": Is a directory"), label
 
 
 def test_unservable_day_is_infeasibility_error(workdir):

@@ -27,7 +27,7 @@ def test_defaults_and_yaml_roundtrip(tmp_path):
         "  e2e_epochs: 2\n")
     cfg = load_experiment_config(path)
     assert cfg.seed == 11
-    assert cfg.mode == "joint" and cfg.engine == "highs"
+    assert cfg.mode == "joint"
     assert cfg.train_days == 6 and cfg.test_days == 3
     assert cfg.training.hidden_size == 8
     assert cfg.training.e2e_epochs == 2
@@ -57,8 +57,9 @@ def test_seed_required_and_mode_validated():
         experiment_config_from_dict({})
     with pytest.raises(ConfigError, match="mode"):
         experiment_config_from_dict({"seed": 1, "mode": "both"})
-    with pytest.raises(ConfigError, match="engine"):
-        experiment_config_from_dict({"seed": 1, "engine": "simplex9000"})
+    # the pipeline always solves on HiGHS: the engine is no config key
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        experiment_config_from_dict({"seed": 1, "engine": "highs"})
     with pytest.raises(ConfigError, match="train_days"):
         experiment_config_from_dict({"seed": 1, "train_days": 1})
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from _util import (_assert_same_solution, _bits, folded_arrays,
+from _util import (_assert_same_solution, _bits, check_kkt, folded_arrays,
                    oracle_min_objective, random_box_lp)
 from mesval.lp import (
     DEFAULT_TOL,
@@ -38,7 +38,6 @@ from mesval.lp import (
     _FEAS_TOL,
     _check_feasible,
     _highs_outcome,
-    check_kkt,
     solve_bland_batch,
     solve_lp,
     to_standard_form,

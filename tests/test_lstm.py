@@ -143,8 +143,7 @@ def test_forward_matches_reference_loop():
     for trial in range(5):
         H = int(rng.integers(2, 8))
         w = int(rng.integers(3, 12))
-        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=H,
-                             input_dim=5)
+        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=H)
         norm = Normalization(lo=80.0, hi=320.0)
         model = ForecastModel(params=params, norm=norm, window=w, seed=0)
         window = rng.uniform(-1.0, 1.0, (w, 5))
@@ -156,7 +155,7 @@ def test_forward_matches_reference_loop():
 
 def test_forward_seeded_golden_vector():
     # regression pin: generated once from the audited forward pass above
-    params = init_params(seed=20240917, hidden_size=4, input_dim=5)
+    params = init_params(seed=20240917, hidden_size=4)
     model = ForecastModel(params=params, norm=Normalization(lo=100.0, hi=300.0),
                           window=6, seed=20240917)
     hours = np.arange(6)
@@ -195,7 +194,7 @@ def test_forward_nan_features_raise():
 
 def test_forward_days_equals_forward_day_bitwise_with_its_checks():
     rng = np.random.default_rng(RNG_SEED + 3)
-    params = init_params(seed=20240917, hidden_size=6, input_dim=5)
+    params = init_params(seed=20240917, hidden_size=6)
     model = ForecastModel(params=params, norm=Normalization(lo=50.0, hi=400.0),
                           window=8, seed=0)
     windows = [rng.uniform(-1.0, 1.0, (8, 5)) for _ in range(5)]
@@ -217,8 +216,7 @@ def test_forward_days_equals_forward_day_bitwise_with_its_checks():
 def test_forward_randomized_stress_stays_finite():
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(20):
-        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=8,
-                             input_dim=5)
+        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=8)
         scale = 10.0 ** rng.integers(-2, 3)
         params = dataclasses.replace(
             params, W_out=params.W_out * scale, b_out=params.b_out * scale)
@@ -259,8 +257,7 @@ def test_backward_matches_finite_differences():
     for trial in range(4):
         H = int(rng.integers(2, 8))
         w = int(rng.integers(3, 12))
-        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=H,
-                             input_dim=5)
+        params = init_params(seed=int(rng.integers(1 << 30)), hidden_size=H)
         # keep the head output far from the clamp so the loss is smooth
         model = ForecastModel(params=params,
                               norm=Normalization(lo=3000.0, hi=3600.0),
@@ -276,7 +273,7 @@ def test_backward_matches_finite_differences():
 
 
 def test_backward_zero_loss_gives_zero_gradients():
-    params = init_params(seed=5, hidden_size=4, input_dim=5)
+    params = init_params(seed=5, hidden_size=4)
     model = identity_model(params, window=8)
     got = backward_day(model, np.ones((8, 5)) * 0.3, np.zeros(24))
     for name in LstmParams.field_names():
@@ -287,7 +284,7 @@ def test_backward_output_bias_gradient_is_masked_loss():
     # the head is affine, so d(loss)/d(b_out) = unclamped loss weights
     # scaled by the de-normalization span
     rng = np.random.default_rng(RNG_SEED + 3)
-    params = init_params(seed=11, hidden_size=5, input_dim=5)
+    params = init_params(seed=11, hidden_size=5)
     norm = Normalization(lo=2000.0, hi=2400.0)
     model = ForecastModel(params=params, norm=norm, window=6, seed=0)
     window = rng.uniform(-1, 1, (6, 5))
@@ -299,7 +296,7 @@ def test_backward_output_bias_gradient_is_masked_loss():
 
 
 def test_clamped_slots_contribute_exactly_zero_gradient():
-    params = init_params(seed=13, hidden_size=4, input_dim=5)
+    params = init_params(seed=13, hidden_size=4)
     # head bias pushed far negative: every de-normalized output is clamped
     params = dataclasses.replace(params, b_out=np.full(24, -50.0))
     model = ForecastModel(params=params, norm=Normalization(lo=0.0, hi=100.0),
@@ -315,7 +312,7 @@ def test_clamped_slots_contribute_exactly_zero_gradient():
 
 def test_apply_external_gradient_single_slot_sparsity():
     rng = np.random.default_rng(RNG_SEED + 4)
-    params = init_params(seed=17, hidden_size=6, input_dim=5)
+    params = init_params(seed=17, hidden_size=6)
     model = ForecastModel(params=params, norm=Normalization(lo=50.0, hi=250.0),
                           window=8, seed=0)
     window = rng.uniform(-1, 1, (8, 5))
@@ -334,7 +331,7 @@ def test_apply_external_gradient_single_slot_sparsity():
 
 def test_apply_external_gradient_zero_cases():
     rng = np.random.default_rng(RNG_SEED + 5)
-    params = init_params(seed=19, hidden_size=4, input_dim=5)
+    params = init_params(seed=19, hidden_size=4)
     model = ForecastModel(params=params, norm=Normalization(lo=50.0, hi=250.0),
                           window=6, seed=0)
     window = rng.uniform(-1, 1, (6, 5))
@@ -351,9 +348,9 @@ def test_apply_external_gradient_zero_cases():
 # ---------------------------------------------------------------------------
 
 def test_init_uniform_range_and_determinism():
-    a = init_params(seed=123, hidden_size=16, input_dim=5)
-    b = init_params(seed=123, hidden_size=16, input_dim=5)
-    c = init_params(seed=124, hidden_size=16, input_dim=5)
+    a = init_params(seed=123, hidden_size=16)
+    b = init_params(seed=123, hidden_size=16)
+    c = init_params(seed=124, hidden_size=16)
     lim = 1.0 / math.sqrt(16)
     for name in LstmParams.field_names():
         arr = getattr(a, name)
@@ -403,7 +400,7 @@ def test_train_mse_deterministic_and_zero_epochs():
     frozen, tr0 = train_mse(loads, dows,
                             dataclasses.replace(cfg, mse_epochs=0), seed=31)
     assert tr0.size == 0
-    init = init_params(seed=31, hidden_size=6, input_dim=5)
+    init = init_params(seed=31, hidden_size=6)
     for name in LstmParams.field_names():
         np.testing.assert_array_equal(getattr(frozen.params, name),
                                       getattr(init, name))
@@ -426,7 +423,7 @@ def test_train_mse_fits_constant_loads():
     cfg = TrainingConfig(hidden_size=4, mse_epochs=200, lr=0.5)
     model, trace = train_mse(loads, dows, cfg, seed=41)
     assert trace[-1] < 1e-4
-    window = build_window(loads[0], int(dows[0]), model.norm)
+    window = build_window(loads[0], int(dows[0]), model.norm, model.window)
     np.testing.assert_allclose(forward_day(model, window), 150.0, atol=2.0)
 
 
@@ -503,8 +500,7 @@ def ref_train_mse(loads, dows, config, seed):
     targets = [norm.scale(loads[d]) for d in range(1, loads.shape[0])]
     n = len(windows)
 
-    params = init_params(seed, hidden_size=config.hidden_size,
-                         input_dim=len(FEATURES))
+    params = init_params(seed, hidden_size=config.hidden_size)
     trace = np.zeros(config.mse_epochs)
     denom = float(n * 24)
     for epoch in range(config.mse_epochs):
@@ -599,7 +595,7 @@ def test_normalization_roundtrip_and_degenerate_span():
 def test_build_window_layout():
     norm = Normalization(lo=0.0, hi=200.0)
     loads = np.linspace(0.0, 200.0, 24)
-    w = build_window(loads, day_of_week=2, norm=norm)
+    w = build_window(loads, day_of_week=2, norm=norm, window=24)
     assert w.shape == (24, 5)
     np.testing.assert_allclose(w[:, 0], np.linspace(0.0, 1.0, 24), atol=1e-15)
     np.testing.assert_allclose(w[:, 1], np.sin(2 * np.pi * np.arange(24) / 24))
@@ -658,7 +654,7 @@ def test_save_load_roundtrip(tmp_path):
     for name in LstmParams.field_names():
         np.testing.assert_array_equal(getattr(back.params, name),
                                       getattr(model.params, name))
-    window = build_window(loads[0], 0, model.norm)
+    window = build_window(loads[0], 0, model.norm, model.window)
     np.testing.assert_array_equal(forward_day(back, window),
                                   forward_day(model, window))
 
