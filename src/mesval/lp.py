@@ -51,17 +51,21 @@ item is stored in its slot, not raised. :func:`solve_lp` with this engine
 is a batch of one that raises it.
 
 ``engine="highs"``: HiGHS behind the same contract, through the binding
-scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). One solver per
-process, created on the first such solve, holds the options scipy's own
-HiGHS LP method sets (presolve on, dual simplex, feasibility tolerances
-1e-10). A cold solve hands it a fresh model: the rows ``[A_f; A_h]`` as
-CSC (stacked once by :meth:`LPStandardForm.with_stacked_rows`, or per
-solve), row bounds ``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)``
-above, and the bounds as column bounds. No basis carries over into a cold
-solve, so it returns what scipy's LP method returns for the same problem,
-bit for bit; ``tests/test_lp.py`` checks that.
+scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). A form stacked
+by :meth:`LPStandardForm.with_stacked_rows` (a dispatch template, and
+every node and day derived from it) solves on a solver of its own, kept
+for as long as its rows object lives; all forms without stacked rows
+share one solver. Each is created on its first solve and holds the
+options scipy's own HiGHS LP method sets (presolve on, dual simplex,
+feasibility tolerances 1e-10). A cold solve hands it a fresh model: the
+rows ``[A_f; A_h]`` as CSC (stacked once, or per solve), row bounds
+``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)`` above, and the bounds
+as column bounds. No basis carries over into a cold solve, so it returns
+what scipy's LP method returns for the same problem, bit for bit;
+``tests/test_lp.py`` checks that.
 
-The solver remembers the model it was last passed, and a solve asks for
+Each solver remembers the model it was last passed, so a solve of one
+template leaves what another template's solver holds. A solve asks for
 one of two things through ``warm``:
 
   * ``False``, a cold solve: a fresh model, whatever the solver holds;
@@ -104,6 +108,7 @@ Infeasible and unbounded problems are reported through
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -690,8 +695,6 @@ def solve_bland_batch(lp: LPStandardForm, Ms: np.ndarray) -> list:
 # HiGHS engine
 # ---------------------------------------------------------------------------
 
-_HIGHS = None   # the process's one solver, made on its first HiGHS solve
-
 _FEAS_TOL = 10 * np.sqrt(1e-9)   # post-solve check on bounds and rows
 
 
@@ -705,29 +708,54 @@ def _stack_rows(A_f, A_h) -> sparse.csc_array:
     return A
 
 
-def _highs():
-    """The HiGHS solver and its binding module, created on first use."""
-    global _HIGHS
-    if _HIGHS is None:
+class _Solver:
+    """A HiGHS solver with the options scipy's own HiGHS LP method sets,
+    its binding module, and the record of the model it was last passed
+    (None before its first run and after a failed warm run)."""
+
+    def __init__(self):
         try:
-            import scipy.optimize._highspy._core as _core
-            highs, opts = _core._Highs(), _core.HighsOptions()
+            import scipy.optimize._highspy._core as core
+            highs, opts = core._Highs(), core.HighsOptions()
         except (ImportError, AttributeError) as exc:
             raise ImportError(
                 "engine='highs' needs scipy>=1.17, whose bundled HiGHS "
                 "binding scipy.optimize._highspy._core it calls") from exc
         opts.presolve = "on"
         opts.simplex_strategy = (
-            _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
         opts.primal_feasibility_tolerance = 1e-10
         opts.dual_feasibility_tolerance = 1e-10
         opts.output_flag = False
         opts.log_to_console = False
-        opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-        if highs.passOptions(opts) == _core.HighsStatus.kError:
+        opts.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+        if highs.passOptions(opts) == core.HighsStatus.kError:
             raise LPNumericalError("HiGHS rejected its options")
-        _HIGHS = highs, _core
-    return _HIGHS
+        self.highs, self.core = highs, core
+        self.held: _Held | None = None
+
+
+_HIGHS: _Solver | None = None   # shared by every form without stacked rows
+# id(rows_csc) -> the solver of the forms stacked on those rows; an entry
+# leaves with its rows, before the id can be reused
+_SOLVERS: dict = {}
+
+
+def _solver_of(lp: LPStandardForm) -> _Solver:
+    """The solver ``lp`` is solved on, made on its first HiGHS solve: one
+    per stacked rows object (a dispatch template and every node and day
+    derived from it), and one shared by all forms without stacked rows."""
+    global _HIGHS
+    rows = lp.rows_csc
+    if rows is None:
+        if _HIGHS is None:
+            _HIGHS = _Solver()
+        return _HIGHS
+    solver = _SOLVERS.get(id(rows))
+    if solver is None:
+        solver = _SOLVERS[id(rows)] = _Solver()
+        weakref.finalize(rows, _SOLVERS.pop, id(rows), None)
+    return solver
 
 
 def _highs_outcome(model_status, core) -> str:
@@ -765,7 +793,6 @@ class _Held:
     stay theirs), a copy of ``M``, the row upper bounds made from them,
     and copies of the column bounds."""
 
-    highs: object
     rows: sparse.csc_array
     c: np.ndarray
     rhs: tuple      # (b_f0, B_f, b_h0, B_h) of the model passed
@@ -773,9 +800,6 @@ class _Held:
     row_hi: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-
-
-_HELD: _Held | None = None   # set by the last HiGHS solve that ran
 
 
 def _rhs(lp: LPStandardForm) -> tuple:
@@ -791,16 +815,16 @@ def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
                  warm: bool = False) -> LPSolution:
-    global _HELD
-    highs, core = _highs()
+    solver = _solver_of(lp)
+    highs, core = solver.highs, solver.core
     q = lp.n_ineq
     m = lp.n_eq
     n = lp.n_vars
     A = lp.rows_csc if lp.rows_csc is not None else _stack_rows(lp.A_f,
                                                                 lp.A_h)
-    held, _HELD = _HELD, None
+    held, solver.held = solver.held, None
     if warm and held is not None:
-        sol = _solve_warm(highs, core, held, lp, A, M)
+        sol = _solve_warm(solver, held, lp, A, M)
         if sol is not None:
             return sol
     row_lo, row_hi = _row_bounds(lp, M)
@@ -813,18 +837,18 @@ def _solve_highs(lp: LPStandardForm, M: np.ndarray,
     else:
         highs.run()
         status = highs.getModelStatus()
-        _HELD = _Held(highs, A, lp.c, _rhs(lp), M.copy(), row_hi,
-                      lp.lb.copy(), lp.ub.copy())
+        solver.held = _Held(A, lp.c, _rhs(lp), M.copy(), row_hi,
+                            lp.lb.copy(), lp.ub.copy())
     return _highs_solution(highs, core, lp, row_hi, status)
 
 
-def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
+def _solve_warm(solver: _Solver, held: _Held, lp: LPStandardForm, A,
                 M: np.ndarray) -> LPSolution | None:
-    """Re-solve ``lp`` from the basis the solver holds, if it holds this
+    """Re-solve ``lp`` from the basis ``solver`` holds, if it holds this
     model up to row and column bounds; None if it does not, or if the run
     fails."""
-    global _HELD
-    if not (held.highs is highs and held.rows is A and held.c is lp.c
+    highs, core = solver.highs, solver.core
+    if not (held.rows is A and held.c is lp.c
             and all(a is b for a, b in zip(held.rhs, _rhs(lp)))):
         return None
     row_hi = held.row_hi
@@ -842,14 +866,14 @@ def _solve_warm(highs, core, held: _Held, lp: LPStandardForm, A,
                               lp.ub[moved]) == core.HighsStatus.kError:
         return None
     highs.run()
-    _HELD = replace(held, M=M.copy(), row_hi=row_hi, lb=lp.lb.copy(),
-                    ub=lp.ub.copy())
     try:
-        return _highs_solution(highs, core, lp, row_hi,
-                               highs.getModelStatus())
+        sol = _highs_solution(highs, core, lp, row_hi,
+                              highs.getModelStatus())
     except LPNumericalError:
-        _HELD = None    # a failed warm start gets one cold solve
-        return None
+        return None     # a failed warm start gets one cold solve
+    solver.held = replace(held, M=M.copy(), row_hi=row_hi, lb=lp.lb.copy(),
+                          ub=lp.ub.copy())
+    return sol
 
 
 def _floats(values: list) -> np.ndarray:

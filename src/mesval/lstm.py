@@ -30,8 +30,15 @@ The unrolled pass and its backward sweep run a batch: windows are
 ``(B, T, D)`` and every step value carries the batch axis first.
 :func:`train_mse` unrolls all of a sector's training windows at once,
 :func:`forward_days` a sequence of forecast days; :func:`forward_day` and
-:func:`backward_day` are the batch of one. The batch is bit-identical to
-running one window at a time because of two rules:
+:func:`backward_day` are the batch of one. The weights may carry the same
+batch axis, one network per item, so several sectors' forecasters run as
+one stack: :func:`train_mse` on a ``(days, sectors, 24)`` load array,
+:func:`forward_days` on a split's windows per model, and
+:func:`forward_day` on one window per model, whose :class:`DayTape` keeps
+the step values that :func:`apply_external_gradient` sweeps backward for
+the members, with no second forward pass. The batch is bit-identical to
+running one window at a time, one network at a time, because of two
+rules:
 
   * every product keeps its per-window shape: the gate pre-activations
     come from ``W_x @ x[..., None]`` (for all steps at once) and
@@ -39,8 +46,9 @@ running one window at a time because of two rules:
     ``(H, D) @ (D, 1)`` or ``(H, H) @ (H, 1)`` product and numpy makes
     the same BLAS call per item; the head works the same way;
   * every sum keeps its order: a sample's gradients build up over
-    reversed time, the samples are then added into the total in sample
-    order, and the loss adds ``err[k] @ err[k]`` in sample order.
+    reversed time, the samples are then added into their network's total
+    in sample order, and the loss adds ``err[k] @ err[k]`` in sample
+    order; no sum runs across networks.
 
 One ``(4H, D) @ (D, B)`` product, or a sum over the batch axis first,
 might be faster but would move the last bits.
@@ -52,6 +60,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit as _sigmoid
@@ -249,18 +258,103 @@ class ForecastModel:
             raise ForecastError("window must be >= 1")
 
 
-def forward_day(model: ForecastModel, window: np.ndarray) -> np.ndarray:
-    """Forecast 24 hourly loads in kW, clamped at zero."""
-    arr = _check_window(model, window)
-    return forecast_batch(model.params, model.norm, arr[None])[0]
+def _stack_weights(models, repeats: int = 1) -> SimpleNamespace:
+    """The weights of ``models`` on one batch axis, each model's
+    ``repeats`` times in a row: item ``k * repeats + j`` is model k's."""
+    shapes = {(m.window,) + tuple(getattr(m.params, name).shape
+                                  for name in LstmParams.field_names())
+              for m in models}
+    if len(shapes) != 1:
+        raise ForecastError("stacked forecasters need one window length "
+                            "and one parameter layout")
+    stacked = {name: np.stack([getattr(m.params, name) for m in models])
+               for name in LstmParams.field_names()}
+    if repeats > 1:
+        stacked = {name: np.repeat(a, repeats, axis=0)
+                   for name, a in stacked.items()}
+    return SimpleNamespace(**stacked)
 
 
-def forward_days(model: ForecastModel, windows) -> np.ndarray:
+def _norm_columns(models, repeats: int = 1) -> tuple:
+    """Each item's normalization ``(lo, span)`` as ``(items, 1)`` columns,
+    in :func:`_stack_weights`' item order."""
+    lo = np.repeat([m.norm.lo for m in models], repeats)[:, None]
+    span = np.repeat([m.norm.span for m in models], repeats)[:, None]
+    return lo, span
+
+
+@dataclass(frozen=True)
+class DayTape:
+    """One forward pass of several forecasters, one window each, run as a
+    stack: the forecasts, and the step values the members' backward pass
+    sweeps (see :func:`apply_external_gradient`)."""
+
+    models: tuple
+    windows: tuple            # the windows read, as passed
+    forecasts: np.ndarray     # (S, 24) kW, clamped at zero
+    raw: np.ndarray           # (S, 24) kW before the clamp
+    weights: SimpleNamespace  # the models' weights on the batch axis
+    steps: list
+    h_final: np.ndarray
+
+
+def forward_day(model, window):
+    """Forecast 24 hourly loads in kW, clamped at zero.
+
+    Given a sequence of S models and a sequence of S windows, one each,
+    the models run as one stack and the result is a :class:`DayTape`
+    whose ``forecasts`` row k is ``forward_day(models[k], windows[k])``,
+    bit for bit.
+    """
+    if isinstance(model, ForecastModel):
+        arr = _check_window(model, window)
+        return forecast_batch(model.params, model.norm, arr[None])[0]
+    models, windows = tuple(model), tuple(window)
+    if len(models) != len(windows) or not models:
+        raise ForecastError(f"{len(models)} models need as many windows, "
+                            f"got {len(windows)}")
+    weights = _stack_weights(models)
+    arr = np.stack([_check_window(m, w) for m, w in zip(models, windows)])
+    steps, h_final, out = _unroll(weights, arr)
+    lo, span = _norm_columns(models)
+    raw = lo + span * out
+    return DayTape(models=models, windows=windows,
+                   forecasts=np.maximum(raw, 0.0), raw=raw, weights=weights,
+                   steps=steps, h_final=h_final)
+
+
+def forward_days(model, windows) -> np.ndarray:
     """Forecasts ``(B, 24)`` for a non-empty sequence of B windows: each
     row is :func:`forward_day` of its window, bit for bit, with the same
-    window checks, but all of them run in one batch."""
-    arr = np.stack([_check_window(model, w) for w in windows])
-    return forecast_batch(model.params, model.norm, arr)
+    window checks, but all of them run in one batch.
+
+    Given a sequence of S models and, per model, a sequence of B windows,
+    all S * B forecasts run in one batch and come back as ``(S, B, 24)``.
+    """
+    if isinstance(model, ForecastModel):
+        arr = np.stack([_check_window(model, w) for w in windows])
+        return forecast_batch(model.params, model.norm, arr)
+    models, per_model = tuple(model), [list(w) for w in windows]
+    counts = {len(w) for w in per_model}
+    if len(per_model) != len(models) or len(counts) != 1 or 0 in counts:
+        raise ForecastError("stacked forecasts need one non-empty sequence "
+                            "of windows per model, all of one length")
+    B = counts.pop()
+    arr = np.stack([_check_window(m, w)
+                    for m, ws in zip(models, per_model) for w in ws])
+    _, _, out = _unroll(_stack_weights(models, B), arr)
+    lo, span = _norm_columns(models, B)
+    return np.maximum(lo + span * out, 0.0).reshape(len(models), B, -1)
+
+
+def _check_dloss(dloss_dforecast, shape: tuple, what: str) -> np.ndarray:
+    dloss = np.asarray(dloss_dforecast, dtype=float)
+    if dloss.shape != shape:
+        raise ForecastError(f"loss gradient shape {dloss.shape} does not "
+                            f"match {what} {shape}")
+    if not np.all(np.isfinite(dloss)):
+        raise ForecastError("loss gradient must be finite")
+    return dloss
 
 
 def backward_day(model: ForecastModel, window: np.ndarray,
@@ -270,12 +364,8 @@ def backward_day(model: ForecastModel, window: np.ndarray,
     Slots where the kW clamp is active pass no gradient.
     """
     arr = _check_window(model, window)
-    dloss = np.asarray(dloss_dforecast, dtype=float)
-    if dloss.shape != (model.params.horizon,):
-        raise ForecastError(f"loss gradient shape {dloss.shape} does not "
-                            f"match horizon ({model.params.horizon},)")
-    if not np.all(np.isfinite(dloss)):
-        raise ForecastError("loss gradient must be finite")
+    dloss = _check_dloss(dloss_dforecast, (model.params.horizon,),
+                         "horizon")
     steps, h_final, out = _unroll(model.params, arr[None])
     raw = model.norm.unscale(out[0])
     dout = np.where(raw > 0.0, dloss, 0.0) * model.norm.span
@@ -285,18 +375,19 @@ def backward_day(model: ForecastModel, window: np.ndarray,
 
 def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
     """Reverse-mode sweep from gradients ``(B, 24)`` at the (normalized)
-    head output; every returned gradient keeps the batch axis first."""
+    head output; every returned gradient keeps the batch axis first.
+    ``params`` may carry a batch axis of its own, one network per item."""
     n = dout.shape[0]
-    g_x = np.zeros((n,) + params.W_x.shape)
-    g_h = np.zeros((n,) + params.W_h.shape)
-    g_b = np.zeros((n,) + params.b.shape)
+    g_x = np.zeros((n,) + params.W_x.shape[-3:])
+    g_h = np.zeros((n,) + params.W_h.shape[-3:])
+    g_b = np.zeros((n,) + params.b.shape[-2:])
     # the outer products of each step, written in place; einsum with no
     # summed index forms each product once, as a broadcast multiply
     # would, at half its cost on a batch
     term_x = np.empty_like(g_x)
     term_h = np.empty_like(g_h)
-    W_hT = params.W_h.transpose(0, 2, 1)
-    dh = (params.W_out.T @ dout[:, :, None])[..., 0]
+    W_hT = params.W_h.swapaxes(-1, -2)
+    dh = (params.W_out.swapaxes(-1, -2) @ dout[:, :, None])[..., 0]
     dc = np.zeros_like(dh)
     for x, z, c_prev, tc, h_prev in reversed(steps):
         f, i, o, g = z.swapaxes(0, 1)
@@ -319,16 +410,55 @@ def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
             "b_out": dout.copy()}
 
 
-def apply_external_gradient(model: ForecastModel, dloss_dforecast: np.ndarray,
-                            window: np.ndarray, lr: float) -> ForecastModel:
-    """One descent step against a gradient taken at the kW forecast."""
+def _stepped(model: ForecastModel, grads, lr: float) -> ForecastModel:
+    """``model`` after one descent step along ``grads[name]``."""
+    params = LstmParams(**{
+        name: getattr(model.params, name) - lr * grads[name]
+        for name in LstmParams.field_names()})
+    return dataclasses.replace(model, params=params)
+
+
+def apply_external_gradient(model, dloss_dforecast: np.ndarray, window,
+                            lr: float):
+    """One descent step against a gradient taken at the kW forecast.
+
+    The stacked form is ``apply_external_gradient(tape, dloss_dforecast,
+    members, lr)``: a :class:`DayTape` in place of the model, one gradient
+    row per tape model, and in place of the window the positions of the
+    models that step (the members). It returns the tape's models with
+    each member stepped and every other model as it was. The members'
+    backward pass runs as one stack from the tape's step values, with no
+    second forward pass; each stepped model equals the one the
+    single-model call returns, bit for bit.
+    """
     if lr < 0.0 or not np.isfinite(lr):
         raise ForecastError("lr must be finite and >= 0")
-    grads = backward_day(model, window, dloss_dforecast)
-    stepped = LstmParams(**{
-        name: getattr(model.params, name) - lr * getattr(grads, name)
-        for name in LstmParams.field_names()})
-    return dataclasses.replace(model, params=stepped)
+    if isinstance(model, ForecastModel):
+        grads = backward_day(model, window, dloss_dforecast)
+        return _stepped(model, vars(grads), lr)
+    tape = model
+    members = sorted(set(window))
+    if not all(0 <= k < len(tape.models) for k in members):
+        raise ForecastError(f"members {members} are not positions of the "
+                            f"{len(tape.models)} models on the tape")
+    dloss = _check_dloss(dloss_dforecast, tape.raw.shape,
+                         "the tape's forecasts")
+    if not members:
+        return tape.models
+    weights, steps, h_final = tape.weights, tape.steps, tape.h_final
+    if len(members) < len(tape.models):     # the members' items alone
+        weights = SimpleNamespace(**{name: a[members] for name, a
+                                     in vars(weights).items()})
+        steps = [tuple(a[members] for a in step) for step in steps]
+        h_final = h_final[members]
+    _, span = _norm_columns([tape.models[k] for k in members])
+    dout = np.where(tape.raw[members] > 0.0, dloss[members], 0.0) * span
+    grads = _backward_from_head(weights, steps, h_final, dout)
+    out = list(tape.models)
+    for j, k in enumerate(members):
+        out[k] = _stepped(tape.models[k],
+                          {name: g[j] for name, g in grads.items()}, lr)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -404,39 +534,60 @@ class TrainingConfig:
             raise ForecastError("hidden_size must be >= 1")
 
 
-def _mse_gradient(params: LstmParams, windows: np.ndarray,
-                  targets: np.ndarray) -> tuple:
-    """Mean squared error over a batch of windows and its gradient.
+def _mse_gradient(params, windows: np.ndarray, targets: np.ndarray,
+                  models: int) -> tuple:
+    """Mean squared error of each of ``models`` networks over its batch of
+    windows, and its gradient.
 
-    Each sample's loss and gradients are added into the totals in sample
-    order, as a loop over the windows would add them. The batch's step
-    values die on return, before the next epoch unrolls.
+    ``windows`` holds the networks' batches one after another, all of one
+    size; ``params`` carries one network per item, or, for one network,
+    none. Each sample's loss and gradients are added into its network's
+    totals in sample order, as a loop over the windows would add them.
+    The batch's step values die on return, before the next epoch unrolls.
     """
     steps, h_final, out = _unroll(params, windows)
     err = out - targets
-    denom = float(err.size)
+    B = err.shape[0] // models
+    denom = float(B * err.shape[1])
     sample = _backward_from_head(params, steps, h_final, 2.0 * err / denom)
-    loss = 0.0
-    total = {name: np.zeros_like(getattr(params, name))
-             for name in LstmParams.field_names()}
-    for k in range(err.shape[0]):
-        loss += float(err[k] @ err[k])
+    loss = np.zeros(models)
+    total = {name: np.zeros((models,) + g.shape[1:])
+             for name, g in sample.items()}
+    per_model = {name: g.reshape((models, B) + g.shape[1:])
+                 for name, g in sample.items()}
+    for k in range(B):
+        for j in range(models):
+            e = err[j * B + k]
+            loss[j] += float(e @ e)
         for name in total:
-            total[name] += sample[name][k]
+            total[name] += per_model[name][:, k]
     return loss / denom, total
 
 
 def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
-              config: TrainingConfig, seed: int) -> tuple:
+              config: TrainingConfig, seed) -> tuple:
     """Full-batch gradient descent on normalized mean squared error.
 
     `loads` is (days, 24) in kW; day d is forecast from day d-1's window.
     Returns the trained model and the per-epoch loss trace.
+
+    With `loads` (days, S, 24), one column per sector as a
+    :class:`mesval.data.DayDataset` holds them, and `seed` a sequence of
+    S seeds, the S networks train as one stack and the result is the list
+    of S models and the (S, epochs) traces; each is what the call on its
+    column alone returns, bit for bit.
     """
     loads = np.asarray(loads, dtype=float)
     dows = np.asarray(day_of_week, dtype=int)
-    if loads.ndim != 2 or loads.shape[1] != HORIZON:
-        raise ForecastError(f"loads must be (days, {HORIZON})")
+    stacked = loads.ndim == 3
+    if loads.ndim not in (2, 3) or loads.shape[-1] != HORIZON:
+        raise ForecastError(f"loads must be (days, {HORIZON}) or "
+                            f"(days, sectors, {HORIZON})")
+    columns = loads if stacked else loads[:, None, :]
+    seeds = tuple(seed) if stacked else (seed,)
+    if len(seeds) != columns.shape[1]:
+        raise ForecastError(f"{columns.shape[1]} load columns need as many "
+                            f"seeds, got {len(seeds)}")
     if not np.all(np.isfinite(loads)):
         raise ForecastError("loads must be finite")
     if dows.shape != (loads.shape[0],):
@@ -445,23 +596,38 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
         raise ForecastError("need at least two days to form one "
                             "window/target pair")
 
-    norm = fit_normalization(loads)
-    windows = np.stack([build_window(loads[d - 1], int(dows[d - 1]), norm,
-                                     config.window)
-                        for d in range(1, loads.shape[0])])
-    targets = norm.scale(loads[1:])
+    S = len(seeds)
+    norms = [fit_normalization(columns[:, j]) for j in range(S)]
+    windows = np.stack([build_window(columns[d - 1, j], int(dows[d - 1]),
+                                     norms[j], config.window)
+                        for j in range(S) for d in range(1, loads.shape[0])])
+    targets = np.concatenate([norms[j].scale(columns[1:, j])
+                              for j in range(S)])
 
-    params = init_params(seed, hidden_size=config.hidden_size)
-    trace = np.zeros(config.mse_epochs)
+    inits = [init_params(sd, hidden_size=config.hidden_size) for sd in seeds]
+    params = {name: np.stack([getattr(p, name) for p in inits])
+              for name in LstmParams.field_names()}
+    B = loads.shape[0] - 1
+    trace = np.zeros((S, config.mse_epochs))
     for epoch in range(config.mse_epochs):
-        loss, grads = _mse_gradient(params, windows, targets)
-        trace[epoch] = loss
-        params = LstmParams(**{
-            name: getattr(params, name) - config.lr * grads[name]
-            for name in LstmParams.field_names()})
-    model = ForecastModel(params=params, norm=norm, window=config.window,
-                          seed=seed)
-    return model, trace
+        # one network per item, or the one network for all of them
+        items = SimpleNamespace(**{
+            name: np.repeat(a, B, axis=0) if S > 1 else a[0]
+            for name, a in params.items()})
+        loss, grads = _mse_gradient(items, windows, targets, S)
+        trace[:, epoch] = loss
+        params = {name: params[name] - config.lr * grads[name]
+                  for name in params}
+        for name, a in params.items():
+            if not np.all(np.isfinite(a)):
+                raise ForecastError(f"parameter {name} is not finite")
+    models = [ForecastModel(
+        params=LstmParams(**{name: a[j] for name, a in params.items()}),
+        norm=norms[j], window=config.window, seed=seeds[j])
+        for j in range(S)]
+    if stacked:
+        return models, trace
+    return models[0], trace[0]
 
 
 # ---------------------------------------------------------------------------

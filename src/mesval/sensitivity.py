@@ -36,7 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LPSolution, LPStandardForm, solve_lp
+from .lp import (LPNumericalError, LPSolution, LPStandardForm,
+                 solve_bland_batch)
+# not called here; kept importable for tools that wrap mesval.sensitivity
+from .lp import solve_lp  # noqa: F401
 
 DAMPING = 1e-10
 COND_LIMIT = 1e12
@@ -215,10 +218,14 @@ def finite_difference_gradient(lp: LPStandardForm,
     """Numerical oracle: central and one-sided slopes of C*(M) per slot.
 
     Each slot moves by ``FD_STEP`` either way and every problem is solved
-    by the Bland engine. Every perturbed problem must stay solvable; a
-    non-optimal status raises :class:`FDOracleError` naming the slot.
-    Kinks are flagged where the two one-sided slopes disagree by more than
-    ``KINK_TOL`` times their scale.
+    by the Bland engine: ``M`` and its 2p perturbations go through one
+    :func:`mesval.lp.solve_bland_batch` call, which returns what solving
+    them one by one would. Every perturbed problem must stay solvable; a
+    non-optimal status raises :class:`FDOracleError` naming the slot. A
+    failure is raised where one-by-one solves would meet it: the base
+    problem first, then slot by slot, a breakdown of the ``+h`` or ``-h``
+    solve before either's status. Kinks are flagged where the two
+    one-sided slopes disagree by more than ``KINK_TOL`` times their scale.
     """
     h = FD_STEP
     M = np.asarray(M, dtype=float)
@@ -227,14 +234,22 @@ def finite_difference_gradient(lp: LPStandardForm,
     left = np.zeros(p)
     right = np.zeros(p)
     kink = np.zeros(p, dtype=bool)
-    base = solve_lp(lp, M, engine="bland")
-    if base.status != "optimal":
-        raise FDOracleError(f"base problem is {base.status}")
+    Ms = [M]
     for k in range(p):
         e = np.zeros(p)
         e[k] = h
-        up = solve_lp(lp, M + e, engine="bland")
-        dn = solve_lp(lp, M - e, engine="bland")
+        Ms += [M + e, M - e]
+    sols = solve_bland_batch(lp, np.array(Ms))
+    base = sols[0]
+    if isinstance(base, LPNumericalError):
+        raise base
+    if base.status != "optimal":
+        raise FDOracleError(f"base problem is {base.status}")
+    for k in range(p):
+        up, dn = sols[1 + 2 * k], sols[2 + 2 * k]
+        for s in (up, dn):
+            if isinstance(s, LPNumericalError):
+                raise s
         for tag, s in (("+", up), ("-", dn)):
             if s.status != "optimal":
                 raise FDOracleError(

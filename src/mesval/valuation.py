@@ -227,12 +227,13 @@ def _split_windows(models, dataset: DayDataset) -> list:
 
 def _forecast_split(models, dataset: DayDataset) -> np.ndarray:
     """Forecasts of every forecastable day, ``(days - 1, sectors, 24)``:
-    all of a sector's windows go through its forecaster in one batch."""
+    every sector's windows go through the stacked forecasters in one
+    batch."""
     if models is ORACLE_FORECASTS:
         return dataset.loads[1:]
-    windows = _split_windows(models, dataset)
-    return np.stack([forward_days(models[sector], windows[i])
-                     for i, sector in enumerate(SECTORS)], axis=1)
+    fc = forward_days([models[sector] for sector in SECTORS],
+                      _split_windows(models, dataset))
+    return fc.swapaxes(0, 1)
 
 
 def _check_models(models) -> None:
@@ -243,9 +244,10 @@ def _check_models(models) -> None:
         raise ValuationError(f"models missing for sectors: {missing}")
 
 
-def _solve_stage(prob, engine, day, stage, on_dispatch):
+def _solve_stage(prob, engine, day, stage, on_dispatch, warm_root=False):
     res = branch_and_bound(prob.milp, prob.M0, engine=engine,
-                           round_repair=storage_repair(prob))
+                           round_repair=storage_repair(prob),
+                           warm_root=warm_root)
     if res.status != "optimal":
         raise DispatchInfeasible(f"day {day}: {stage} is {res.status}")
     if on_dispatch is not None:
@@ -261,8 +263,11 @@ def _dispatch_day(fc, act, hub, mode, engine, day, on_dispatch) -> float:
     da = build_day_ahead(fc, hub)
     res_da = _solve_stage(da, engine, day, "day-ahead commitment",
                           on_dispatch)
+    # the recourse template's own solver still holds the day before's
+    # recourse search: the first day of a call solves its root cold
     res_id = _solve_stage(build_intra_day(da, res_da, act), engine, day,
-                          "intra-day recourse", on_dispatch)
+                          "intra-day recourse", on_dispatch,
+                          warm_root=day > 1)
     # the recourse objective carries the commitment cost as its constant
     return float(res_id.objective)
 
@@ -274,10 +279,15 @@ def evaluate_cost(models, dataset: DayDataset, hub: HubConfig,
 
     Day d is priced with forecasts from day d-1's loads, so the first day
     only provides features. ``models`` is a per-sector mapping or the
-    ORACLE_FORECASTS sentinel (forecasts identical to actuals). Every
-    search solves its root cold, so the cost does not depend on what was
-    solved before. The pipeline prices on ``ENGINE``; another ``engine``
-    may break ties between equal-cost commitments another way.
+    ORACLE_FORECASTS sentinel (forecasts identical to actuals); the three
+    forecasters run as one stack over the whole split. Every day-ahead and
+    joint search, and the first day's recourse search, solves its root
+    cold; each later recourse root is warm (``warm_root``), re-solved on
+    the recourse template's own solver from the basis the day before's
+    recourse search left. So the cost depends only on the arguments, not
+    on what was solved before the call. The pipeline prices on
+    ``ENGINE``; another ``engine`` may break ties between equal-cost
+    commitments another way.
     """
     if mode not in ("joint", "sequential"):
         raise ValuationError(f"unknown mode {mode!r}")
@@ -309,13 +319,11 @@ def sector_metrics(models, dataset: DayDataset) -> dict:
 
 def train_base_models(train: DayDataset, config: ExperimentConfig) -> tuple:
     """Per-sector benchmark forecasters on squared error and their
-    per-epoch loss traces, each sector seeded from the config seed."""
-    seeds = fan_out(config.seed).sectors
-    models, traces = {}, {}
-    for i, sector in enumerate(SECTORS):
-        models[sector], traces[sector] = train_mse(
-            train.loads[:, i, :], train.dows, config.training, seed=seeds[i])
-    return models, traces
+    per-epoch loss traces, each sector seeded from the config seed; the
+    three train as one stack."""
+    models, traces = train_mse(train.loads, train.dows, config.training,
+                               seed=fan_out(config.seed).sectors)
+    return dict(zip(SECTORS, models)), dict(zip(SECTORS, traces))
 
 
 def train_end_to_end(U, models: Mapping, dataset: DayDataset,
@@ -325,17 +333,19 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
 
     Every training day solves the joint problem once on ``ENGINE`` and
     takes the cost gradient with respect to the forecast slots; every
-    epoch is priced on ``ENGINE`` too. Only sectors in ``U`` step, each
-    from the input window its forecast read. The windows are
-    built once per call, by the same per-split builder pricing uses, and
-    serve every epoch. The first training day of each epoch solves its
-    root cold; every later day of the epoch asks for a warm root
-    (``warm_root``), which HiGHS re-solves from the basis the day before
-    left, the same joint template at another ``M``. No warm start crosses
-    an epoch's pricing or outlives the call, so the result depends only on
-    the arguments. The returned parameters are the best epoch by
-    training-split cost, the untrained starting point included, so the
-    result never prices worse than the benchmark on that split.
+    epoch is priced on ``ENGINE`` too. A day's three forecasts come from
+    one stacked forward pass, and only sectors in ``U`` step, all at once,
+    from that pass's tape, so each steps from the input window its
+    forecast read. The windows are built once per call, by the same
+    per-split builder pricing uses, and serve every epoch. The first
+    training day of each epoch solves its root cold; every later day of
+    the epoch asks for a warm root (``warm_root``), which HiGHS re-solves
+    from the basis the day before left on the joint template's own
+    solver, the same template at another ``M``. No warm start outlives the
+    call, so the result depends only on the arguments. The returned
+    parameters are the best epoch by training-split cost, the untrained
+    starting point included, so the result never prices worse than the
+    benchmark on that split.
 
     A training day whose joint solve is not optimal (an overshooting step
     can push forecasts beyond what the hub can commit to) is logged and
@@ -355,8 +365,7 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
     current = dict(models)
     if not U or training.e2e_epochs == 0:
         return current
-    members = [(i, sector) for i, sector in enumerate(SECTORS)
-               if _letter(sector) in U]
+    members = [i for i, sector in enumerate(SECTORS) if _letter(sector) in U]
     # a step changes a forecaster's weights, never its norm or window, so
     # the windows built once serve every epoch
     windows = _split_windows(models, dataset)
@@ -369,9 +378,9 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
         best_cost = start_cost
     for epoch in range(training.e2e_epochs):
         for d in range(1, dataset.days):
-            fc = np.vstack([forward_day(current[sector], windows[i][d - 1])
-                            for i, sector in enumerate(SECTORS)])
-            prob = build_joint(fc, dataset.loads[d], hub)
+            tape = forward_day([current[sector] for sector in SECTORS],
+                               [w[d - 1] for w in windows])
+            prob = build_joint(tape.forecasts, dataset.loads[d], hub)
             res, grad = embedded_gradient(prob.milp, prob.M0, engine=ENGINE,
                                           round_repair=storage_repair(prob),
                                           warm_root=d > 1)
@@ -382,11 +391,9 @@ def train_end_to_end(U, models: Mapping, dataset: DayDataset,
             if on_dispatch is not None:
                 on_dispatch(d, prob, res)
             slope = grad.dcost_dM[:len(SECTORS) * HORIZON]
-            slope = slope.reshape(len(SECTORS), HORIZON)
-            for i, sector in members:
-                current[sector] = apply_external_gradient(
-                    current[sector], slope[i], windows[i][d - 1],
-                    training.e2e_lr)
+            current = dict(zip(SECTORS, apply_external_gradient(
+                tape, slope.reshape(len(SECTORS), HORIZON), members,
+                training.e2e_lr)))
         try:
             cost = evaluate_cost(current, dataset, hub, mode,
                                  on_dispatch=on_dispatch)

@@ -559,8 +559,9 @@ def test_highs_stopping_short_is_exit_3(workdir, monkeypatch, capsys):
     from mesval import lp
 
     tmp, config = workdir
-    monkeypatch.setattr(lp, "_HIGHS", None)
-    highs, _ = lp._highs()
+    solver = lp._Solver()     # every template solves on this one
+    monkeypatch.setattr(lp, "_solver_of", lambda form: solver)
+    highs = solver.highs
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("simplex_iteration_limit", 0)
     assert main(["run-fto", "--config", str(config)]) == 3

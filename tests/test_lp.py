@@ -1002,14 +1002,21 @@ class _SolverSpy:
         return getattr(self._highs, name)
 
 
-def _spy_on_solver(monkeypatch, **kw):
+def _one_solver(monkeypatch):
+    """A fresh solver, holding nothing, handed out for every form the test
+    solves: the per-template seam made to serve one solver, so that a test
+    can hold one model and then ask about another on the same solver."""
     from mesval import lp as lp_module
 
-    highs, core = lp_module._highs()
-    spy = _SolverSpy(highs, core, **kw)
-    monkeypatch.setattr(lp_module, "_HIGHS", (spy, core))
-    monkeypatch.setattr(lp_module, "_HELD", None)
-    return spy
+    solver = lp_module._Solver()
+    monkeypatch.setattr(lp_module, "_solver_of", lambda lp: solver)
+    return solver
+
+
+def _spy_on_solver(monkeypatch, **kw):
+    solver = _one_solver(monkeypatch)
+    solver.highs = _SolverSpy(solver.highs, solver.core, **kw)
+    return solver.highs
 
 
 def _floor_node(prob):
@@ -1233,6 +1240,67 @@ def test_repeated_warm_search_is_bitwise_identical():
     assert repr(logs[0]) == repr(logs[1])
 
 
+def test_each_stacked_template_solves_on_a_solver_of_its_own():
+    # a template, its nodes and its days share one solver; another
+    # template has its own; forms without stacked rows share one; a
+    # template's solver leaves with its rows
+    import gc
+
+    from mesval import lp as lp_module
+    from mesval.dispatch import build_day_ahead, build_joint
+
+    solver_of = lp_module._solver_of
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
+    da = build_day_ahead(fc, cfg)
+    joint = solver_of(day1.milp.lp)
+    assert solver_of(day2.milp.lp) is joint
+    assert solver_of(_floor_node(day1)) is joint
+    assert solver_of(da.milp.lp) is not joint
+    rng = np.random.default_rng(RNG_SEED + 14)
+    box, other = (to_standard_form(random_box_lp(rng, 4, 3, 1, 2)[0])
+                  for _ in range(2))
+    assert solver_of(box) is solver_of(other) is lp_module._HIGHS
+    stacked = box.with_stacked_rows()
+    assert solver_of(stacked) not in (lp_module._HIGHS, joint)
+    key = id(stacked.rows_csc)
+    assert key in lp_module._SOLVERS
+    del stacked
+    gc.collect()
+    assert key not in lp_module._SOLVERS
+
+
+def test_solves_of_other_templates_leave_the_held_model(monkeypatch):
+    # the joint template's solver holds day 1 while the day-ahead
+    # template and an LP without stacked rows solve in between: day 2's
+    # warm root still only moves bounds on it
+    from mesval import lp as lp_module
+    from mesval.dispatch import build_day_ahead, build_joint
+
+    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
+    day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
+    da = build_day_ahead(fc, cfg)
+    lp = day2.milp.lp
+    solver = lp_module._solver_of(lp)
+    spy = _SolverSpy(solver.highs, solver.core)
+    monkeypatch.setattr(solver, "highs", spy)
+    cold = solve_lp(lp, day2.M0, engine="highs")
+    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
+                                5, 4, 1, 2)
+    solve_lp(lp, day1.M0, engine="highs")
+    assert solve_lp(da.milp.lp, da.M0, engine="highs").status == "optimal"
+    solve_lp(to_standard_form(prog), M_box, engine="highs")
+    spy.calls.clear()
+    got = solve_lp(lp, day2.M0, engine="highs", warm=True)
+    assert spy.calls == ["changeRowBounds"] * _moved_rows(
+        lp, day1.M0, day2.M0) + ["changeColsBounds"]
+    assert got.status == cold.status == "optimal"
+    np.testing.assert_allclose(got.objective, cold.objective,
+                               rtol=1e-9, atol=0.0)
+
+
 def _enum_reader(highs, core, lp, row_hi, status):
     """The HiGHS outcome reader as it read the basis before: one
     ``HighsBasisStatus`` enum per column. The reference for the reader
@@ -1415,10 +1483,7 @@ def test_missing_binding_names_the_requirement(monkeypatch):
 
 
 def test_highs_iteration_limit_raises(monkeypatch):
-    from mesval import lp as lp_module
-
-    monkeypatch.setattr(lp_module, "_HIGHS", None)    # a solver of its own
-    highs, core = lp_module._highs()
+    highs = _one_solver(monkeypatch).highs    # a solver of its own
     highs.setOptionValue("presolve", "off")
     highs.setOptionValue("simplex_iteration_limit", 0)
     prog, M0 = random_box_lp(np.random.default_rng(RNG_SEED + 9), 6, 5, 1, 2)

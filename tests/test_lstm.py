@@ -576,6 +576,128 @@ def test_train_mse_matches_per_window_loop_bitwise(days, window, hidden,
     assert_params_identical(model.params, dataclasses.asdict(want_params))
 
 
+def _bytes(params):
+    """Every field's bytes, signs of zero included."""
+    if isinstance(params, dict):
+        return [params[name].tobytes() for name in LstmParams.field_names()]
+    return [getattr(params, name).tobytes()
+            for name in LstmParams.field_names()]
+
+
+def _sector_loads(rng, days):
+    """(days, 3, 24) loads, one column per sector at its own level."""
+    return np.stack([synthetic_loads(rng, days, base=b, swing=w)
+                     for b, w in ((1800.0, 500.0), (900.0, 300.0),
+                                  (450.0, 150.0))], axis=1)
+
+
+@pytest.mark.parametrize("days,window,hidden,epochs",
+                         [(2, 24, 3, 2), (6, 7, 4, 3), (9, 24, 32, 2)])
+def test_stacked_train_mse_matches_each_sector_bitwise(days, window, hidden,
+                                                       epochs):
+    # three sectors train as one stack; each comes out as the per-window
+    # loop trains it alone, sign bits included
+    rng = np.random.default_rng(RNG_SEED + 11 + days)
+    loads = _sector_loads(rng, days)
+    dows = rng.integers(0, 7, days)
+    cfg = TrainingConfig(window=window, hidden_size=hidden,
+                         mse_epochs=epochs, lr=0.05)
+    seeds = (days, days + 1, days + 2)
+    models, traces = train_mse(loads, dows, cfg, seed=seeds)
+    assert len(models) == 3 and traces.shape == (3, epochs)
+    for j, seed in enumerate(seeds):
+        want_params, want_trace = ref_train_mse(loads[:, j], dows, cfg, seed)
+        assert traces[j].tobytes() == want_trace.tobytes()
+        assert _bytes(models[j].params) == _bytes(want_params)
+        alone, alone_trace = train_mse(loads[:, j], dows, cfg, seed=seed)
+        assert _bytes(alone.params) == _bytes(models[j].params)
+        assert alone_trace.tobytes() == traces[j].tobytes()
+        assert models[j].norm == alone.norm and models[j].seed == seed
+    with pytest.raises(ForecastError, match="seeds"):
+        train_mse(loads, dows, cfg, seed=seeds[:2])
+
+
+def _three_models(rng, hidden, window):
+    return [ForecastModel(params=init_params(seed=int(rng.integers(1 << 30)),
+                                             hidden_size=hidden),
+                          norm=Normalization(lo=lo, hi=hi), window=window,
+                          seed=0)
+            for lo, hi in ((-30.0, 60.0), (5.0, 80.0), (-60.0, 20.0))]
+
+
+def test_stacked_training_day_matches_each_sector_bitwise():
+    # one stacked forward for three models; the members step from its
+    # tape as the per-window reference steps each alone, and a non-member
+    # is returned untouched
+    rng = np.random.default_rng(RNG_SEED + 12)
+    lr = 1e-3
+    for _ in range(10):
+        H, w = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+        models = _three_models(rng, H, w)
+        windows = [rng.normal(0.0, 1.0, (w, 5)) for _ in models]
+        dloss = rng.normal(size=(3, 24))
+        tape = forward_day(models, windows)
+        assert all(a is b for a, b in zip(tape.windows, windows))
+        members = sorted(rng.choice(3, int(rng.integers(1, 4)),
+                                    replace=False).tolist())
+        stepped = apply_external_gradient(tape, dloss, members, lr)
+        for k, (m, window) in enumerate(zip(models, windows)):
+            steps, h_final, out = ref_unroll(m.params, window)
+            raw = m.norm.unscale(out)
+            assert tape.forecasts[k].tobytes() == \
+                np.maximum(raw, 0.0).tobytes()
+            assert tape.forecasts[k].tobytes() == \
+                forward_day(m, window).tobytes()
+            if k not in members:
+                assert stepped[k] is m
+                continue
+            dout = np.where(raw > 0.0, dloss[k], 0.0) * m.norm.span
+            grads = ref_backward_from_head(m.params, steps, h_final, dout)
+            want = {name: getattr(m.params, name) - lr * grads[name]
+                    for name in LstmParams.field_names()}
+            assert _bytes(stepped[k].params) == _bytes(want)
+            alone = apply_external_gradient(m, dloss[k], window, lr)
+            assert _bytes(stepped[k].params) == _bytes(alone.params)
+
+
+def test_stacked_split_forecasts_match_each_model_bitwise():
+    rng = np.random.default_rng(RNG_SEED + 13)
+    models = _three_models(rng, 5, 8)
+    windows = [[rng.normal(0.0, 1.0, (8, 5)) for _ in range(4)]
+               for _ in models]
+    got = forward_days(models, windows)
+    assert got.shape == (3, 4, 24)
+    for k, m in enumerate(models):
+        assert got[k].tobytes() == forward_days(m, windows[k]).tobytes()
+
+
+def test_stacked_passes_check_their_inputs():
+    rng = np.random.default_rng(RNG_SEED + 14)
+    models = _three_models(rng, 4, 6)
+    windows = [rng.normal(0.0, 1.0, (6, 5)) for _ in models]
+    wider = models[:2] + [dataclasses.replace(
+        models[2], params=init_params(seed=1, hidden_size=5))]
+    with pytest.raises(ForecastError, match="one parameter layout"):
+        forward_day(wider, windows)
+    with pytest.raises(ForecastError, match="windows"):
+        forward_day(models, windows[:2])
+    with pytest.raises(ForecastError, match="shape"):
+        forward_day(models, windows[:2] + [np.zeros((5, 5))])
+    with pytest.raises(ForecastError, match="windows"):
+        forward_days(models, [windows, windows, windows[:1]])
+    tape = forward_day(models, windows)
+    with pytest.raises(ForecastError, match="forecasts"):
+        apply_external_gradient(tape, np.zeros((2, 24)), [0], 1e-3)
+    with pytest.raises(ForecastError, match="finite"):
+        apply_external_gradient(tape, np.full((3, 24), np.nan), [0], 1e-3)
+    with pytest.raises(ForecastError, match="members"):
+        apply_external_gradient(tape, np.zeros((3, 24)), [3], 1e-3)
+    with pytest.raises(ForecastError, match="lr"):
+        apply_external_gradient(tape, np.zeros((3, 24)), [0], -1.0)
+    assert apply_external_gradient(tape, np.zeros((3, 24)), [],
+                                   1e-3) == tape.models
+
+
 # ---------------------------------------------------------------------------
 # features and normalization
 # ---------------------------------------------------------------------------

@@ -278,3 +278,72 @@ def test_fd_raises_on_infeasible_perturbation():
     lp = to_standard_form(prog)
     with pytest.raises(FDOracleError, match="0"):
         finite_difference_gradient(lp, np.array([0.0]))
+
+
+def _fd_one_by_one(lp, M):
+    """The oracle as it read before the batch: one Bland solve per
+    problem, in the order base, then +h and -h per slot."""
+    h = 1e-5
+    p = M.shape[0]
+    base = solve_lp(lp, M)
+    out = [np.zeros(p) for _ in range(3)] + [np.zeros(p, dtype=bool)]
+    value, left, right, kink = out
+    for k in range(p):
+        e = np.zeros(p)
+        e[k] = h
+        up, dn = solve_lp(lp, M + e), solve_lp(lp, M - e)
+        right[k] = (up.objective - base.objective) / h
+        left[k] = (base.objective - dn.objective) / h
+        value[k] = (up.objective - dn.objective) / (2 * h)
+        scale = 1.0 + max(abs(left[k]), abs(right[k]))
+        kink[k] = abs(right[k] - left[k]) > 1e-6 * scale
+    return out
+
+
+def test_fd_batch_equals_one_solve_per_problem_bitwise():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    compared = 0
+    for _ in range(30):
+        prog, M0 = random_box_lp(rng, int(rng.integers(2, 6)),
+                                 int(rng.integers(1, 6)),
+                                 int(rng.integers(0, 2)), 3)
+        lp = to_standard_form(prog)
+        try:
+            fd = finite_difference_gradient(lp, M0)
+        except FDOracleError:
+            continue
+        want = _fd_one_by_one(lp, M0)
+        for got, ref in zip((fd.value, fd.left, fd.right, fd.kink), want):
+            assert got.tobytes() == ref.tobytes()
+        compared += 1
+    assert compared >= 15
+
+
+def test_fd_raises_what_one_by_one_solves_meet_first(monkeypatch):
+    # base first, then slot by slot: a breakdown of the +h or -h solve
+    # before either one's status
+    from mesval import sensitivity
+    from mesval.lp import LPNumericalError, LPSolution
+
+    ok = LPSolution("optimal", np.zeros(1), None, None, 1.0, None)
+    bad = LPSolution("infeasible", None, None, None, None, None)
+    broken = LPNumericalError("breakdown")
+    cases = [([bad, broken, ok, ok, ok], FDOracleError, "base"),
+             ([broken, bad, ok, ok, ok], LPNumericalError, "breakdown"),
+             ([ok, bad, broken, ok, ok], LPNumericalError, "breakdown"),
+             ([ok, ok, bad, broken, ok], FDOracleError, r"-h on slot 0"),
+             ([ok, ok, ok, bad, broken], LPNumericalError, "breakdown"),
+             ([ok, ok, ok, bad, ok], FDOracleError, r"\+h on slot 1"),
+             ([ok, ok, ok, ok, broken], LPNumericalError, "breakdown")]
+    batches = []
+    for results, error, match in cases:
+        monkeypatch.setattr(sensitivity, "solve_bland_batch",
+                            lambda lp, Ms: batches.append(Ms) or results)
+        with pytest.raises(error, match=match):
+            finite_difference_gradient(scalar_ge_lp(), np.array([1.0, 2.0]))
+    # one batch per call: M, then M + h e_k and M - h e_k per slot
+    h = 1e-5
+    want = np.array([[1.0, 2.0], [1.0 + h, 2.0], [1.0 - h, 2.0],
+                     [1.0, 2.0 + h], [1.0, 2.0 - h]])
+    assert all(np.array_equal(Ms, want) for Ms in batches)
+    assert len(batches) == len(cases)

@@ -438,7 +438,8 @@ def test_split_forecasts_equal_the_per_day_rows_bitwise(days):
     assert got.tobytes() == want.tobytes()
 
 
-def test_evaluate_cost_forecasts_one_batch_per_sector(monkeypatch):
+def test_evaluate_cost_forecasts_one_batch_per_split(monkeypatch):
+    # the three sectors' forecasters run as one stack over the split
     from mesval import valuation
     hub = flat_hub()
     ds = small_dataset(days=4)
@@ -446,15 +447,16 @@ def test_evaluate_cost_forecasts_one_batch_per_sector(monkeypatch):
     batches = []
     real = valuation.forward_days
 
-    def counting(model, windows):
-        batches.append(len(windows))
-        return real(model, windows)
+    def counting(stack, windows):
+        batches.append(([m for m in stack], [len(w) for w in windows]))
+        return real(stack, windows)
 
     monkeypatch.setattr(valuation, "forward_days", counting)
     monkeypatch.setattr(valuation, "forward_day", None)   # never per day
     evaluate_cost(models, ds, hub, "sequential")
     sector_metrics(models, ds)
-    assert batches == [ds.days - 1] * (2 * len(SECTORS))
+    stack = [models[s] for s in SECTORS]
+    assert batches == [(stack, [ds.days - 1] * len(SECTORS))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +503,7 @@ def test_training_updates_only_coalition_members():
 def test_training_steps_members_from_the_forecast_windows(monkeypatch):
     # training builds one input window per sector and day, once per call;
     # every epoch forecasts from those windows, and the members step from
-    # the very objects their forecasts read
+    # the tape of the forward pass that read those very objects
     from mesval import valuation
     hub = flat_hub()
     ds = small_dataset(days=4)
@@ -514,17 +516,20 @@ def test_training_steps_members_from_the_forecast_windows(monkeypatch):
         built.append(real(*args, **kwargs))
         return built[-1]
 
-    read, stepped = [], []
+    read, stepped, tapes = [], [], []
     real_forward = valuation.forward_day
     real_step = valuation.apply_external_gradient
 
-    def forward(model, window):
-        read.append(window)
-        return real_forward(model, window)
+    def forward(stack, windows):
+        read.extend(windows)
+        tapes.append(real_forward(stack, windows))
+        return tapes[-1]
 
-    def step(model, slope, window, lr):
-        stepped.append(window)
-        return real_step(model, slope, window, lr)
+    def step(tape, slope, members, lr):
+        assert tape is tapes[-1]          # the day's own forward pass
+        assert list(members) == [0, 1, 2]
+        stepped.extend(tape.windows)
+        return real_step(tape, slope, members, lr)
 
     monkeypatch.setattr(valuation, "build_window", counting)
     monkeypatch.setattr(valuation, "forward_day", forward)
@@ -645,6 +650,79 @@ def test_warm_training_roots_keep_the_ledger_bitwise(seed, mode,
     cold = full_valuation(ds, config, hub=hub)
     assert ledger_rows(warm.ledger) == ledger_rows(cold.ledger)
     assert warm.allocation == cold.allocation
+
+
+def _base_and_split(hub_name, train_days, test_days, mse_epochs):
+    from mesval.config import (ExperimentConfig, dataset_from_config,
+                               split_dataset)
+    from mesval.hub import load_hub_config
+    from mesval.valuation import train_base_models
+    config = ExperimentConfig(
+        seed=0, hub=hub_name, train_days=train_days, test_days=test_days,
+        training=TrainingConfig(mse_epochs=mse_epochs))
+    hub = load_hub_config(config.hub_path())
+    train, test = split_dataset(dataset_from_config(config), config)
+    models, _ = train_base_models(train, config)
+    return models, test, hub
+
+
+@pytest.mark.parametrize("hub_name", ["experiment", "showcase"])
+def test_pricing_repeats_its_bits_after_other_templates_solve(hub_name):
+    # each call's first recourse root is cold and later ones start from
+    # the recourse template's own solver: searches of the other templates,
+    # and of the recourse template at another day, between two calls leave
+    # every price and every dispatch of the second call the first's bits
+    from mesval.bnb import branch_and_bound
+    from mesval.dispatch import (build_day_ahead, build_intra_day,
+                                 build_joint, storage_repair)
+    models, test, hub = _base_and_split(hub_name, 4, 4, 4)
+
+    def priced():
+        seen = []
+        cost = evaluate_cost(models, test, hub, "sequential",
+                             on_dispatch=lambda d, prob, res: seen.append(
+                                 (d, prob.stage, res.node_count,
+                                  res.primal.tobytes())))
+        return np.float64(cost).tobytes(), seen
+
+    def search(prob):
+        res = branch_and_bound(prob.milp, prob.M0, engine="highs",
+                               round_repair=storage_repair(prob))
+        assert res.status == "optimal"
+        return res
+
+    first = priced()
+    assert [stage for _, stage, _, _ in first[1]] == [
+        "day_ahead", "intra_day"] * (test.days - 1)
+    fc = test.loads[1] * 0.9
+    da = build_day_ahead(fc, hub)
+    search(build_intra_day(da, search(da), test.loads[2]))
+    search(build_joint(fc, test.loads[1], hub))
+    assert priced() == first
+
+
+def test_showcase_days_priced_in_one_call_agree_with_each_day_alone():
+    # days 61-90 of the showcase split in one call, where the recourse
+    # roots after the first day are warm, against each day priced in a
+    # call of its own, where every root is cold: a warm root may end at
+    # another optimal vertex, so a day's cost may move in its last bits
+    models, test, hub = _base_and_split("showcase", 30, 90, 10)
+    together = {}
+
+    def record(d, prob, res):
+        if prob.stage == "intra_day":
+            together[60 + d] = res.objective
+
+    total = evaluate_cost(models, test.slice(60, 91), hub, "sequential",
+                          on_dispatch=record)
+    assert sorted(together) == list(range(61, 91))
+    alone = {d: 1000.0 * evaluate_cost(models, test.slice(d - 1, d + 1),
+                                       hub, "sequential")
+             for d in together}
+    for d, cost in together.items():
+        np.testing.assert_allclose(cost, alone[d], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(total, sum(alone.values()) / 1000.0,
+                               rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
