@@ -9,11 +9,11 @@ Search rules, all deliberately plain:
     that has just solved another day of the same template may ask for a
     warm root (``warm_root=True``, the root also solved with
     ``warm=True``), which re-solves the root from the held basis after
-    moving the row bounds that changed with ``M``. Each template solves on
-    a HiGHS solver of its own, so searches of other templates in between
-    leave that basis. The result then depends on what the template's
-    solver holds, so only a caller that controls what was solved on it
-    before asks for it;
+    moving the row bounds that changed with ``M``. HiGHS keeps one solver
+    per constraint matrix, which a template shares with its nodes and
+    days, so searches of other templates in between leave that basis. The
+    result then depends on what the template's solver holds, so only a
+    caller that controls what was solved on it before asks for it;
   * a node survives only if its relaxation is optimal AND its bound is
     strictly below the incumbent objective, so ties prune;
   * a child whose parent's relaxation bound is not strictly below the

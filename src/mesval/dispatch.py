@@ -369,7 +369,7 @@ def _finish(prog: LinearProgram, stage: str, config: HubConfig,
             integers: list, cost_class: dict) -> DispatchProblem:
     sf = to_standard_form(prog)
     sf = replace(sf, A_f=sparse.csr_array(sf.A_f),
-                 A_h=sparse.csr_array(sf.A_h)).with_stacked_rows()
+                 A_h=sparse.csr_array(sf.A_h))
     var_index = {n: i for i, n in enumerate(sf.var_names)}
     milp = MILPProblem(lp=sf, integer_vars=tuple(var_index[n]
                                                  for n in integers))
@@ -456,7 +456,9 @@ def _compile_template(config: HubConfig, stage: str) -> _Template:
     prob = _compile(config, stage)
     lp = prob.milp.lp
     for a in (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h, lp.lb, lp.ub,
-              prob.cost_day_ahead, prob.cost_intra, prob.cost_storage):
+              prob.cost_day_ahead, prob.cost_intra, prob.cost_storage,
+              *(getattr(A, part) for A in (lp.A_f, lp.A_h)
+                for part in ("data", "indices", "indptr"))):
         a.flags.writeable = False
     storage_cols = np.array(
         [[prob.var_index[f"{s}.{kind}[{store.name}][{t}]"]

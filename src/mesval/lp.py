@@ -51,37 +51,38 @@ item is stored in its slot, not raised. :func:`solve_lp` with this engine
 is a batch of one that raises it.
 
 ``engine="highs"``: HiGHS behind the same contract, through the binding
-scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). A form stacked
-by :meth:`LPStandardForm.with_stacked_rows` (a dispatch template, and
-every node and day derived from it) solves on a solver of its own, kept
-for as long as its rows object lives; all forms without stacked rows
-share one solver. Each is created on its first solve and holds the
-options scipy's own HiGHS LP method sets (presolve on, dual simplex,
-feasibility tolerances 1e-10). A cold solve hands it a fresh model: the
-rows ``[A_f; A_h]`` as CSC (stacked once, or per solve), row bounds
-``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)`` above, and the bounds
-as column bounds. No basis carries over into a cold solve, so it returns
-what scipy's LP method returns for the same problem, bit for bit;
-``tests/test_lp.py`` checks that.
+scipy bundles (``scipy.optimize._highspy``, scipy>=1.17). There is one
+solver per constraint matrix: the forms on the same ``A_f`` and ``A_h``
+objects (a dispatch template, and every node and day ``replace`` derives
+from it) share one, made on their first solve and kept for as long as
+both objects live. It holds the options scipy's own HiGHS LP method sets
+(presolve on, dual simplex, feasibility tolerances 1e-10) and the rows
+``[A_f; A_h]`` as CSC, stacked once. A cold solve hands it a fresh model:
+those rows, row bounds ``-inf``/``b_h(M)`` below and ``b_f(M)``/``b_h(M)``
+above, and the bounds as column bounds. No basis carries over into a cold
+solve, so it returns what scipy's LP method returns for the same problem,
+bit for bit; ``tests/test_lp.py`` checks that.
 
-Each solver remembers the model it was last passed, so a solve of one
-template leaves what another template's solver holds. A solve asks for
-one of two things through ``warm``:
+Each solver remembers the model it was last passed, so a solve on one
+matrix leaves what another matrix's solver holds. A solve asks for one of
+two things through ``warm``:
 
   * ``False``, a cold solve: a fresh model, whatever the solver holds;
   * ``True``, a warm solve: when the held model is this one up to row and
     column bounds, move the bounds that differ and re-run the dual simplex
     from the basis the solver holds, skipping presolve (Bixby, Oper. Res.
-    2002). "This one" means the same ``rows_csc``, ``c``, ``b_f0``,
-    ``B_f``, ``b_h0`` and ``B_h`` objects, as every node and every day of
-    one template have. At the held ``M`` (the nodes of one search) the row
-    bounds are the held ones and are not recomputed; at another ``M`` (a
-    later day's root) the row bounds that moved are moved one row at a
-    time (the binding has no plural form). Then the column bounds that
-    differ move.
+    2002). "This one" means the same ``c``, ``b_f0``, ``B_f``, ``b_h0``
+    and ``B_h`` objects on the solver's matrix, as every node and every
+    day of one template have. At the held ``M`` (the nodes of one search)
+    the row bounds are the held ones and are not recomputed; at another
+    ``M`` (a later day's root) the row bounds that moved are moved one row
+    at a time (the binding has no plural form). Then the column bounds
+    that differ move.
 
-An in-place edit of those arrays between solves goes unseen; the dispatch
-builders make theirs read-only. A warm result's status and objective are
+The rows are stacked once per matrix object, so an in-place edit of
+``A_f``/``A_h`` after a HiGHS solve goes unseen, as does one of ``c`` or
+the right-hand-side arrays between solves; the dispatch builders make
+theirs read-only. A warm result's status and objective are
 a cold solve's, but at ties it may end at another optimal vertex. A warm
 request on any other model, and a warm run that fails or whose point
 fails the post-solve check, is solved cold, once.
@@ -109,7 +110,7 @@ Infeasible and unbounded problems are reported through
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -246,9 +247,6 @@ class LPStandardForm:
     # set on folded forms only: var index behind each appended bound row
     lb_row_vars: np.ndarray | None = None
     ub_row_vars: np.ndarray | None = None
-    # [A_f; A_h] as the HiGHS engine reads it, set by with_stacked_rows;
-    # None stacks on every HiGHS solve
-    rows_csc: sparse.csc_array | None = None
 
     @property
     def n_vars(self) -> int:
@@ -271,15 +269,6 @@ class LPStandardForm:
 
     def b_h(self, M: np.ndarray) -> np.ndarray:
         return self.b_h0 + self.B_h @ np.asarray(M, dtype=float)
-
-    def with_stacked_rows(self) -> "LPStandardForm":
-        """This form with ``[A_f; A_h]`` stacked once for the HiGHS engine.
-
-        A form solved many times (a dispatch template, each search node
-        ``replace`` derives from it) stacks here instead of per solve.
-        Derive a form with other ``A_f``/``A_h`` from the unstacked one.
-        """
-        return replace(self, rows_csc=_stack_rows(self.A_f, self.A_h))
 
     def fold_bounds(self) -> "LPStandardForm":
         """Bounds rewritten as inequality rows.
@@ -709,11 +698,15 @@ def _stack_rows(A_f, A_h) -> sparse.csc_array:
 
 
 class _Solver:
-    """A HiGHS solver with the options scipy's own HiGHS LP method sets,
-    its binding module, and the record of the model it was last passed
-    (None before its first run and after a failed warm run)."""
+    """The HiGHS solver of the forms on one constraint matrix: the options
+    scipy's own HiGHS LP method sets, its binding module, the rows
+    ``[A_f; A_h]`` stacked once, and the record of the model it was last
+    passed. ``model`` holds that model's ``(c, b_f0, B_f, b_h0, B_h)``
+    objects (held, so their ids stay theirs; None before the first run and
+    after a failed warm run), and ``M``, ``row_hi``, ``lb`` and ``ub`` the
+    parameter, row upper bounds and column bounds it was solved at."""
 
-    def __init__(self):
+    def __init__(self, A_f, A_h):
         try:
             import scipy.optimize._highspy._core as core
             highs, opts = core._Highs(), core.HighsOptions()
@@ -732,29 +725,31 @@ class _Solver:
         if highs.passOptions(opts) == core.HighsStatus.kError:
             raise LPNumericalError("HiGHS rejected its options")
         self.highs, self.core = highs, core
-        self.held: _Held | None = None
+        self.rows = _stack_rows(A_f, A_h)
+        self.model = self.M = self.row_hi = self.lb = self.ub = None
+
+    def hold(self, model: tuple, M: np.ndarray, row_hi: np.ndarray,
+             lp: LPStandardForm) -> None:
+        """Record ``model`` as solved at ``M`` and ``lp``'s bounds."""
+        self.model, self.M, self.row_hi = model, M.copy(), row_hi
+        self.lb, self.ub = lp.lb.copy(), lp.ub.copy()
 
 
-_HIGHS: _Solver | None = None   # shared by every form without stacked rows
-# id(rows_csc) -> the solver of the forms stacked on those rows; an entry
-# leaves with its rows, before the id can be reused
+# (id(A_f), id(A_h)) -> the solver of the forms on those matrices; an
+# entry leaves with either object, before its id can be reused
 _SOLVERS: dict = {}
 
 
 def _solver_of(lp: LPStandardForm) -> _Solver:
     """The solver ``lp`` is solved on, made on its first HiGHS solve: one
-    per stacked rows object (a dispatch template and every node and day
-    derived from it), and one shared by all forms without stacked rows."""
-    global _HIGHS
-    rows = lp.rows_csc
-    if rows is None:
-        if _HIGHS is None:
-            _HIGHS = _Solver()
-        return _HIGHS
-    solver = _SOLVERS.get(id(rows))
+    per ``A_f``/``A_h`` pair of objects (a dispatch template and every
+    node and day derived from it)."""
+    key = (id(lp.A_f), id(lp.A_h))
+    solver = _SOLVERS.get(key)
     if solver is None:
-        solver = _SOLVERS[id(rows)] = _Solver()
-        weakref.finalize(rows, _SOLVERS.pop, id(rows), None)
+        solver = _SOLVERS[key] = _Solver(lp.A_f, lp.A_h)
+        for matrix in (lp.A_f, lp.A_h):
+            weakref.finalize(matrix, _SOLVERS.pop, key, None)
     return solver
 
 
@@ -786,26 +781,6 @@ def _check_feasible(z, objective, ineq_slack, eq_residual, lb, ub) -> None:
             f"constraints by more than {_FEAS_TOL:.2e}")
 
 
-@dataclass(frozen=True)
-class _Held:
-    """The model last passed to a solver, as far as a warm start needs it:
-    the very rows, costs and right-hand-side arrays (held, so their ids
-    stay theirs), a copy of ``M``, the row upper bounds made from them,
-    and copies of the column bounds."""
-
-    rows: sparse.csc_array
-    c: np.ndarray
-    rhs: tuple      # (b_f0, B_f, b_h0, B_h) of the model passed
-    M: np.ndarray
-    row_hi: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-
-def _rhs(lp: LPStandardForm) -> tuple:
-    return lp.b_f0, lp.B_f, lp.b_h0, lp.B_h
-
-
 def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
     """Row bounds ``(lower, upper)`` of ``[A_f; A_h]`` at ``M``."""
     b_h = lp.b_h(M)
@@ -814,53 +789,46 @@ def _row_bounds(lp: LPStandardForm, M: np.ndarray) -> tuple:
 
 
 def _solve_highs(lp: LPStandardForm, M: np.ndarray,
-                 warm: bool = False) -> LPSolution:
+                 warm: bool) -> LPSolution:
     solver = _solver_of(lp)
-    highs, core = solver.highs, solver.core
-    q = lp.n_ineq
-    m = lp.n_eq
-    n = lp.n_vars
-    A = lp.rows_csc if lp.rows_csc is not None else _stack_rows(lp.A_f,
-                                                                lp.A_h)
-    held, solver.held = solver.held, None
-    if warm and held is not None:
-        sol = _solve_warm(solver, held, lp, A, M)
+    highs, core, A = solver.highs, solver.core, solver.rows
+    model = (lp.c, lp.b_f0, lp.B_f, lp.b_h0, lp.B_h)
+    held, solver.model = solver.model, None
+    if warm and held is not None and all(
+            a is b for a, b in zip(held, model)):
+        sol = _solve_warm(solver, model, lp, M)
         if sol is not None:
             return sol
     row_lo, row_hi = _row_bounds(lp, M)
     if highs.passModel(
-            n, q + m, A.nnz, core.MatrixFormat.kColwise,
+            lp.n_vars, lp.n_ineq + lp.n_eq, A.nnz, core.MatrixFormat.kColwise,
             core.ObjSense.kMinimize, 0.0, lp.c, lp.lb, lp.ub, row_lo, row_hi,
             A.indptr, A.indices, A.data,
-            np.zeros(n, dtype=np.int32)) == core.HighsStatus.kError:
+            np.zeros(lp.n_vars, dtype=np.int32)) == core.HighsStatus.kError:
         status = core.HighsModelStatus.kModelError
     else:
         highs.run()
         status = highs.getModelStatus()
-        solver.held = _Held(A, lp.c, _rhs(lp), M.copy(), row_hi,
-                            lp.lb.copy(), lp.ub.copy())
+        solver.hold(model, M, row_hi, lp)
     return _highs_solution(highs, core, lp, row_hi, status)
 
 
-def _solve_warm(solver: _Solver, held: _Held, lp: LPStandardForm, A,
+def _solve_warm(solver: _Solver, model: tuple, lp: LPStandardForm,
                 M: np.ndarray) -> LPSolution | None:
-    """Re-solve ``lp`` from the basis ``solver`` holds, if it holds this
-    model up to row and column bounds; None if it does not, or if the run
+    """Re-solve ``lp`` from the basis ``solver`` holds, whose model is
+    ``lp``'s ``model`` up to row and column bounds; None if the run
     fails."""
     highs, core = solver.highs, solver.core
-    if not (held.rows is A and held.c is lp.c
-            and all(a is b for a, b in zip(held.rhs, _rhs(lp)))):
-        return None
-    row_hi = held.row_hi
-    if not np.array_equal(held.M, M):
+    row_hi = solver.row_hi
+    if not np.array_equal(solver.M, M):
         # move the row bounds that changed with M
         row_lo, row_hi = _row_bounds(lp, M)
-        for i in np.flatnonzero(row_hi != held.row_hi).tolist():
+        for i in np.flatnonzero(row_hi != solver.row_hi).tolist():
             if highs.changeRowBounds(i, row_lo[i], row_hi[i]) == (
                     core.HighsStatus.kError):
                 return None
     # move the column bounds that differ and re-run
-    moved = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
+    moved = np.flatnonzero((lp.lb != solver.lb) | (lp.ub != solver.ub))
     if highs.changeColsBounds(moved.size, moved.astype(np.int32),
                               lp.lb[moved],
                               lp.ub[moved]) == core.HighsStatus.kError:
@@ -871,8 +839,7 @@ def _solve_warm(solver: _Solver, held: _Held, lp: LPStandardForm, A,
                               highs.getModelStatus())
     except LPNumericalError:
         return None     # a failed warm start gets one cold solve
-    solver.held = replace(held, M=M.copy(), row_hi=row_hi, lb=lp.lb.copy(),
-                          ub=lp.ub.copy())
+    solver.hold(model, M, row_hi, lp)
     return sol
 
 

@@ -332,8 +332,11 @@ def forward_days(model, windows) -> np.ndarray:
     all S * B forecasts run in one batch and come back as ``(S, B, 24)``.
     """
     if isinstance(model, ForecastModel):
-        arr = np.stack([_check_window(model, w) for w in windows])
-        return forecast_batch(model.params, model.norm, arr)
+        arr = [_check_window(model, w) for w in windows]
+        if not arr:
+            raise ForecastError("forecasts need a non-empty sequence of "
+                                "windows")
+        return forecast_batch(model.params, model.norm, np.stack(arr))
     models, per_model = tuple(model), [list(w) for w in windows]
     counts = {len(w) for w in per_model}
     if len(per_model) != len(models) or len(counts) != 1 or 0 in counts:

@@ -559,11 +559,16 @@ def test_highs_stopping_short_is_exit_3(workdir, monkeypatch, capsys):
     from mesval import lp
 
     tmp, config = workdir
-    solver = lp._Solver()     # every template solves on this one
-    monkeypatch.setattr(lp, "_solver_of", lambda form: solver)
-    highs = solver.highs
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_iteration_limit", 0)
+    real = lp._solver_of
+
+    def limited(form):     # every template's solver stops at once
+        solver = real(form)
+        solver.highs.setOptionValue("presolve", "off")
+        solver.highs.setOptionValue("simplex_iteration_limit", 0)
+        return solver
+
+    monkeypatch.setattr(lp, "_SOLVERS", {})
+    monkeypatch.setattr(lp, "_solver_of", limited)
     assert main(["run-fto", "--config", str(config)]) == 3
     assert capsys.readouterr().err.strip() == (
         "lp: HiGHS did not solve the LP: model status kIterationLimit")

@@ -852,7 +852,7 @@ def test_intra_day_days_share_the_template():
         days.append((da, res, act, build_intra_day(da, res, act)))
     (_, _, _, one), (_, _, _, two) = days
     a, b = one.milp.lp, two.milp.lp
-    for field in ("rows_csc", "c", "b_f0", "B_f", "b_h0", "B_h"):
+    for field in ("A_f", "A_h", "c", "b_f0", "B_f", "b_h0", "B_h"):
         assert getattr(a, field) is getattr(b, field), field
     n_loads = len(SECTORS) * HORIZON
     for da, res, act, intra in days:
@@ -895,6 +895,8 @@ def test_templates_belong_to_one_config_object():
     assert build_day_ahead(fc, a).milp is pa.milp
     with pytest.raises(ValueError):
         pa.milp.lp.lb[0] = 1.0      # shared by every day: read-only
+    with pytest.raises(ValueError):     # as are the rows HiGHS stacks once
+        pa.milp.lp.A_f.data[0] = 1.0
     # the template goes with its config
     gone, key = weakref.ref(b), id(b)
     del pb, b

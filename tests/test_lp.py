@@ -821,7 +821,7 @@ def test_highs_matches_linprog_on_random_box_lps():
     for lp, M0 in _box_lps(RNG_SEED + 6, 40):
         sp = replace(lp, A_f=sparse.csr_array(lp.A_f),
                      A_h=sparse.csr_array(lp.A_h))
-        for form in (lp, sp, sp.with_stacked_rows()):
+        for form in (lp, sp):
             assert _assert_matches_linprog(form, M0).status == "optimal"
 
 
@@ -841,16 +841,14 @@ def test_highs_matches_linprog_on_fixed_columns():
         lb, ub = lp.lb.copy(), lp.ub.copy()
         fix = np.arange(lp.n_vars) % 2 == 0
         lb[fix] = ub[fix] = z0[fix] + 0.01 * (lp.ub[fix] - z0[fix])
-        for form in (replace(lp, lb=lb, ub=ub),
-                     replace(lp, lb=lb, ub=ub).with_stacked_rows()):
-            sol = _assert_matches_linprog(form, M0)
-            if sol.status != "optimal":
-                continue
-            rows = np.flatnonzero(fix)
-            q, k = lp.n_ineq, lp.n_vars
-            pinned_duals += int(np.count_nonzero(
-                sol.ineq_duals[q + rows]) + np.count_nonzero(
-                sol.ineq_duals[q + k + rows]))
+        sol = _assert_matches_linprog(replace(lp, lb=lb, ub=ub), M0)
+        if sol.status != "optimal":
+            continue
+        rows = np.flatnonzero(fix)
+        q, k = lp.n_ineq, lp.n_vars
+        pinned_duals += int(np.count_nonzero(
+            sol.ineq_duals[q + rows]) + np.count_nonzero(
+            sol.ineq_duals[q + k + rows]))
     assert pinned_duals >= 10
 
 
@@ -914,7 +912,6 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
         # roots are solved cold and match bitwise; later nodes re-solve
         # from the held basis and may land on another optimal vertex
         assert engine == "highs"
-        assert lp.rows_csc is not None     # the template's stacked rows
         nodes.append(warm)
         if not warm:
             return _assert_matches_linprog(lp, M)
@@ -946,7 +943,7 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
     ub[j] = 0.0
     node = bnb.subproblem_for_trail(da.milp, (bnb.BranchStep(j, "floor",
                                                              0.0),))
-    assert node.rows_csc is lp.rows_csc
+    assert node.A_f is lp.A_f and node.A_h is lp.A_h
     np.testing.assert_array_equal(node.ub, ub)
     assert _assert_matches_linprog(node, da.M0).status == "optimal"
 
@@ -954,22 +951,22 @@ def test_highs_matches_linprog_on_shipped_hub_stages(hub, monkeypatch):
 # ---------------------------------------------------------------------------
 # 3c. warm starts
 # ---------------------------------------------------------------------------
-# A warm request re-solves from the basis the solver holds only when it
-# holds the same model up to row and column bounds; any other request is a
-# cold solve, bit for bit. At the held M (a search's nodes) only column
-# bounds move; at another M (the same template on another day) the row
-# bounds that moved with M move too. A search solves its root cold, so it
-# does not depend on what was solved before it, unless its caller asks for
-# a warm root.
+# Each constraint matrix solves on a solver of its own. A warm request
+# re-solves from the basis that solver holds only when it holds the same
+# model up to row and column bounds; any other request is a cold solve,
+# bit for bit. At the held M (a search's nodes) only column bounds move; at
+# another M (the same template on another day) the row bounds that moved
+# with M move too. A search solves its root cold, so it does not depend on
+# what was solved before it, unless its caller asks for a warm root.
 
 class _SolverSpy:
-    """The process's solver, with its model passes and bound moves logged
-    and, on request, one warm run reported as stopped short or every basis
-    read reported as failed."""
+    """A solver's HiGHS instance, with its model passes and bound moves
+    logged to ``calls`` and, on request, its first warm run reported as
+    stopped short or every basis read reported as failed."""
 
-    def __init__(self, highs, core, fail_warm=False, no_basis=False):
+    def __init__(self, highs, core, calls, fail_warm=False, no_basis=False):
         self._highs, self._core = highs, core
-        self.calls = []
+        self.calls = calls
         self.fail_next = False
         self.fail_warm = fail_warm
         self.no_basis = no_basis
@@ -1002,21 +999,34 @@ class _SolverSpy:
         return getattr(self._highs, name)
 
 
-def _one_solver(monkeypatch):
-    """A fresh solver, holding nothing, handed out for every form the test
-    solves: the per-template seam made to serve one solver, so that a test
-    can hold one model and then ask about another on the same solver."""
+def _on_each_solver(monkeypatch, setup):
+    """Run ``setup`` once on each solver the test solves on. The registry
+    starts empty and is put back after the test, so every solver is made
+    in the test and what it does to them stays there."""
     from mesval import lp as lp_module
 
-    solver = lp_module._Solver()
-    monkeypatch.setattr(lp_module, "_solver_of", lambda lp: solver)
-    return solver
+    real, made = lp_module._solver_of, []
+
+    def solver_of(lp):
+        solver = real(lp)
+        if not any(s is solver for s in made):
+            made.append(solver)
+            setup(solver)
+        return solver
+
+    monkeypatch.setattr(lp_module, "_SOLVERS", {})
+    monkeypatch.setattr(lp_module, "_solver_of", solver_of)
 
 
-def _spy_on_solver(monkeypatch, **kw):
-    solver = _one_solver(monkeypatch)
-    solver.highs = _SolverSpy(solver.highs, solver.core, **kw)
-    return solver.highs
+def _spy_on_solvers(monkeypatch, **kw):
+    """Spy on every solver of the test; returns the one log they share."""
+    calls = []
+
+    def spy(solver):
+        solver.highs = _SolverSpy(solver.highs, solver.core, calls, **kw)
+
+    _on_each_solver(monkeypatch, spy)
+    return calls
 
 
 def _floor_node(prob):
@@ -1028,48 +1038,43 @@ def _floor_node(prob):
 
 
 def test_warm_request_on_a_model_not_held_is_a_cold_solve(monkeypatch):
-    from mesval.dispatch import build_day_ahead, build_joint
+    from mesval.dispatch import build_day_ahead
 
-    spy = _spy_on_solver(monkeypatch)
-    cfg, fc, act = _shipped_day("hub_experiment.yaml")
+    calls = _spy_on_solvers(monkeypatch)
+    cfg, fc, _ = _shipped_day("hub_experiment.yaml")
     _, fc2, _ = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
     da, da2 = build_day_ahead(fc, cfg), build_day_ahead(fc2, cfg)
-    joint = build_joint(fc, act, cfg)
     node = _floor_node(da)
-    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
-                                5, 4, 1, 2)
-    box = to_standard_form(prog)
-    cold = {"joint": solve_lp(joint.milp.lp, joint.M0, engine="highs"),
-            "node": solve_lp(node, da.M0, engine="highs"),
+    lp = da.milp.lp
+    cold = {"node": solve_lp(node, da.M0, engine="highs"),
             "node2": solve_lp(node, da2.M0, engine="highs")}
-
-    def warm_after(held, M_held, lp, M):
-        solve_lp(held, M_held, engine="highs")
-        spy.calls.clear()
-        got = solve_lp(lp, M, engine="highs", warm=True)
-        assert spy.calls == ["passModel"]
-        return got
-
-    # another stage's template, and the same model again after an
-    # unrelated LP was solved in between
-    _assert_same_solution(
-        warm_after(da.milp.lp, da.M0, joint.milp.lp, joint.M0),
-        cold["joint"])
-    solve_lp(da.milp.lp, da.M0, engine="highs")
-    _assert_same_solution(warm_after(box, M_box, node, da.M0), cold["node"])
+    # the same matrices held with another cost or another right-hand-side
+    # array, and a copy of the matrices, whose solver holds nothing
+    for held in (replace(lp, c=lp.c.copy()), replace(lp, b_f0=lp.b_f0.copy()),
+                 replace(lp, B_h=lp.B_h.copy())):
+        solve_lp(held, da.M0, engine="highs")
+        calls.clear()
+        got = solve_lp(node, da.M0, engine="highs", warm=True)
+        assert calls == ["passModel"]
+        _assert_same_solution(got, cold["node"])
+    calls.clear()
+    got = solve_lp(replace(node, A_f=node.A_f.copy()), da.M0,
+                   engine="highs", warm=True)
+    assert calls == ["passModel"]
+    _assert_same_solution(got, cold["node"])
     # the held model up to column bounds: the bounds move, no model passes
     solve_lp(da.milp.lp, da.M0, engine="highs")
-    spy.calls.clear()
+    calls.clear()
     got = solve_lp(node, da.M0, engine="highs", warm=True)
-    assert spy.calls == ["changeColsBounds"]
+    assert calls == ["changeColsBounds"]
     assert got.status == cold["node"].status == "optimal"
     np.testing.assert_allclose(got.objective, cold["node"].objective,
                                rtol=1e-9, atol=0.0)
     # the same template at another M: the row bounds that moved move too
     solve_lp(da.milp.lp, da.M0, engine="highs")
-    spy.calls.clear()
+    calls.clear()
     got = solve_lp(node, da2.M0, engine="highs", warm=True)
-    assert spy.calls == ["changeRowBounds"] * _moved_rows(
+    assert calls == ["changeRowBounds"] * _moved_rows(
         node, da.M0, da2.M0) + ["changeColsBounds"]
     assert got.status == cold["node2"].status == "optimal"
     np.testing.assert_allclose(got.objective, cold["node2"].objective,
@@ -1083,11 +1088,11 @@ def test_warm_run_that_stops_short_is_solved_cold(monkeypatch):
     da = build_day_ahead(fc, cfg)
     node = _floor_node(da)
     cold = solve_lp(node, da.M0, engine="highs")
-    spy = _spy_on_solver(monkeypatch, fail_warm=True)
+    calls = _spy_on_solvers(monkeypatch, fail_warm=True)
     solve_lp(da.milp.lp, da.M0, engine="highs")
-    spy.calls.clear()
+    calls.clear()
     got = solve_lp(node, da.M0, engine="highs", warm=True)
-    assert spy.calls == ["changeColsBounds", "passModel"]
+    assert calls == ["changeColsBounds", "passModel"]
     _assert_same_solution(got, cold)
 
 
@@ -1101,7 +1106,7 @@ def _moved_rows(lp, M_held, M):
 def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
     from mesval.dispatch import build_joint
 
-    spy = _spy_on_solver(monkeypatch)
+    calls = _spy_on_solvers(monkeypatch)
     cfg, fc, act = _shipped_day("hub_experiment.yaml")
     _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
     day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
@@ -1113,10 +1118,10 @@ def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
     for target in (lp, node):
         cold = solve_lp(target, day2.M0, engine="highs")
         solve_lp(lp, day1.M0, engine="highs")
-        spy.calls.clear()
+        calls.clear()
         got = solve_lp(target, day2.M0, engine="highs", warm=True)
         # the moved row bounds one at a time, then the column bounds
-        assert spy.calls == ["changeRowBounds"] * moved + [
+        assert calls == ["changeRowBounds"] * moved + [
             "changeColsBounds"]
         assert got.status == cold.status == "optimal"
         np.testing.assert_allclose(got.objective, cold.objective,
@@ -1124,9 +1129,9 @@ def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
         _assert_feasible(target, day2.M0, got.primal)
     # the held model is now the node at day 2: a warm root on day 1's root
     # moves the rows back and frees the branched column
-    spy.calls.clear()
+    calls.clear()
     got = solve_lp(lp, day1.M0, engine="highs", warm=True)
-    assert spy.calls == ["changeRowBounds"] * moved + ["changeColsBounds"]
+    assert calls == ["changeRowBounds"] * moved + ["changeColsBounds"]
     want = solve_lp(lp, day1.M0, engine="highs")
     assert got.status == want.status == "optimal"
     np.testing.assert_allclose(got.objective, want.objective,
@@ -1134,25 +1139,23 @@ def test_warm_root_on_the_held_template_moves_only_bounds(monkeypatch):
 
 
 def test_warm_root_on_a_model_not_held_is_a_cold_solve(monkeypatch):
-    from mesval.dispatch import build_day_ahead, build_joint
+    from mesval.dispatch import build_joint
 
-    spy = _spy_on_solver(monkeypatch)
+    calls = _spy_on_solvers(monkeypatch)
     cfg, fc, act = _shipped_day("hub_experiment.yaml")
     _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
-    da = build_day_ahead(fc, cfg)
     day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
-    prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
-                                5, 4, 1, 2)
-    box = to_standard_form(prog)
-    cold = solve_lp(day2.milp.lp, day2.M0, engine="highs")
-    # another stage's template, and the same template held before an
-    # unrelated LP was solved in between
-    for held in ((da.milp.lp, da.M0), (box, M_box)):
-        solve_lp(day1.milp.lp, day1.M0, engine="highs")
-        solve_lp(*held, engine="highs")
-        spy.calls.clear()
-        got = solve_lp(day2.milp.lp, day2.M0, engine="highs", warm=True)
-        assert spy.calls == ["passModel"]
+    lp = day2.milp.lp
+    cold = solve_lp(lp, day2.M0, engine="highs")
+    # the template held, then a form on its matrices with another cost or
+    # another right-hand-side array solved in between
+    for other in (replace(lp, c=lp.c.copy()),
+                  replace(lp, b_h0=lp.b_h0.copy())):
+        solve_lp(lp, day1.M0, engine="highs")
+        solve_lp(other, day1.M0, engine="highs")
+        calls.clear()
+        got = solve_lp(lp, day2.M0, engine="highs", warm=True)
+        assert calls == ["passModel"]
         _assert_same_solution(got, cold)
 
 
@@ -1164,13 +1167,12 @@ def test_warm_root_that_stops_short_is_solved_cold(monkeypatch):
     day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
     lp = day2.milp.lp
     cold = solve_lp(lp, day2.M0, engine="highs")
-    spy = _spy_on_solver(monkeypatch, fail_warm=True)
+    calls = _spy_on_solvers(monkeypatch, fail_warm=True)
     solve_lp(lp, day1.M0, engine="highs")
-    spy.calls.clear()
+    calls.clear()
     got = solve_lp(lp, day2.M0, engine="highs", warm=True)
-    assert spy.calls == (["changeRowBounds"] * _moved_rows(lp, day1.M0,
-                                                           day2.M0)
-                         + ["changeColsBounds", "passModel"])
+    assert calls == (["changeRowBounds"] * _moved_rows(lp, day1.M0, day2.M0)
+                     + ["changeColsBounds", "passModel"])
     _assert_same_solution(got, cold)
 
 
@@ -1190,7 +1192,7 @@ def test_warm_search_agrees_with_cold_solves(monkeypatch):
     from mesval import bnb
     from mesval.dispatch import verify_dispatch
 
-    spy = _spy_on_solver(monkeypatch)
+    calls = _spy_on_solvers(monkeypatch)
     solved = []
 
     def recorded(lp, M, engine, warm=False):
@@ -1202,8 +1204,8 @@ def test_warm_search_agrees_with_cold_solves(monkeypatch):
     joint, res = _deep_search()
     # one model passed for the whole search; every later node moves bounds
     assert res.node_count == len(solved) > 10
-    assert spy.calls == (["passModel"]
-                         + ["changeColsBounds"] * (len(solved) - 1))
+    assert calls == (["passModel"]
+                     + ["changeColsBounds"] * (len(solved) - 1))
     assert [warm for _, _, warm, _ in solved] == [False] + [True] * (
         len(solved) - 1)
     # every node, re-solved cold afterwards: same status, same objective
@@ -1240,16 +1242,17 @@ def test_repeated_warm_search_is_bitwise_identical():
     assert repr(logs[0]) == repr(logs[1])
 
 
-def test_each_stacked_template_solves_on_a_solver_of_its_own():
+def test_each_constraint_matrix_solves_on_a_solver_of_its_own():
     # a template, its nodes and its days share one solver; another
-    # template has its own; forms without stacked rows share one; a
-    # template's solver leaves with its rows
+    # template has its own; forms on the same A_f/A_h objects share one,
+    # a copy of either matrix gets another, and an entry leaves with
+    # either matrix
     import gc
 
     from mesval import lp as lp_module
     from mesval.dispatch import build_day_ahead, build_joint
 
-    solver_of = lp_module._solver_of
+    solver_of, solvers = lp_module._solver_of, lp_module._SOLVERS
     cfg, fc, act = _shipped_day("hub_experiment.yaml")
     _, fc2, act2 = _shipped_day("hub_experiment.yaml", RNG_SEED + 11)
     day1, day2 = build_joint(fc, act, cfg), build_joint(fc2, act2, cfg)
@@ -1258,22 +1261,23 @@ def test_each_stacked_template_solves_on_a_solver_of_its_own():
     assert solver_of(day2.milp.lp) is joint
     assert solver_of(_floor_node(day1)) is joint
     assert solver_of(da.milp.lp) is not joint
-    rng = np.random.default_rng(RNG_SEED + 14)
-    box, other = (to_standard_form(random_box_lp(rng, 4, 3, 1, 2)[0])
-                  for _ in range(2))
-    assert solver_of(box) is solver_of(other) is lp_module._HIGHS
-    stacked = box.with_stacked_rows()
-    assert solver_of(stacked) not in (lp_module._HIGHS, joint)
-    key = id(stacked.rows_csc)
-    assert key in lp_module._SOLVERS
-    del stacked
-    gc.collect()
-    assert key not in lp_module._SOLVERS
+    box = to_standard_form(random_box_lp(np.random.default_rng(
+        RNG_SEED + 14), 4, 3, 1, 2)[0])
+    assert solver_of(replace(box, c=-box.c, b_f0=box.b_f0 + 1.0)) is \
+        solver_of(box)
+    for matrix in ("A_f", "A_h"):
+        copy = replace(box, **{matrix: getattr(box, matrix).copy()})
+        assert solver_of(copy) not in (solver_of(box), joint)
+        key = (id(copy.A_f), id(copy.A_h))
+        assert key in solvers
+        del copy
+        gc.collect()
+        assert key not in solvers
 
 
 def test_solves_of_other_templates_leave_the_held_model(monkeypatch):
     # the joint template's solver holds day 1 while the day-ahead
-    # template and an LP without stacked rows solve in between: day 2's
+    # template and an LP on matrices of its own solve in between: day 2's
     # warm root still only moves bounds on it
     from mesval import lp as lp_module
     from mesval.dispatch import build_day_ahead, build_joint
@@ -1284,7 +1288,7 @@ def test_solves_of_other_templates_leave_the_held_model(monkeypatch):
     da = build_day_ahead(fc, cfg)
     lp = day2.milp.lp
     solver = lp_module._solver_of(lp)
-    spy = _SolverSpy(solver.highs, solver.core)
+    spy = _SolverSpy(solver.highs, solver.core, [])
     monkeypatch.setattr(solver, "highs", spy)
     cold = solve_lp(lp, day2.M0, engine="highs")
     prog, M_box = random_box_lp(np.random.default_rng(RNG_SEED + 12),
@@ -1399,8 +1403,11 @@ def test_bulk_reader_puts_a_fixed_column_dual_on_the_reported_side(
         monkeypatch):
     # x is fixed at 1 with a cost that is its dual: zero of either sign,
     # just off zero on either side, and well off it. Solved cold, where
-    # presolve removes x, and warm from a basis where x was free to move
+    # presolve removes x, and warm from a basis where x was free to move:
+    # a form from to_standard_form, with no template, warms by moving
+    # column bounds alone
     read, fixed = _read_both_ways(monkeypatch)
+    calls = _spy_on_solvers(monkeypatch)
     costs = (0.0, -0.0, 1e-14, -1e-14, 1.0, -1.0)
     for cost in costs:
         lp = simple_lp([((0.0, 1.0), ">=", 1.0)], (cost, 1.0),
@@ -1410,8 +1417,10 @@ def test_bulk_reader_puts_a_fixed_column_dual_on_the_reported_side(
         assert solve_lp(node, np.zeros(0), engine="highs").status == \
             "optimal"
         solve_lp(lp, np.zeros(0), engine="highs")
+        calls.clear()
         assert solve_lp(node, np.zeros(0), engine="highs",
                         warm=True).status == "optimal"
+        assert calls == ["changeColsBounds"]
     assert read == ["optimal"] * 3 * len(costs)
     # x is the only fixed column, nonbasic at each node: kLower exactly
     # where its dual is >= 0, and the readers above agreed on every dual
@@ -1444,7 +1453,7 @@ def test_optimal_point_outside_a_bound_is_rejected():
 
 
 def test_optimal_point_without_a_basis_is_rejected(monkeypatch):
-    _spy_on_solver(monkeypatch, no_basis=True)
+    _spy_on_solvers(monkeypatch, no_basis=True)
     lp = simple_lp([((1.0,), ">=", 1.0)], (1.0,))
     with pytest.raises(LPNumericalError, match="no basis"):
         solve_lp(lp, np.zeros(0), engine="highs")
@@ -1475,7 +1484,7 @@ def test_missing_binding_names_the_requirement(monkeypatch):
 
     from mesval import lp as lp_module
 
-    monkeypatch.setattr(lp_module, "_HIGHS", None)
+    monkeypatch.setattr(lp_module, "_SOLVERS", {})
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     lp = simple_lp([((1.0,), ">=", 1.0)], (1.0,))
     with pytest.raises(ImportError, match=r"scipy>=1\.17"):
@@ -1483,9 +1492,11 @@ def test_missing_binding_names_the_requirement(monkeypatch):
 
 
 def test_highs_iteration_limit_raises(monkeypatch):
-    highs = _one_solver(monkeypatch).highs    # a solver of its own
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_iteration_limit", 0)
+    def limit(solver):
+        solver.highs.setOptionValue("presolve", "off")
+        solver.highs.setOptionValue("simplex_iteration_limit", 0)
+
+    _on_each_solver(monkeypatch, limit)
     prog, M0 = random_box_lp(np.random.default_rng(RNG_SEED + 9), 6, 5, 1, 2)
     with pytest.raises(LPNumericalError, match="kIterationLimit"):
         solve_lp(to_standard_form(prog), M0, engine="highs")

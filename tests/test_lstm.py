@@ -211,6 +211,8 @@ def test_forward_days_equals_forward_day_bitwise_with_its_checks():
         forward_days(model, [windows[0], np.zeros((8, 4))])
     with pytest.raises(ForecastError, match="window"):
         forward_days(model, [np.zeros((10, 5))])
+    with pytest.raises(ForecastError, match="non-empty"):
+        forward_days(model, [])
 
 
 def test_forward_randomized_stress_stays_finite():
