@@ -36,22 +36,31 @@ one stack: :func:`train_mse` on a ``(days, sectors, 24)`` load array,
 :func:`forward_days` on a split's windows per model, and
 :func:`forward_day` on one window per model, whose :class:`DayTape` keeps
 the step values that :func:`apply_external_gradient` sweeps backward for
-the members, with no second forward pass. The batch is bit-identical to
-running one window at a time, one network at a time, because of two
-rules:
+the members, with no second forward pass. The day passes (forecasts,
+:func:`backward_day` and the members' step) are bit-identical to running
+one window at a time, one network at a time, because of two rules:
 
   * every product keeps its per-window shape: the gate pre-activations
     come from ``W_x @ x[..., None]`` (for all steps at once) and
     ``W_h @ h[:, None, :, None]``, so each item is still an
     ``(H, D) @ (D, 1)`` or ``(H, H) @ (H, 1)`` product and numpy makes
-    the same BLAS call per item; the head works the same way;
-  * every sum keeps its order: a sample's gradients build up over
-    reversed time, the samples are then added into their network's total
-    in sample order, and the loss adds ``err[k] @ err[k]`` in sample
-    order; no sum runs across networks.
+    the same BLAS call per item; the head works the same way, and a
+    weight gradient's product over a network's one window has a single
+    term;
+  * every sum keeps its order: a window's gradients build up over
+    reversed time, and no sum runs across networks.
 
-One ``(4H, D) @ (D, B)`` product, or a sum over the batch axis first,
-might be faster but would move the last bits.
+:func:`train_mse` keeps the forward pass but sums across windows: at
+each reversed step one ``(4H, B) @ (B, D)`` and one ``(4H, B) @ (B, H)``
+product per network add its B windows' weight gradients in BLAS order,
+and each network's loss is one reduction. That moves the weights' last
+bits, within ``(n - 1) eps`` of the summed terms' magnitude for sums of
+``n`` = windows * 24 terms; with one window per network (two days of
+loads) they are the per-window loop's bit for bit. A network trains to
+the same bits stacked with others or alone, and at any BLAS thread
+count (see :data:`_WINDOW_BLOCK`). One ``(4H, D) @ (D, B)`` product per
+network in the forward pass would be faster still but would move the
+forecasts' last bits.
 """
 
 from __future__ import annotations
@@ -372,23 +381,47 @@ def backward_day(model: ForecastModel, window: np.ndarray,
     steps, h_final, out = _unroll(model.params, arr[None])
     raw = model.norm.unscale(out[0])
     dout = np.where(raw > 0.0, dloss, 0.0) * model.norm.span
-    grads = _backward_from_head(model.params, steps, h_final, dout[None])
+    grads = _backward_from_head(model.params, steps, h_final, dout[None], 1)
     return LstmParams(**{name: g[0] for name, g in grads.items()})
 
 
-def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
+# OpenBLAS cuts a long GEMM sum into blocks, and past a few hundred terms
+# where it cuts depends on its thread count; sums of at most this many
+# windows are one block at any thread count, so training's bits are too
+_WINDOW_BLOCK = 256
+
+
+def _window_sum(a, b):
+    """``a @ b`` for stacks ``(nets, m, per)`` and ``(nets, per, k)``: the
+    sum over the ``per`` windows, one block of windows after another."""
+    total = a[..., :_WINDOW_BLOCK] @ b[:, :_WINDOW_BLOCK]
+    for lo in range(_WINDOW_BLOCK, b.shape[1], _WINDOW_BLOCK):
+        total += a[..., lo:lo + _WINDOW_BLOCK] @ b[:, lo:lo + _WINDOW_BLOCK]
+    return total
+
+
+def _backward_from_head(params: LstmParams, steps, h_final, dout,
+                        nets: int) -> dict:
     """Reverse-mode sweep from gradients ``(B, 24)`` at the (normalized)
-    head output; every returned gradient keeps the batch axis first.
-    ``params`` may carry a batch axis of its own, one network per item."""
-    n = dout.shape[0]
-    g_x = np.zeros((n,) + params.W_x.shape[-3:])
-    g_h = np.zeros((n,) + params.W_h.shape[-3:])
-    g_b = np.zeros((n,) + params.b.shape[-2:])
-    # the outer products of each step, written in place; einsum with no
-    # summed index forms each product once, as a broadcast multiply
-    # would, at half its cost on a batch
-    term_x = np.empty_like(g_x)
-    term_h = np.empty_like(g_h)
+    head output, for ``nets`` networks whose batches of windows sit one
+    after another on the batch axis, all of one size. Every returned
+    gradient is its network's total over its windows, with the network
+    axis first. ``params`` may carry a batch axis of its own, one network
+    per item.
+
+    At each step the windows' terms go into their network's totals as one
+    ``(4H, per) @ (per, D)`` and one ``(4H, per) @ (per, H)`` product per
+    network, summed in BLAS order (in blocks of :data:`_WINDOW_BLOCK`
+    windows); the head gradients are one product per network. With one
+    window per network every such product has a single term and is exact,
+    so the sweep is bit for bit the per-window one.
+    """
+    n, horizon = dout.shape
+    per = n // nets
+    rows = params.b.shape[-2] * params.b.shape[-1]    # 4H, gate by gate
+    g_x = np.zeros((nets, rows, params.W_x.shape[-1]))
+    g_h = np.zeros((nets, rows, params.W_h.shape[-1]))
+    g_b = np.zeros((nets, rows))
     W_hT = params.W_h.swapaxes(-1, -2)
     dh = (params.W_out.swapaxes(-1, -2) @ dout[:, :, None])[..., 0]
     dc = np.zeros_like(dh)
@@ -401,16 +434,22 @@ def _backward_from_head(params: LstmParams, steps, h_final, dout) -> dict:
         da[:, :3] *= z[:, :3]
         da[:, :3] *= 1.0 - z[:, :3]
         da[:, 3] *= 1.0 - g * g
-        g_x += np.einsum("bgi,bj->bgij", da, x, out=term_x)
-        g_h += np.einsum("bgi,bj->bgij", da, h_prev, out=term_h)
-        g_b += da
+        dA = da.reshape(nets, per, rows)
+        dAT = dA.swapaxes(1, 2)
+        g_x += _window_sum(dAT, x.reshape(nets, per, -1))
+        g_h += _window_sum(dAT, h_prev.reshape(nets, per, -1))
+        g_b += dA.sum(axis=1)
         # one product per gate, summed in gate order: a single 4H-term
         # product would reorder the sum and move the last bits
         dh = (W_hT @ da[..., None])[..., 0].sum(axis=1)
         dc = dc * f
-    return {"W_x": g_x, "W_h": g_h, "b": g_b,
-            "W_out": dout[:, :, None] * h_final[:, None, :],
-            "b_out": dout.copy()}
+    d_out = dout.reshape(nets, per, horizon)
+    return {"W_x": g_x.reshape((nets,) + params.W_x.shape[-3:]),
+            "W_h": g_h.reshape((nets,) + params.W_h.shape[-3:]),
+            "b": g_b.reshape((nets,) + params.b.shape[-2:]),
+            "W_out": _window_sum(d_out.swapaxes(1, 2),
+                                 h_final.reshape(nets, per, -1)),
+            "b_out": d_out.sum(axis=1)}
 
 
 def _stepped(model: ForecastModel, grads, lr: float) -> ForecastModel:
@@ -456,7 +495,8 @@ def apply_external_gradient(model, dloss_dforecast: np.ndarray, window,
         h_final = h_final[members]
     _, span = _norm_columns([tape.models[k] for k in members])
     dout = np.where(tape.raw[members] > 0.0, dloss[members], 0.0) * span
-    grads = _backward_from_head(weights, steps, h_final, dout)
+    grads = _backward_from_head(weights, steps, h_final, dout,
+                                len(members))
     out = list(tape.models)
     for j, k in enumerate(members):
         out[k] = _stepped(tape.models[k],
@@ -538,33 +578,23 @@ class TrainingConfig:
 
 
 def _mse_gradient(params, windows: np.ndarray, targets: np.ndarray,
-                  models: int) -> tuple:
-    """Mean squared error of each of ``models`` networks over its batch of
+                  nets: int) -> tuple:
+    """Mean squared error of each of ``nets`` networks over its batch of
     windows, and its gradient.
 
     ``windows`` holds the networks' batches one after another, all of one
     size; ``params`` carries one network per item, or, for one network,
-    none. Each sample's loss and gradients are added into its network's
-    totals in sample order, as a loop over the windows would add them.
-    The batch's step values die on return, before the next epoch unrolls.
+    none. Each network's loss is one reduction over its errors, and its
+    gradients come summed over its windows from the backward sweep. The
+    batch's step values die on return, before the next epoch unrolls.
     """
     steps, h_final, out = _unroll(params, windows)
     err = out - targets
-    B = err.shape[0] // models
-    denom = float(B * err.shape[1])
-    sample = _backward_from_head(params, steps, h_final, 2.0 * err / denom)
-    loss = np.zeros(models)
-    total = {name: np.zeros((models,) + g.shape[1:])
-             for name, g in sample.items()}
-    per_model = {name: g.reshape((models, B) + g.shape[1:])
-                 for name, g in sample.items()}
-    for k in range(B):
-        for j in range(models):
-            e = err[j * B + k]
-            loss[j] += float(e @ e)
-        for name in total:
-            total[name] += per_model[name][:, k]
-    return loss / denom, total
+    denom = float(err.size // nets)
+    grads = _backward_from_head(params, steps, h_final, 2.0 * err / denom,
+                                nets)
+    per_net = err.reshape(nets, -1)
+    return (per_net * per_net).sum(axis=1) / denom, grads
 
 
 def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
@@ -579,6 +609,11 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
     S seeds, the S networks train as one stack and the result is the list
     of S models and the (S, epochs) traces; each is what the call on its
     column alone returns, bit for bit.
+
+    Each epoch sums a network's window gradients in BLAS order (see
+    :func:`_backward_from_head`), so the weights are those of a
+    one-window-at-a-time loop up to the order of those sums, and bit for
+    bit with one window (two days).
     """
     loads = np.asarray(loads, dtype=float)
     dows = np.asarray(day_of_week, dtype=int)

@@ -9,17 +9,23 @@ Oracles, in order of independence:
     deliberately naive, which the vectorized code must match to 1e-12;
   * central finite differences for every gradient the backward pass emits;
   * the one-window-at-a-time forward, backward and training loop the
-    batched code replaced, kept verbatim below, which the batched code
-    must match bit for bit.
+    batched code replaced, kept verbatim below, which the day passes and
+    one-window training must match bit for bit, and training on many
+    windows within the bound of its reordered sums.
 """
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit as _sigmoid
 
+import mesval
 from mesval.lstm import (
     FEATURES,
     FORMAT_VERSION,
@@ -436,13 +442,14 @@ def test_train_mse_empty_dataset_raises():
 
 
 # ---------------------------------------------------------------------------
-# batched passes vs the one-window-at-a-time loop, bit for bit
+# batched passes vs the one-window-at-a-time loop
 # ---------------------------------------------------------------------------
 
 # The per-window cell, unroll, backward sweep and training loop that the
-# batched code replaced, kept verbatim (names prefixed with ref_). The
-# batched code keeps every product at its per-window shape and adds in
-# the same order, so it must reproduce these bits exactly.
+# batched code replaced, kept verbatim (names prefixed with ref_). The day
+# passes keep every product at its per-window shape and add in the same
+# order, so they must reproduce these bits exactly; so must training on
+# one window per network, where no sum runs across windows.
 
 def ref_step(params, x, h_prev, c_prev):
     """Stacked gate activations (rows in GATES order), c, tanh(c) and h."""
@@ -562,9 +569,39 @@ def train_cases():
     return cases
 
 
+def sum_order_tolerance(windows, epochs):
+    """Relative bound on what summing over the windows in another order
+    moves, per epoch trained.
+
+    train_mse adds its windows' gradients per network in BLAS order and
+    its loss in one reduction, where the per-window loop adds window by
+    window. Each sum has at most n = windows * 24 terms (24 steps, or 24
+    horizon slots, per window). Any order of an n-term sum is within
+    (n - 1) u sum|terms| of the exact one, u = eps / 2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, section 4.2), so
+    two orders differ by at most (n - 1) eps sum|terms|: about 1.5e-13 of
+    the terms' scale per epoch at the default split's 29 windows. The
+    worst seen in this file's training cases was 1.6e-16 relative on
+    weights and 2.8e-16 on traces, under 3% of this bound.
+    """
+    return max(epochs, 1) * (windows * 24 - 1) * np.finfo(float).eps
+
+
+def assert_within(got, want, tol):
+    """``got`` within ``tol`` of ``want``, relative to ``want``'s scale."""
+    scale = np.max(np.abs(want), initial=0.0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * scale
+
+
+def assert_params_within(got, want, tol):
+    for name in LstmParams.field_names():
+        assert_within(getattr(got, name), getattr(want, name), tol)
+
+
 @pytest.mark.parametrize("days,window,hidden,epochs", train_cases())
-def test_train_mse_matches_per_window_loop_bitwise(days, window, hidden,
-                                                   epochs):
+def test_train_mse_matches_per_window_loop_within_sum_order_tolerance(
+        days, window, hidden, epochs):
     rng = np.random.default_rng(days * 1000 + window * 10 + hidden)
     loads = synthetic_loads(rng, days)
     dows = rng.integers(0, 7, days)
@@ -573,9 +610,10 @@ def test_train_mse_matches_per_window_loop_bitwise(days, window, hidden,
     model, trace = train_mse(loads, dows, cfg, seed=days + hidden)
     want_params, want_trace = ref_train_mse(loads, dows, cfg,
                                             seed=days + hidden)
+    tol = sum_order_tolerance(days - 1, epochs)
     assert trace.shape == (epochs,)
-    assert np.array_equal(trace, want_trace)
-    assert_params_identical(model.params, dataclasses.asdict(want_params))
+    np.testing.assert_allclose(trace, want_trace, rtol=tol, atol=0.0)
+    assert_params_within(model.params, want_params, tol)
 
 
 def _bytes(params):
@@ -597,8 +635,9 @@ def _sector_loads(rng, days):
                          [(2, 24, 3, 2), (6, 7, 4, 3), (9, 24, 32, 2)])
 def test_stacked_train_mse_matches_each_sector_bitwise(days, window, hidden,
                                                        epochs):
-    # three sectors train as one stack; each comes out as the per-window
-    # loop trains it alone, sign bits included
+    # three sectors train as one stack; each comes out as it trains alone,
+    # sign bits included, and as the per-window loop trains it within the
+    # bound of the reordered sums
     rng = np.random.default_rng(RNG_SEED + 11 + days)
     loads = _sector_loads(rng, days)
     dows = rng.integers(0, 7, days)
@@ -607,16 +646,80 @@ def test_stacked_train_mse_matches_each_sector_bitwise(days, window, hidden,
     seeds = (days, days + 1, days + 2)
     models, traces = train_mse(loads, dows, cfg, seed=seeds)
     assert len(models) == 3 and traces.shape == (3, epochs)
+    tol = sum_order_tolerance(days - 1, epochs)
     for j, seed in enumerate(seeds):
         want_params, want_trace = ref_train_mse(loads[:, j], dows, cfg, seed)
-        assert traces[j].tobytes() == want_trace.tobytes()
-        assert _bytes(models[j].params) == _bytes(want_params)
+        np.testing.assert_allclose(traces[j], want_trace, rtol=tol, atol=0.0)
+        assert_params_within(models[j].params, want_params, tol)
         alone, alone_trace = train_mse(loads[:, j], dows, cfg, seed=seed)
         assert _bytes(alone.params) == _bytes(models[j].params)
         assert alone_trace.tobytes() == traces[j].tobytes()
         assert models[j].norm == alone.norm and models[j].seed == seed
     with pytest.raises(ForecastError, match="seeds"):
         train_mse(loads, dows, cfg, seed=seeds[:2])
+
+
+@pytest.mark.parametrize("window,hidden,epochs",
+                         [(24, 3, 4), (12, 6, 2), (1, 1, 3), (7, 32, 2)])
+def test_one_window_training_matches_per_window_loop_bitwise(window, hidden,
+                                                             epochs):
+    # two days make one training window, so no sum runs across windows:
+    # every weight is the per-window loop's, sign bits included, alone and
+    # in a three-sector stack; only the loss's own sum may reorder
+    rng = np.random.default_rng(RNG_SEED + 15 + window * 10 + hidden)
+    loads = _sector_loads(rng, 2)
+    dows = rng.integers(0, 7, 2)
+    cfg = TrainingConfig(window=window, hidden_size=hidden,
+                         mse_epochs=epochs, lr=0.05)
+    seeds = (3, 4, 5)
+    models, traces = train_mse(loads, dows, cfg, seed=seeds)
+    tol = sum_order_tolerance(1, epochs)
+    for j, seed in enumerate(seeds):
+        want_params, want_trace = ref_train_mse(loads[:, j], dows, cfg, seed)
+        alone, alone_trace = train_mse(loads[:, j], dows, cfg, seed=seed)
+        assert _bytes(alone.params) == _bytes(want_params)
+        assert _bytes(models[j].params) == _bytes(want_params)
+        np.testing.assert_allclose(alone_trace, want_trace, rtol=tol,
+                                   atol=0.0)
+        assert traces[j].tobytes() == alone_trace.tobytes()
+
+
+# Trains a three-sector stack on loads read from argv[1] and prints a hash
+# of every weight's and trace's bytes. With 420 windows per sector the
+# weight gradients' products are large enough for OpenBLAS to use two
+# threads, and long enough that it would cut their sums by thread count.
+_THREADED_TRAINING = """
+import hashlib, sys
+import numpy as np
+from mesval.lstm import LstmParams, TrainingConfig, train_mse
+loads = np.load(sys.argv[1])
+cfg = TrainingConfig(window=4, hidden_size=32, mse_epochs=2, lr=0.05)
+models, traces = train_mse(loads, np.arange(len(loads)) % 7, cfg,
+                           seed=(7, 8, 9))
+digest = hashlib.sha256(traces.tobytes())
+for m in models:
+    for name in LstmParams.field_names():
+        digest.update(getattr(m.params, name).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_stacked_train_mse_is_byte_identical_at_one_and_two_blas_threads(
+        tmp_path):
+    path = tmp_path / "loads.npy"
+    np.save(path, _sector_loads(np.random.default_rng(RNG_SEED + 16), 421))
+    package_root = str(Path(mesval.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADED_TRAINING, str(path)],
+            capture_output=True, text=True, env=env, check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def _three_models(rng, hidden, window):
