@@ -29,9 +29,7 @@ from .bnb import (MILPProblem, backward_optimal_subproblem, branch_and_bound,
                   embedded_gradient, enumerate_integer_assignments)
 from .lp import LPStandardForm, solve_lp
 from .lstm import (ForecastModel, LstmParams, Normalization, backward_day,
-                   forecast_batch, init_params)
-# not called here; kept importable for tools that wrap mesval.batteries
-from .lstm import forward_day  # noqa: F401
+                   forecast_batch, forward_day, init_params)
 from .sensitivity import (cost_gradient, envelope_gradient,
                           finite_difference_gradient, vertex_degeneracy)
 
@@ -251,7 +249,8 @@ def bptt_battery(n_configs: int = 20) -> BatteryResult:
         window = rng.normal(0.0, 0.5, size=(w, params.input_dim))
         dloss = rng.normal(size=params.horizon)
         model = ForecastModel(params=params, norm=norm, window=w)
-        grads = backward_day(model, window, dloss)
+        grads = backward_day(forward_day([model], [window]), dloss[None],
+                             [0])[0]
         for name in type(params).field_names():
             analytic = getattr(grads, name)
             fds = _fd_slots(model, name, window, dloss, BPTT_STEP)
@@ -267,7 +266,7 @@ def _fd_slots(model: ForecastModel, name: str, window, dloss,
     parameter tensor, in C order.
 
     All ``+h`` and ``-h`` copies of the tensor go through one batched
-    forward on a leading axis; each item runs the same products as a
+    forward on the network axis; each item runs the same products as a
     forward of its own, so every difference keeps its bits.
     """
     base = getattr(model.params, name)
@@ -277,10 +276,11 @@ def _fd_slots(model: ForecastModel, name: str, window, dloss,
     slots = np.arange(n)
     flat[slots, slots] += h
     flat[n + slots, slots] += -h
-    fields = {f: getattr(model.params, f) for f in LstmParams.field_names()}
+    fields = {f: getattr(model.params, f)[None]
+              for f in LstmParams.field_names()}
     params = SimpleNamespace(**{**fields, name: bumped})
-    fc = forecast_batch(params, model.norm, window[None])
-    loss = [float(dloss @ fc[k]) for k in range(2 * n)]
+    fc = forecast_batch(params, model.norm, window[None, None])
+    loss = [float(dloss @ fc[k, 0]) for k in range(2 * n)]
     return [(loss[k] - loss[n + k]) / (2.0 * h) for k in range(n)]
 
 

@@ -26,27 +26,30 @@ candidate). Raveled in field order this is the order of the saved
 (input weights gate by gate, then recurrent weights, then biases, then
 the head), so those files load unchanged.
 
-The unrolled pass and its backward sweep run a batch: windows are
-``(B, T, D)`` and every step value carries the batch axis first.
-:func:`train_mse` unrolls all of a sector's training windows at once,
-:func:`forward_days` a sequence of forecast days; :func:`forward_day` and
-:func:`backward_day` are the batch of one. The weights may carry the same
-batch axis, one network per item, so several sectors' forecasters run as
-one stack: :func:`train_mse` on a ``(days, sectors, 24)`` load array,
-:func:`forward_days` on a split's windows per model, and
-:func:`forward_day` on one window per model, whose :class:`DayTape` keeps
-the step values that :func:`apply_external_gradient` sweeps backward for
-the members, with no second forward pass. The day passes (forecasts,
-:func:`backward_day` and the members' step) are bit-identical to running
-one window at a time, one network at a time, because of two rules:
+Every pass runs a stack of networks, each on its own batch of windows,
+in one layout: every weight field carries a leading network axis
+(``W_x`` is ``(nets, 4, H, D)``), windows are ``(nets, per, T, D)`` and
+every step value is ``(nets, per, ...)``. A network axis of 1, on the
+weights or on the windows, broadcasts against the other, so no weight is
+copied per window. The passes take a sequence of models:
+:func:`train_mse` trains one network per column of a ``(days, sectors,
+24)`` load array (a ``(days, 24)`` array is a stack of one),
+:func:`forward_days` forecasts a split's windows per model, and
+:func:`forward_day` one window per model. Its :class:`DayTape` keeps the
+step values that :func:`backward_day` and :func:`apply_external_gradient`
+sweep backward for the members, with no second forward pass.
+:func:`forecast_batch` runs raw weights in the same layout, such as a
+finite-difference check's bumped copies of one network. The day passes
+(forecasts, :func:`backward_day` and the members' step) are bit-identical
+to running one window at a time, one network at a time, because of two
+rules:
 
   * every product keeps its per-window shape: the gate pre-activations
     come from ``W_x @ x[..., None]`` (for all steps at once) and
-    ``W_h @ h[:, None, :, None]``, so each item is still an
-    ``(H, D) @ (D, 1)`` or ``(H, H) @ (H, 1)`` product and numpy makes
-    the same BLAS call per item; the head works the same way, and a
-    weight gradient's product over a network's one window has a single
-    term;
+    ``W_h @ h[..., None]``, so each item is still an ``(H, D) @ (D, 1)``
+    or ``(H, H) @ (H, 1)`` product and numpy makes the same BLAS call per
+    item; the head works the same way, and a weight gradient's product
+    over a network's one window has a single term;
   * every sum keeps its order: a window's gradients build up over
     reversed time, and no sum runs across networks.
 
@@ -187,66 +190,64 @@ def init_params(seed: int, hidden_size: int = 32) -> LstmParams:
 
 
 # ---------------------------------------------------------------------------
-# batched cell and unrolled forward pass
+# stacked cell and unrolled forward pass
 # ---------------------------------------------------------------------------
 
 def _step(params, xw, h_prev, c_prev):
-    """One recurrence step for a batch.
+    """One recurrence step for a stack.
 
-    ``xw`` is the step's input product ``W_x @ x``, ``(B, 4, H)``;
-    ``h_prev`` and ``c_prev`` are ``(B, H)``. Returns the stacked gate
-    activations ``(B, 4, H)`` (rows in GATES order), then c, tanh(c) and
-    h, each ``(B, H)``.
+    ``xw`` is the step's input product ``W_x @ x``, ``(nets, per, 4, H)``;
+    ``h_prev`` and ``c_prev`` are ``(nets, per, H)``. Returns the stacked
+    gate activations ``(nets, per, 4, H)`` (rows in GATES order), then c,
+    tanh(c) and h, each ``(nets, per, H)``.
     """
-    z = (xw + (params.W_h @ h_prev[:, None, :, None])[..., 0]) + params.b
-    _sigmoid(z[:, :3], out=z[:, :3])
-    np.tanh(z[:, 3], out=z[:, 3])
-    f, i, o, g = z.swapaxes(0, 1)
+    z = ((xw + (params.W_h[:, None] @ h_prev[..., None, :, None])[..., 0])
+         + params.b[:, None])
+    _sigmoid(z[:, :, :3], out=z[:, :, :3])
+    np.tanh(z[:, :, 3], out=z[:, :, 3])
+    f, i, o, g = z.transpose(2, 0, 1, 3)
     c = f * c_prev + i * g
     tc = np.tanh(c)
     return z, c, tc, o * tc
 
 
 def _unroll(params, windows: np.ndarray):
-    """Run a batch of windows ``(B, T, D)`` through the cell; keep the
+    """Run windows ``(nets, per, T, D)`` through the stacked cell; keep the
     per-step values for backward."""
-    h = np.zeros((windows.shape[0], params.b.shape[-1]))
+    h = np.zeros(windows.shape[:2] + params.b.shape[-1:])
     c = np.zeros_like(h)
-    # the input products of every step at once, (B, T, 4, H); a time axis
-    # goes in before the gate axis of W_x, batched or not
-    xw = (np.expand_dims(params.W_x, -4)
-          @ windows[:, :, None, :, None])[..., 0]
+    # the input products of every step at once, (nets, per, T, 4, H)
+    xw = (params.W_x[:, None, None] @ windows[..., None, :, None])[..., 0]
     steps = []
-    for t in range(windows.shape[1]):
-        z, c_new, tc, h_new = _step(params, xw[:, t], h, c)
-        steps.append((windows[:, t], z, c, tc, h))
+    for t in range(windows.shape[2]):
+        z, c_new, tc, h_new = _step(params, xw[:, :, t], h, c)
+        steps.append((windows[:, :, t], z, c, tc, h))
         h, c = h_new, c_new
-    out = (params.W_out @ h[:, :, None])[..., 0] + params.b_out
+    out = ((params.W_out[:, None] @ h[..., None])[..., 0]
+           + params.b_out[:, None])
     return steps, h, out
+
+
+def _forecast(params, lo, span, windows: np.ndarray) -> tuple:
+    """The unrolled pass and its kW forecasts: the step values, the final
+    hidden state, the forecasts ``lo + span * out`` before the clamp at
+    zero, and after it, each forecast array ``(nets, per, 24)``."""
+    steps, h_final, out = _unroll(params, windows)
+    raw = lo + span * out
+    return steps, h_final, raw, np.maximum(raw, 0.0)
 
 
 def forecast_batch(params, norm: Normalization,
                    windows: np.ndarray) -> np.ndarray:
-    """Forecasts ``(B, 24)`` in kW, clamped at zero, for windows
-    ``(B, T, D)``.
+    """Forecasts ``(nets, per, 24)`` in kW, clamped at zero, for windows
+    ``(nets, per, T, D)``.
 
-    ``params`` needs only the five weight fields. Any of them may carry a
-    leading batch axis that broadcasts against the windows', so one call
-    can evaluate many perturbed copies of a network on one window.
+    ``params`` needs only the five weight fields, each with the network
+    axis first. A network axis of 1, on a field or on the windows,
+    broadcasts against the other, so one call can evaluate many perturbed
+    copies of a network on one window.
     """
-    _, _, out = _unroll(params, windows)
-    return np.maximum(norm.unscale(out), 0.0)
-
-
-def _check_window(model: "ForecastModel", window: np.ndarray) -> np.ndarray:
-    arr = np.asarray(window, dtype=float)
-    want = (model.window, model.params.input_dim)
-    if arr.ndim != 2 or arr.shape != want:
-        raise ForecastError(f"expected window of shape {want}, "
-                            f"got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ForecastError("window features must be finite")
-    return arr
+    return _forecast(params, norm.lo, norm.span, windows)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -267,122 +268,82 @@ class ForecastModel:
             raise ForecastError("window must be >= 1")
 
 
-def _stack_weights(models, repeats: int = 1) -> SimpleNamespace:
-    """The weights of ``models`` on one batch axis, each model's
-    ``repeats`` times in a row: item ``k * repeats + j`` is model k's."""
-    shapes = {(m.window,) + tuple(getattr(m.params, name).shape
-                                  for name in LstmParams.field_names())
-              for m in models}
-    if len(shapes) != 1:
+def _stack(models: tuple, windows_per_model) -> tuple:
+    """The stacked layout of ``models`` and a non-empty sequence of windows
+    per model, all of one length: the weights with the network axis first,
+    the checked windows ``(nets, per, T, D)``, and each model's
+    normalization ``lo`` and ``span`` as ``(nets, 1, 1)`` columns."""
+    per_model = [list(ws) for ws in windows_per_model]
+    counts = {len(ws) for ws in per_model}
+    if (not models or len(per_model) != len(models) or len(counts) != 1
+            or 0 in counts):
+        raise ForecastError(f"{len(models)} models need as many non-empty "
+                            f"sequences of windows, all of one length, got "
+                            f"{len(per_model)}")
+    names = LstmParams.field_names()
+    if len({(m.window,) + tuple(getattr(m.params, name).shape
+                                for name in names) for m in models}) != 1:
         raise ForecastError("stacked forecasters need one window length "
                             "and one parameter layout")
-    stacked = {name: np.stack([getattr(m.params, name) for m in models])
-               for name in LstmParams.field_names()}
-    if repeats > 1:
-        stacked = {name: np.repeat(a, repeats, axis=0)
-                   for name, a in stacked.items()}
-    return SimpleNamespace(**stacked)
-
-
-def _norm_columns(models, repeats: int = 1) -> tuple:
-    """Each item's normalization ``(lo, span)`` as ``(items, 1)`` columns,
-    in :func:`_stack_weights`' item order."""
-    lo = np.repeat([m.norm.lo for m in models], repeats)[:, None]
-    span = np.repeat([m.norm.span for m in models], repeats)[:, None]
-    return lo, span
+    want = (models[0].window, models[0].params.input_dim)
+    arr = np.empty((len(models), counts.pop()) + want)
+    for k, ws in enumerate(per_model):
+        for j, window in enumerate(ws):
+            window = np.asarray(window, dtype=float)
+            if window.shape != want:
+                raise ForecastError(f"expected window of shape {want}, "
+                                    f"got {window.shape}")
+            arr[k, j] = window
+    if not np.all(np.isfinite(arr)):
+        raise ForecastError("window features must be finite")
+    weights = SimpleNamespace(**{
+        name: np.stack([getattr(m.params, name) for m in models])
+        for name in names})
+    lo = np.array([m.norm.lo for m in models])[:, None, None]
+    span = np.array([m.norm.span for m in models])[:, None, None]
+    return weights, arr, lo, span
 
 
 @dataclass(frozen=True)
 class DayTape:
-    """One forward pass of several forecasters, one window each, run as a
-    stack: the forecasts, and the step values the members' backward pass
-    sweeps (see :func:`apply_external_gradient`)."""
+    """One forward pass of S forecasters, one window each, run as a stack:
+    the forecasts, and the step values that the members' backward pass
+    sweeps (see :func:`backward_day`)."""
 
     models: tuple
     windows: tuple            # the windows read, as passed
     forecasts: np.ndarray     # (S, 24) kW, clamped at zero
     raw: np.ndarray           # (S, 24) kW before the clamp
-    weights: SimpleNamespace  # the models' weights on the batch axis
-    steps: list
+    span: np.ndarray          # (S, 1, 1) the models' normalization spans
+    weights: SimpleNamespace  # the models' weights on the network axis
+    steps: list               # step values, each (S, 1, ...)
     h_final: np.ndarray
 
 
-def forward_day(model, window):
-    """Forecast 24 hourly loads in kW, clamped at zero.
+def forward_day(models, windows) -> DayTape:
+    """Forecast 24 hourly loads in kW, clamped at zero, for a sequence of
+    S models and a sequence of S windows, one each.
 
-    Given a sequence of S models and a sequence of S windows, one each,
-    the models run as one stack and the result is a :class:`DayTape`
-    whose ``forecasts`` row k is ``forward_day(models[k], windows[k])``,
-    bit for bit.
+    The models run as one stack. Row k of the returned tape's
+    ``forecasts`` is what ``models[k]`` forecasts from ``windows[k]`` in a
+    stack of its own, bit for bit.
     """
-    if isinstance(model, ForecastModel):
-        arr = _check_window(model, window)
-        return forecast_batch(model.params, model.norm, arr[None])[0]
-    models, windows = tuple(model), tuple(window)
-    if len(models) != len(windows) or not models:
-        raise ForecastError(f"{len(models)} models need as many windows, "
-                            f"got {len(windows)}")
-    weights = _stack_weights(models)
-    arr = np.stack([_check_window(m, w) for m, w in zip(models, windows)])
-    steps, h_final, out = _unroll(weights, arr)
-    lo, span = _norm_columns(models)
-    raw = lo + span * out
-    return DayTape(models=models, windows=windows,
-                   forecasts=np.maximum(raw, 0.0), raw=raw, weights=weights,
-                   steps=steps, h_final=h_final)
+    models, windows = tuple(models), tuple(windows)
+    weights, arr, lo, span = _stack(models, [[w] for w in windows])
+    steps, h_final, raw, forecasts = _forecast(weights, lo, span, arr)
+    return DayTape(models=models, windows=windows, forecasts=forecasts[:, 0],
+                   raw=raw[:, 0], span=span, weights=weights, steps=steps,
+                   h_final=h_final)
 
 
-def forward_days(model, windows) -> np.ndarray:
-    """Forecasts ``(B, 24)`` for a non-empty sequence of B windows: each
-    row is :func:`forward_day` of its window, bit for bit, with the same
-    window checks, but all of them run in one batch.
-
-    Given a sequence of S models and, per model, a sequence of B windows,
-    all S * B forecasts run in one batch and come back as ``(S, B, 24)``.
-    """
-    if isinstance(model, ForecastModel):
-        arr = [_check_window(model, w) for w in windows]
-        if not arr:
-            raise ForecastError("forecasts need a non-empty sequence of "
-                                "windows")
-        return forecast_batch(model.params, model.norm, np.stack(arr))
-    models, per_model = tuple(model), [list(w) for w in windows]
-    counts = {len(w) for w in per_model}
-    if len(per_model) != len(models) or len(counts) != 1 or 0 in counts:
-        raise ForecastError("stacked forecasts need one non-empty sequence "
-                            "of windows per model, all of one length")
-    B = counts.pop()
-    arr = np.stack([_check_window(m, w)
-                    for m, ws in zip(models, per_model) for w in ws])
-    _, _, out = _unroll(_stack_weights(models, B), arr)
-    lo, span = _norm_columns(models, B)
-    return np.maximum(lo + span * out, 0.0).reshape(len(models), B, -1)
-
-
-def _check_dloss(dloss_dforecast, shape: tuple, what: str) -> np.ndarray:
-    dloss = np.asarray(dloss_dforecast, dtype=float)
-    if dloss.shape != shape:
-        raise ForecastError(f"loss gradient shape {dloss.shape} does not "
-                            f"match {what} {shape}")
-    if not np.all(np.isfinite(dloss)):
-        raise ForecastError("loss gradient must be finite")
-    return dloss
-
-
-def backward_day(model: ForecastModel, window: np.ndarray,
-                 dloss_dforecast: np.ndarray) -> LstmParams:
-    """Exact gradient of dloss_dforecast . forecast w.r.t. every parameter.
-
-    Slots where the kW clamp is active pass no gradient.
-    """
-    arr = _check_window(model, window)
-    dloss = _check_dloss(dloss_dforecast, (model.params.horizon,),
-                         "horizon")
-    steps, h_final, out = _unroll(model.params, arr[None])
-    raw = model.norm.unscale(out[0])
-    dout = np.where(raw > 0.0, dloss, 0.0) * model.norm.span
-    grads = _backward_from_head(model.params, steps, h_final, dout[None], 1)
-    return LstmParams(**{name: g[0] for name, g in grads.items()})
+def forward_days(models, windows_per_model) -> np.ndarray:
+    """Forecasts ``(S, B, 24)`` for a sequence of S models and, per model,
+    a non-empty sequence of B windows: row ``[k, j]`` is what
+    :func:`forward_day` forecasts for ``models[k]`` from
+    ``windows_per_model[k][j]``, bit for bit, with the same window checks,
+    but all S * B forecasts run in one batch."""
+    weights, arr, lo, span = _stack(tuple(models), windows_per_model)
+    return _forecast(weights, lo, span, arr)[3]
 
 
 # OpenBLAS cuts a long GEMM sum into blocks, and past a few hundred terms
@@ -400,14 +361,10 @@ def _window_sum(a, b):
     return total
 
 
-def _backward_from_head(params: LstmParams, steps, h_final, dout,
-                        nets: int) -> dict:
-    """Reverse-mode sweep from gradients ``(B, 24)`` at the (normalized)
-    head output, for ``nets`` networks whose batches of windows sit one
-    after another on the batch axis, all of one size. Every returned
-    gradient is its network's total over its windows, with the network
-    axis first. ``params`` may carry a batch axis of its own, one network
-    per item.
+def _backward_from_head(params, steps, h_final, dout) -> dict:
+    """Reverse-mode sweep from gradients ``(nets, per, 24)`` at the
+    (normalized) head output. Every returned gradient is its network's
+    total over its windows, with the network axis first.
 
     At each step the windows' terms go into their network's totals as one
     ``(4H, per) @ (per, D)`` and one ``(4H, per) @ (per, H)`` product per
@@ -416,91 +373,106 @@ def _backward_from_head(params: LstmParams, steps, h_final, dout,
     window per network every such product has a single term and is exact,
     so the sweep is bit for bit the per-window one.
     """
-    n, horizon = dout.shape
-    per = n // nets
+    nets, per, _ = dout.shape
     rows = params.b.shape[-2] * params.b.shape[-1]    # 4H, gate by gate
     g_x = np.zeros((nets, rows, params.W_x.shape[-1]))
     g_h = np.zeros((nets, rows, params.W_h.shape[-1]))
     g_b = np.zeros((nets, rows))
-    W_hT = params.W_h.swapaxes(-1, -2)
-    dh = (params.W_out.swapaxes(-1, -2) @ dout[:, :, None])[..., 0]
+    W_hT = params.W_h.swapaxes(-1, -2)[:, None]
+    dh = (params.W_out.swapaxes(-1, -2)[:, None] @ dout[..., None])[..., 0]
     dc = np.zeros_like(dh)
     for x, z, c_prev, tc, h_prev in reversed(steps):
-        f, i, o, g = z.swapaxes(0, 1)
+        f, i, o, g = z.transpose(2, 0, 1, 3)
         dc = dc + dh * o * (1.0 - tc * tc)
         # gradient at the gate outputs, then through sigmoid' = s (1 - s)
         # for forget, input and output and tanh' = 1 - g^2 for the candidate
-        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i], axis=1)
-        da[:, :3] *= z[:, :3]
-        da[:, :3] *= 1.0 - z[:, :3]
-        da[:, 3] *= 1.0 - g * g
+        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i], axis=2)
+        da[:, :, :3] *= z[:, :, :3]
+        da[:, :, :3] *= 1.0 - z[:, :, :3]
+        da[:, :, 3] *= 1.0 - g * g
         dA = da.reshape(nets, per, rows)
         dAT = dA.swapaxes(1, 2)
-        g_x += _window_sum(dAT, x.reshape(nets, per, -1))
-        g_h += _window_sum(dAT, h_prev.reshape(nets, per, -1))
+        g_x += _window_sum(dAT, x)
+        g_h += _window_sum(dAT, h_prev)
         g_b += dA.sum(axis=1)
         # one product per gate, summed in gate order: a single 4H-term
         # product would reorder the sum and move the last bits
-        dh = (W_hT @ da[..., None])[..., 0].sum(axis=1)
+        dh = (W_hT @ da[..., None])[..., 0].sum(axis=2)
         dc = dc * f
-    d_out = dout.reshape(nets, per, horizon)
-    return {"W_x": g_x.reshape((nets,) + params.W_x.shape[-3:]),
-            "W_h": g_h.reshape((nets,) + params.W_h.shape[-3:]),
-            "b": g_b.reshape((nets,) + params.b.shape[-2:]),
-            "W_out": _window_sum(d_out.swapaxes(1, 2),
-                                 h_final.reshape(nets, per, -1)),
-            "b_out": d_out.sum(axis=1)}
+    return {"W_x": g_x.reshape(params.W_x.shape),
+            "W_h": g_h.reshape(params.W_h.shape),
+            "b": g_b.reshape(params.b.shape),
+            "W_out": _window_sum(dout.swapaxes(1, 2), h_final),
+            "b_out": dout.sum(axis=1)}
 
 
-def _stepped(model: ForecastModel, grads, lr: float) -> ForecastModel:
-    """``model`` after one descent step along ``grads[name]``."""
-    params = LstmParams(**{
-        name: getattr(model.params, name) - lr * grads[name]
-        for name in LstmParams.field_names()})
-    return dataclasses.replace(model, params=params)
+def _member_gradients(tape: DayTape, dloss_dforecast, members) -> tuple:
+    """The sorted positions of ``members`` on ``tape`` and the gradients of
+    ``dloss_dforecast[k] . forecasts[k]`` for each member k, every field
+    with the members' axis first, swept from the tape's step values.
 
-
-def apply_external_gradient(model, dloss_dforecast: np.ndarray, window,
-                            lr: float):
-    """One descent step against a gradient taken at the kW forecast.
-
-    The stacked form is ``apply_external_gradient(tape, dloss_dforecast,
-    members, lr)``: a :class:`DayTape` in place of the model, one gradient
-    row per tape model, and in place of the window the positions of the
-    models that step (the members). It returns the tape's models with
-    each member stepped and every other model as it was. The members'
-    backward pass runs as one stack from the tape's step values, with no
-    second forward pass; each stepped model equals the one the
-    single-model call returns, bit for bit.
+    A slot where the member's kW clamp is active passes no gradient; the
+    others pass it scaled by the member's normalization span.
     """
-    if lr < 0.0 or not np.isfinite(lr):
-        raise ForecastError("lr must be finite and >= 0")
-    if isinstance(model, ForecastModel):
-        grads = backward_day(model, window, dloss_dforecast)
-        return _stepped(model, vars(grads), lr)
-    tape = model
-    members = sorted(set(window))
+    members = list(members)
+    for k in members:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ForecastError(f"member position {k!r} is not an integer")
+    members = sorted(set(members))
     if not all(0 <= k < len(tape.models) for k in members):
         raise ForecastError(f"members {members} are not positions of the "
                             f"{len(tape.models)} models on the tape")
-    dloss = _check_dloss(dloss_dforecast, tape.raw.shape,
-                         "the tape's forecasts")
+    dloss = np.asarray(dloss_dforecast, dtype=float)
+    if dloss.shape != tape.raw.shape:
+        raise ForecastError(f"loss gradient shape {dloss.shape} does not "
+                            f"match the tape's forecasts {tape.raw.shape}")
+    if not np.all(np.isfinite(dloss)):
+        raise ForecastError("loss gradient must be finite")
     if not members:
-        return tape.models
+        return members, {}
     weights, steps, h_final = tape.weights, tape.steps, tape.h_final
-    if len(members) < len(tape.models):     # the members' items alone
+    if len(members) < len(tape.models):     # the members' networks alone
         weights = SimpleNamespace(**{name: a[members] for name, a
                                      in vars(weights).items()})
         steps = [tuple(a[members] for a in step) for step in steps]
         h_final = h_final[members]
-    _, span = _norm_columns([tape.models[k] for k in members])
-    dout = np.where(tape.raw[members] > 0.0, dloss[members], 0.0) * span
-    grads = _backward_from_head(weights, steps, h_final, dout,
-                                len(members))
+    dout = (np.where(tape.raw[members] > 0.0, dloss[members], 0.0)[:, None]
+            * tape.span[members])
+    return members, _backward_from_head(weights, steps, h_final, dout)
+
+
+def backward_day(tape: DayTape, dloss_dforecast, members) -> dict:
+    """Exact gradient of ``dloss_dforecast[k] . forecasts[k]`` with respect
+    to every parameter of each member k, one of the positions ``members``
+    on ``tape``, as a dict from position to :class:`LstmParams`.
+
+    ``dloss_dforecast`` has one row per tape model; a non-member's row is
+    not read. The sweep reads the tape's step values, with no second
+    forward pass, and slots where the kW clamp is active pass no gradient.
+    """
+    members, grads = _member_gradients(tape, dloss_dforecast, members)
+    return {k: LstmParams(**{name: g[j] for name, g in grads.items()})
+            for j, k in enumerate(members)}
+
+
+def apply_external_gradient(tape: DayTape, dloss_dforecast, members,
+                            lr: float) -> tuple:
+    """One descent step against a gradient taken at the kW forecasts.
+
+    ``dloss_dforecast`` has one row per tape model, and ``members`` are the
+    positions of the models that step. Returns the tape's models with each
+    member stepped along its :func:`backward_day` gradient, bit for bit,
+    and every other model as it was. The members' backward pass runs as one
+    stack from the tape's step values, with no second forward pass.
+    """
+    if lr < 0.0 or not np.isfinite(lr):
+        raise ForecastError("lr must be finite and >= 0")
+    members, grads = _member_gradients(tape, dloss_dforecast, members)
     out = list(tape.models)
     for j, k in enumerate(members):
-        out[k] = _stepped(tape.models[k],
-                          {name: g[j] for name, g in grads.items()}, lr)
+        params = LstmParams(**{name: getattr(out[k].params, name) - lr * g[j]
+                               for name, g in grads.items()})
+        out[k] = dataclasses.replace(out[k], params=params)
     return tuple(out)
 
 
@@ -577,23 +549,20 @@ class TrainingConfig:
             raise ForecastError("hidden_size must be >= 1")
 
 
-def _mse_gradient(params, windows: np.ndarray, targets: np.ndarray,
-                  nets: int) -> tuple:
-    """Mean squared error of each of ``nets`` networks over its batch of
-    windows, and its gradient.
+def _mse_gradient(params, windows: np.ndarray, targets: np.ndarray) -> tuple:
+    """Mean squared error of each network of the stack over its windows
+    ``(nets, per, T, D)`` against its targets ``(nets, per, 24)``, and its
+    gradient.
 
-    ``windows`` holds the networks' batches one after another, all of one
-    size; ``params`` carries one network per item, or, for one network,
-    none. Each network's loss is one reduction over its errors, and its
-    gradients come summed over its windows from the backward sweep. The
-    batch's step values die on return, before the next epoch unrolls.
+    Each network's loss is one reduction over its errors, and its gradients
+    come summed over its windows from the backward sweep. The batch's step
+    values die on return, before the next epoch unrolls.
     """
     steps, h_final, out = _unroll(params, windows)
     err = out - targets
-    denom = float(err.size // nets)
-    grads = _backward_from_head(params, steps, h_final, 2.0 * err / denom,
-                                nets)
-    per_net = err.reshape(nets, -1)
+    denom = float(err[0].size)
+    grads = _backward_from_head(params, steps, h_final, 2.0 * err / denom)
+    per_net = err.reshape(err.shape[0], -1)
     return (per_net * per_net).sum(axis=1) / denom, grads
 
 
@@ -601,14 +570,13 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
               config: TrainingConfig, seed) -> tuple:
     """Full-batch gradient descent on normalized mean squared error.
 
-    `loads` is (days, 24) in kW; day d is forecast from day d-1's window.
-    Returns the trained model and the per-epoch loss trace.
-
-    With `loads` (days, S, 24), one column per sector as a
+    `loads` is (days, S, 24) in kW, one column per sector as a
     :class:`mesval.data.DayDataset` holds them, and `seed` a sequence of
-    S seeds, the S networks train as one stack and the result is the list
-    of S models and the (S, epochs) traces; each is what the call on its
-    column alone returns, bit for bit.
+    S seeds; day d is forecast from day d-1's window. The S networks train
+    as one stack, and the result is the list of S models and the (S,
+    epochs) per-epoch loss traces; each is what the call on its column
+    alone returns, bit for bit. `loads` (days, 24) with one int `seed` is
+    the stack of one, and returns its model and its trace.
 
     Each epoch sums a network's window gradients in BLAS order (see
     :func:`_backward_from_head`), so the weights are those of a
@@ -636,23 +604,19 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
 
     S = len(seeds)
     norms = [fit_normalization(columns[:, j]) for j in range(S)]
-    windows = np.stack([build_window(columns[d - 1, j], int(dows[d - 1]),
-                                     norms[j], config.window)
-                        for j in range(S) for d in range(1, loads.shape[0])])
-    targets = np.concatenate([norms[j].scale(columns[1:, j])
-                              for j in range(S)])
+    windows = np.array([[build_window(columns[d - 1, j], int(dows[d - 1]),
+                                      norms[j], config.window)
+                         for d in range(1, loads.shape[0])]
+                        for j in range(S)])
+    targets = np.stack([norms[j].scale(columns[1:, j]) for j in range(S)])
 
     inits = [init_params(sd, hidden_size=config.hidden_size) for sd in seeds]
     params = {name: np.stack([getattr(p, name) for p in inits])
               for name in LstmParams.field_names()}
-    B = loads.shape[0] - 1
     trace = np.zeros((S, config.mse_epochs))
     for epoch in range(config.mse_epochs):
-        # one network per item, or the one network for all of them
-        items = SimpleNamespace(**{
-            name: np.repeat(a, B, axis=0) if S > 1 else a[0]
-            for name, a in params.items()})
-        loss, grads = _mse_gradient(items, windows, targets, S)
+        loss, grads = _mse_gradient(SimpleNamespace(**params), windows,
+                                    targets)
         trace[:, epoch] = loss
         params = {name: params[name] - config.lr * grads[name]
                   for name in params}

@@ -1,5 +1,6 @@
 """Shared test helpers: a vertex-enumeration LP oracle, instance factories,
-bitwise comparisons of arrays and LP solutions, and a KKT residual check.
+bitwise comparisons of arrays and LP solutions, a KKT residual check, and
+the forecaster's passes on a stack of one model.
 
 The oracle is written directly against the math (enumerate active sets,
 solve, filter, take the best) and shares no logic with the package under
@@ -13,6 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from mesval.lp import DEFAULT_TOL, LinearProgram, LPSolution, LPStandardForm
+from mesval.lstm import (apply_external_gradient, backward_day, forward_day,
+                         forward_days)
 
 
 def oracle_min_objective(c, A_ub, b_ub, A_eq, b_eq, tol=1e-9):
@@ -173,3 +176,30 @@ def check_kkt(lp: LPStandardForm, M: np.ndarray,
     }
     ok = all(v <= DEFAULT_TOL * scale for v in rep.values())
     return KktReport(ok=ok, scale=scale, tol=DEFAULT_TOL, **rep)
+
+
+# The forecaster's passes take a stack of models; these run one model as
+# a stack of one.
+
+def forecast_one(model, window):
+    """``model``'s 24 kW forecasts from one window."""
+    return forward_day([model], [window]).forecasts[0]
+
+
+def forecast_days_one(model, windows):
+    """``model``'s forecasts ``(B, 24)`` from a sequence of B windows."""
+    return forward_days([model], [windows])[0]
+
+
+def backward_one(model, window, dloss):
+    """``backward_day``'s LstmParams gradient of ``dloss . forecast`` for
+    ``model`` on one window."""
+    tape = forward_day([model], [window])
+    return backward_day(tape, np.asarray(dloss, dtype=float)[None], [0])[0]
+
+
+def step_one(model, dloss, window, lr):
+    """``model`` after ``apply_external_gradient``'s step on one window."""
+    tape = forward_day([model], [window])
+    return apply_external_gradient(tape, np.asarray(dloss, dtype=float)[None],
+                                   [0], lr)[0]

@@ -8,8 +8,9 @@ from mesval.batteries import (_fd_slots, random_box_lp, random_milp,
                               run_all_batteries)
 from mesval.bnb import branch_and_bound
 from mesval.lp import solve_lp
-from mesval.lstm import (ForecastModel, LstmParams, Normalization,
-                         forward_day, init_params)
+from mesval.lstm import ForecastModel, LstmParams, Normalization, init_params
+
+from _util import forecast_one
 
 
 def test_random_box_lp_is_feasible_at_seed_point():
@@ -44,7 +45,7 @@ def fd_slot_reference(model, name, idx, window, dloss, h):
         arr[idx] += delta
         params = dataclasses.replace(model.params, **{name: arr})
         bumped = dataclasses.replace(model, params=params)
-        return float(dloss @ forward_day(bumped, window))
+        return float(dloss @ forecast_one(bumped, window))
 
     return (loss_at(h) - loss_at(-h)) / (2.0 * h)
 

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from mesval.lstm import (
     train_mse,
 )
 from mesval.lstm import _step
+
+from _util import backward_one, forecast_days_one, forecast_one, step_one
 
 RNG_SEED = 77031
 
@@ -89,10 +92,14 @@ def reference_forward(window, params, norm):
 # ---------------------------------------------------------------------------
 
 def cell_step(params, x, h_prev, c_prev):
-    """One step of the batched cell on a batch of one; returns (h, c)."""
+    """One step of the stacked cell on one network and one window; returns
+    (h, c)."""
+    stack = SimpleNamespace(**{name: getattr(params, name)[None]
+                               for name in LstmParams.field_names()})
     xw = params.W_x @ np.asarray(x, dtype=float)
-    _, c, _, h = _step(params, xw[None], h_prev[None], c_prev[None])
-    return h[0], c[0]
+    _, c, _, h = _step(stack, xw[None, None], h_prev[None, None],
+                       c_prev[None, None])
+    return h[0, 0], c[0, 0]
 
 
 def test_cell_zero_everything():
@@ -126,9 +133,9 @@ def test_cell_shape_mismatch_raises():
     # window, whose feature width both day passes check
     model = identity_model(zero_params(3, 5), window=6)
     with pytest.raises(ForecastError, match="shape"):
-        forward_day(model, np.zeros((6, 4)))
+        forecast_one(model, np.zeros((6, 4)))
     with pytest.raises(ForecastError, match="shape"):
-        backward_day(model, np.zeros((6, 4)), np.zeros(24))
+        backward_one(model, np.zeros((6, 4)), np.zeros(24))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ def test_forward_zero_params_returns_clamped_head_bias():
     p = zero_params(4, 5)
     p = dataclasses.replace(p, b_out=np.linspace(-1.0, 1.0, 24))
     model = identity_model(p)
-    fc = forward_day(model, np.zeros((24, 5)))
+    fc = forecast_one(model, np.zeros((24, 5)))
     np.testing.assert_allclose(fc, np.maximum(np.linspace(-1.0, 1.0, 24), 0.0),
                                atol=1e-15)
 
@@ -153,7 +160,7 @@ def test_forward_matches_reference_loop():
         norm = Normalization(lo=80.0, hi=320.0)
         model = ForecastModel(params=params, norm=norm, window=w, seed=0)
         window = rng.uniform(-1.0, 1.0, (w, 5))
-        got = forward_day(model, window)
+        got = forecast_one(model, window)
         np.testing.assert_allclose(got, reference_forward(window, params, norm),
                                     rtol=1e-12, atol=1e-12)
         assert np.all(got >= 0.0)
@@ -171,7 +178,7 @@ def test_forward_seeded_golden_vector():
         np.full(6, np.sin(2 * np.pi * 3 / 7)),
         np.full(6, np.cos(2 * np.pi * 3 / 7)),
     ])
-    got = forward_day(model, window)
+    got = forecast_one(model, window)
     np.testing.assert_allclose(got, reference_forward(window, params,
                                                       model.norm),
                                rtol=1e-12)
@@ -187,7 +194,7 @@ GOLDEN_FORWARD_HEAD = np.array([
 def test_forward_wrong_window_length_raises():
     model = identity_model(zero_params(3, 5), window=24)
     with pytest.raises(ForecastError, match="window"):
-        forward_day(model, np.zeros((10, 5)))
+        forecast_one(model, np.zeros((10, 5)))
 
 
 def test_forward_nan_features_raise():
@@ -195,7 +202,7 @@ def test_forward_nan_features_raise():
     bad = np.zeros((24, 5))
     bad[3, 1] = np.nan
     with pytest.raises(ForecastError, match="finite"):
-        forward_day(model, bad)
+        forecast_one(model, bad)
 
 
 def test_forward_days_equals_forward_day_bitwise_with_its_checks():
@@ -205,20 +212,20 @@ def test_forward_days_equals_forward_day_bitwise_with_its_checks():
                           window=8, seed=0)
     windows = [rng.uniform(-1.0, 1.0, (8, 5)) for _ in range(5)]
     for batch in (windows, windows[:1]):
-        got = forward_days(model, batch)
-        want = np.stack([forward_day(model, w) for w in batch])
+        got = forecast_days_one(model, batch)
+        want = np.stack([forecast_one(model, w) for w in batch])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     bad = windows[2].copy()
     bad[3, 1] = np.nan
     with pytest.raises(ForecastError, match="finite"):
-        forward_days(model, [windows[0], bad])
+        forecast_days_one(model, [windows[0], bad])
     with pytest.raises(ForecastError, match="shape"):
-        forward_days(model, [windows[0], np.zeros((8, 4))])
+        forecast_days_one(model, [windows[0], np.zeros((8, 4))])
     with pytest.raises(ForecastError, match="window"):
-        forward_days(model, [np.zeros((10, 5))])
+        forecast_days_one(model, [np.zeros((10, 5))])
     with pytest.raises(ForecastError, match="non-empty"):
-        forward_days(model, [])
+        forecast_days_one(model, [])
 
 
 def test_forward_randomized_stress_stays_finite():
@@ -231,7 +238,7 @@ def test_forward_randomized_stress_stays_finite():
         model = ForecastModel(params=params,
                               norm=Normalization(lo=0.0, hi=4000.0),
                               window=24, seed=0)
-        fc = forward_day(model, rng.uniform(-1, 1, (24, 5)))
+        fc = forecast_one(model, rng.uniform(-1, 1, (24, 5)))
         assert np.all(np.isfinite(fc))
 
 
@@ -254,7 +261,7 @@ def fd_gradients(model, window, weights, h=1e-5):
                 p = dataclasses.replace(model.params,
                                         **{name: bumped.reshape(arr.shape)})
                 m = dataclasses.replace(model, params=p)
-                val = float(weights @ forward_day(m, window))
+                val = float(weights @ forecast_one(m, window))
                 flat[k] += sign * val / (2 * h)
         grads[name] = g
     return grads
@@ -272,7 +279,7 @@ def test_backward_matches_finite_differences():
                               window=w, seed=0)
         window = rng.uniform(-1.0, 1.0, (w, 5))
         weights = rng.normal(0.0, 1.0, 24)
-        got = backward_day(model, window, weights)
+        got = backward_one(model, window, weights)
         want = fd_gradients(model, window, weights)
         for name in LstmParams.field_names():
             np.testing.assert_allclose(
@@ -283,7 +290,7 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_loss_gives_zero_gradients():
     params = init_params(seed=5, hidden_size=4)
     model = identity_model(params, window=8)
-    got = backward_day(model, np.ones((8, 5)) * 0.3, np.zeros(24))
+    got = backward_one(model, np.ones((8, 5)) * 0.3, np.zeros(24))
     for name in LstmParams.field_names():
         np.testing.assert_allclose(getattr(got, name), 0.0, atol=0)
 
@@ -297,9 +304,9 @@ def test_backward_output_bias_gradient_is_masked_loss():
     model = ForecastModel(params=params, norm=norm, window=6, seed=0)
     window = rng.uniform(-1, 1, (6, 5))
     weights = rng.normal(0.0, 1.0, 24)
-    fc = forward_day(model, window)
+    fc = forecast_one(model, window)
     assert np.all(fc > 0)                   # nothing clamped here
-    got = backward_day(model, window, weights)
+    got = backward_one(model, window, weights)
     np.testing.assert_allclose(got.b_out, weights * norm.span, rtol=1e-12)
 
 
@@ -310,9 +317,9 @@ def test_clamped_slots_contribute_exactly_zero_gradient():
     model = ForecastModel(params=params, norm=Normalization(lo=0.0, hi=100.0),
                           window=6, seed=0)
     window = np.full((6, 5), 0.4)
-    fc = forward_day(model, window)
+    fc = forecast_one(model, window)
     np.testing.assert_allclose(fc, 0.0, atol=0)
-    got = backward_day(model, window, np.ones(24))
+    got = backward_one(model, window, np.ones(24))
     for name in LstmParams.field_names():
         np.testing.assert_allclose(getattr(got, name), 0.0, atol=0,
                                    err_msg=name)
@@ -326,7 +333,7 @@ def test_apply_external_gradient_single_slot_sparsity():
     window = rng.uniform(-1, 1, (8, 5))
     g = np.zeros(24)
     g[7] = 2.5
-    stepped = apply_external_gradient(model, g, window, lr=1e-3)
+    stepped = step_one(model, g, window, lr=1e-3)
     dW = stepped.params.W_out - model.params.W_out
     db = stepped.params.b_out - model.params.b_out
     assert np.any(dW[7] != 0.0)
@@ -343,9 +350,8 @@ def test_apply_external_gradient_zero_cases():
     model = ForecastModel(params=params, norm=Normalization(lo=50.0, hi=250.0),
                           window=6, seed=0)
     window = rng.uniform(-1, 1, (6, 5))
-    for same in (apply_external_gradient(model, np.zeros(24), window, 1e-2),
-                 apply_external_gradient(model, rng.normal(size=24), window,
-                                         0.0)):
+    for same in (step_one(model, np.zeros(24), window, 1e-2),
+                 step_one(model, rng.normal(size=24), window, 0.0)):
         for name in LstmParams.field_names():
             np.testing.assert_allclose(getattr(same.params, name),
                                        getattr(model.params, name), atol=0)
@@ -432,7 +438,7 @@ def test_train_mse_fits_constant_loads():
     model, trace = train_mse(loads, dows, cfg, seed=41)
     assert trace[-1] < 1e-4
     window = build_window(loads[0], int(dows[0]), model.norm, model.window)
-    np.testing.assert_allclose(forward_day(model, window), 150.0, atol=2.0)
+    np.testing.assert_allclose(forecast_one(model, window), 150.0, atol=2.0)
 
 
 def test_train_mse_empty_dataset_raises():
@@ -550,11 +556,11 @@ def test_day_passes_match_per_window_reference_bitwise():
         dloss = rng.normal(size=24)
         steps, h_final, out = ref_unroll(params, window)
         raw = norm.unscale(out)
-        assert np.array_equal(forward_day(model, window),
+        assert np.array_equal(forecast_one(model, window),
                               np.maximum(raw, 0.0))
         dout = np.where(raw > 0.0, dloss, 0.0) * norm.span
         want = ref_backward_from_head(params, steps, h_final, dout)
-        assert_params_identical(backward_day(model, window, dloss), want)
+        assert_params_identical(backward_one(model, window, dloss), want)
 
 
 def train_cases():
@@ -752,7 +758,7 @@ def test_stacked_training_day_matches_each_sector_bitwise():
             assert tape.forecasts[k].tobytes() == \
                 np.maximum(raw, 0.0).tobytes()
             assert tape.forecasts[k].tobytes() == \
-                forward_day(m, window).tobytes()
+                forecast_one(m, window).tobytes()
             if k not in members:
                 assert stepped[k] is m
                 continue
@@ -761,7 +767,7 @@ def test_stacked_training_day_matches_each_sector_bitwise():
             want = {name: getattr(m.params, name) - lr * grads[name]
                     for name in LstmParams.field_names()}
             assert _bytes(stepped[k].params) == _bytes(want)
-            alone = apply_external_gradient(m, dloss[k], window, lr)
+            alone = step_one(m, dloss[k], window, lr)
             assert _bytes(stepped[k].params) == _bytes(alone.params)
 
 
@@ -773,7 +779,7 @@ def test_stacked_split_forecasts_match_each_model_bitwise():
     got = forward_days(models, windows)
     assert got.shape == (3, 4, 24)
     for k, m in enumerate(models):
-        assert got[k].tobytes() == forward_days(m, windows[k]).tobytes()
+        assert got[k].tobytes() == forecast_days_one(m, windows[k]).tobytes()
 
 
 def test_stacked_passes_check_their_inputs():
@@ -801,6 +807,78 @@ def test_stacked_passes_check_their_inputs():
         apply_external_gradient(tape, np.zeros((3, 24)), [0], -1.0)
     assert apply_external_gradient(tape, np.zeros((3, 24)), [],
                                    1e-3) == tape.models
+
+
+def test_member_positions_must_be_integers():
+    # a float or a bool would pass the range check and then index numpy
+    rng = np.random.default_rng(RNG_SEED + 17)
+    models = _three_models(rng, 4, 6)
+    tape = forward_day(models, [rng.normal(0.0, 1.0, (6, 5)) for _ in models])
+    dloss = np.zeros((3, 24))
+    for bad in ([0.5], [True], [np.bool_(False)], [0, 1.0]):
+        with pytest.raises(ForecastError, match="integer"):
+            apply_external_gradient(tape, dloss, bad, 1e-3)
+        with pytest.raises(ForecastError, match="integer"):
+            backward_day(tape, dloss, bad)
+    assert set(backward_day(tape, dloss, [np.int64(2), 0])) == {0, 2}
+
+
+def test_backward_day_gives_each_member_the_per_window_gradient_bitwise():
+    # a member subset of a three-model tape: each member's gradient is the
+    # per-window reference sweep's, as the one-model day pass is (a clamped
+    # slot's zero may carry the other sign), and nothing else comes back
+    rng = np.random.default_rng(RNG_SEED + 18)
+    for members in ([1], [0, 2], [2, 1, 0], [2, 2]):
+        H, w = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+        models = _three_models(rng, H, w)
+        windows = [rng.normal(0.0, 1.0, (w, 5)) for _ in models]
+        dloss = rng.normal(size=(3, 24))
+        got = backward_day(forward_day(models, windows), dloss, members)
+        assert sorted(got) == sorted(set(members))
+        for k in got:
+            m = models[k]
+            steps, h_final, out = ref_unroll(m.params, windows[k])
+            raw = m.norm.unscale(out)
+            dout = np.where(raw > 0.0, dloss[k], 0.0) * m.norm.span
+            want = ref_backward_from_head(m.params, steps, h_final, dout)
+            assert_params_identical(got[k], want)
+
+
+def test_backward_day_checks_its_inputs():
+    rng = np.random.default_rng(RNG_SEED + 19)
+    models = _three_models(rng, 4, 6)
+    tape = forward_day(models, [rng.normal(0.0, 1.0, (6, 5)) for _ in models])
+    with pytest.raises(ForecastError, match="forecasts"):
+        backward_day(tape, np.zeros((3, 23)), [0])
+    with pytest.raises(ForecastError, match="finite"):
+        backward_day(tape, np.full((3, 24), np.inf), [0])
+    with pytest.raises(ForecastError, match="members"):
+        backward_day(tape, np.zeros((3, 24)), [-1])
+    assert backward_day(tape, np.zeros((3, 24)), []) == {}
+
+
+def test_one_tape_unrolls_once(monkeypatch):
+    # the backward pass and the step read the forward pass's step values
+    import mesval.lstm as lstm
+    calls = []
+    real = lstm._unroll
+
+    def counting(params, windows):
+        calls.append(windows.shape)
+        return real(params, windows)
+
+    monkeypatch.setattr(lstm, "_unroll", counting)
+    rng = np.random.default_rng(RNG_SEED + 20)
+    models = _three_models(rng, 3, 5)
+    tape = forward_day(models, [rng.normal(0.0, 1.0, (5, 5)) for _ in models])
+    dloss = rng.normal(size=(3, 24))
+    grads = backward_day(tape, dloss, [0, 2])
+    stepped = apply_external_gradient(tape, dloss, [0, 2], 1e-3)
+    assert calls == [(3, 1, 5, 5)]
+    for k in (0, 2):
+        assert _bytes(stepped[k].params) == _bytes({
+            name: getattr(models[k].params, name) - 1e-3 * getattr(
+                grads[k], name) for name in LstmParams.field_names()})
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +960,8 @@ def test_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(back.params, name),
                                       getattr(model.params, name))
     window = build_window(loads[0], 0, model.norm, model.window)
-    np.testing.assert_array_equal(forward_day(back, window),
-                                  forward_day(model, window))
+    np.testing.assert_array_equal(forecast_one(back, window),
+                                  forecast_one(model, window))
 
 
 # format version 1 as first written: one array per gate, in this order

@@ -44,6 +44,8 @@ from mesval.valuation import (
     zero_shapley,
 )
 
+from _util import forecast_one
+
 RNG_SEED = 61409
 
 
@@ -422,16 +424,16 @@ def test_infeasible_day_names_day_and_stage():
 @pytest.mark.parametrize("days", [5, 2])
 def test_split_forecasts_equal_the_per_day_rows_bitwise(days):
     # one batch per sector over the split; two days is a batch of one
-    from mesval.lstm import build_window, forward_day
+    from mesval.lstm import build_window
     from mesval.valuation import _forecast_split
     ds = small_dataset(days=5)
     models = base_models(ds, tiny_training())
     split = ds.slice(0, days)
     got = _forecast_split(models, split)
     want = np.stack([
-        np.vstack([forward_day(m, build_window(split.loads[d - 1, i],
-                                               int(split.dows[d - 1]),
-                                               m.norm, m.window))
+        np.vstack([forecast_one(m, build_window(split.loads[d - 1, i],
+                                                int(split.dows[d - 1]),
+                                                m.norm, m.window))
                    for i, m in enumerate(models[s] for s in SECTORS)])
         for d in range(1, split.days)])
     assert got.shape == want.shape == (days - 1, len(SECTORS), 24)
