@@ -53,17 +53,25 @@ rules:
   * every sum keeps its order: a window's gradients build up over
     reversed time, and no sum runs across networks.
 
-:func:`train_mse` keeps the forward pass but sums across windows: at
-each reversed step one ``(4H, B) @ (B, D)`` and one ``(4H, B) @ (B, H)``
-product per network add its B windows' weight gradients in BLAS order,
-and each network's loss is one reduction. That moves the weights' last
-bits, within ``(n - 1) eps`` of the summed terms' magnitude for sums of
-``n`` = windows * 24 terms; with one window per network (two days of
-loads) they are the per-window loop's bit for bit. A network trains to
-the same bits stacked with others or alone, and at any BLAS thread
-count (see :data:`_WINDOW_BLOCK`). One ``(4H, D) @ (D, B)`` product per
-network in the forward pass would be faster still but would move the
-forecasts' last bits.
+:func:`train_mse`, with more than one window per network, runs each
+network's products over its windows as BLAS GEMMs instead, in the layout
+of Appleyard et al. ("Optimizing Performance of Recurrent Neural
+Networks on GPUs", 2016): the input products of every window and step
+are one ``(per T, D) @ (D, 4H)`` product, the recurrent products of a
+step one ``(per, H) @ (H, 4H)`` product, and backward, a step's ``dh``
+one ``(per, 4H) @ (4H, H)`` product. At each reversed step one
+``(4H, per) @ (per, D)`` and one ``(4H, per) @ (per, H)`` product per
+network add its windows' weight gradients, and each network's loss is
+one reduction. These sums run in BLAS order, which moves the weights' last
+bits; the tests hold the move per epoch within ``(n - 1) eps`` of the
+weights' magnitude, ``n`` = windows * 24. With one window per network
+(two days of loads) every product keeps its per-window shape, and
+training is the per-window loop's bit for bit. A network trains to the
+same bits stacked with others or alone, and at any BLAS thread count
+(see :data:`_WINDOW_BLOCK`). The forecast passes keep the per-window
+products although GEMMs would be faster there too: a GEMM's sums run in
+another order than the per-window product's, so the forecasts, and with
+them every priced cost, would move in their last bits.
 """
 
 from __future__ import annotations
@@ -193,16 +201,10 @@ def init_params(seed: int, hidden_size: int = 32) -> LstmParams:
 # stacked cell and unrolled forward pass
 # ---------------------------------------------------------------------------
 
-def _step(params, xw, h_prev, c_prev):
-    """One recurrence step for a stack.
-
-    ``xw`` is the step's input product ``W_x @ x``, ``(nets, per, 4, H)``;
-    ``h_prev`` and ``c_prev`` are ``(nets, per, H)``. Returns the stacked
-    gate activations ``(nets, per, 4, H)`` (rows in GATES order), then c,
-    tanh(c) and h, each ``(nets, per, H)``.
-    """
-    z = ((xw + (params.W_h[:, None] @ h_prev[..., None, :, None])[..., 0])
-         + params.b[:, None])
+def _cell(z, c_prev):
+    """The cell on the stacked pre-activations ``z`` ``(nets, per, 4, H)``,
+    activated in place. Returns z (rows in GATES order), then c, tanh(c)
+    and h, each ``(nets, per, H)``."""
     _sigmoid(z[:, :, :3], out=z[:, :, :3])
     np.tanh(z[:, :, 3], out=z[:, :, 3])
     f, i, o, g = z.transpose(2, 0, 1, 3)
@@ -211,16 +213,50 @@ def _step(params, xw, h_prev, c_prev):
     return z, c, tc, o * tc
 
 
-def _unroll(params, windows: np.ndarray):
+def _step(params, xw, h_prev, c_prev):
+    """One recurrence step for a stack, its recurrent product at the
+    per-window shape.
+
+    ``xw`` is the step's input product ``W_x @ x``, ``(nets, per, 4, H)``;
+    ``h_prev`` and ``c_prev`` are ``(nets, per, H)``. Returns what
+    :func:`_cell` returns.
+    """
+    hw = (params.W_h[:, None] @ h_prev[..., None, :, None])[..., 0]
+    return _cell(xw + hw + params.b[:, None], c_prev)
+
+
+def _unroll(params, windows: np.ndarray, gemm: bool):
     """Run windows ``(nets, per, T, D)`` through the stacked cell; keep the
-    per-step values for backward."""
+    per-step values for backward.
+
+    With ``gemm`` false every product keeps its per-window shape (see the
+    module docstring). With ``gemm`` true, for weights and windows with
+    the same number of networks, each network's products run over all
+    its windows as GEMMs: the input products of every window and step as
+    one ``(per T, D) @ (D, 4H)`` product, and the recurrent products of a
+    step as one ``(per, H) @ (H, 4H)`` product. That is faster but moves
+    the last bits, so only training asks for it.
+    """
     h = np.zeros(windows.shape[:2] + params.b.shape[-1:])
     c = np.zeros_like(h)
-    # the input products of every step at once, (nets, per, T, 4, H)
-    xw = (params.W_x[:, None, None] @ windows[..., None, :, None])[..., 0]
+    if gemm:
+        nets, per, T, D = windows.shape
+        rows = params.b.shape[-2] * params.b.shape[-1]    # 4H, gate by gate
+        xw = (windows.reshape(nets, per * T, D)
+              @ params.W_x.reshape(nets, rows, D).swapaxes(1, 2))
+        xw = xw.reshape(windows.shape[:3] + params.b.shape[-2:])
+        W_hT = params.W_h.reshape(nets, rows, -1).swapaxes(1, 2)
+    else:
+        # the input products of every step at once, (nets, per, T, 4, H)
+        xw = (params.W_x[:, None, None] @ windows[..., None, :, None])[..., 0]
     steps = []
     for t in range(windows.shape[2]):
-        z, c_new, tc, h_new = _step(params, xw[:, :, t], h, c)
+        if gemm:
+            hw = (h @ W_hT).reshape(h.shape[:2] + params.b.shape[-2:])
+            z, c_new, tc, h_new = _cell(xw[:, :, t] + hw + params.b[:, None],
+                                        c)
+        else:
+            z, c_new, tc, h_new = _step(params, xw[:, :, t], h, c)
         steps.append((windows[:, :, t], z, c, tc, h))
         h, c = h_new, c_new
     out = ((params.W_out[:, None] @ h[..., None])[..., 0]
@@ -232,7 +268,7 @@ def _forecast(params, lo, span, windows: np.ndarray) -> tuple:
     """The unrolled pass and its kW forecasts: the step values, the final
     hidden state, the forecasts ``lo + span * out`` before the clamp at
     zero, and after it, each forecast array ``(nets, per, 24)``."""
-    steps, h_final, out = _unroll(params, windows)
+    steps, h_final, out = _unroll(params, windows, False)
     raw = lo + span * out
     return steps, h_final, raw, np.maximum(raw, 0.0)
 
@@ -355,6 +391,11 @@ _WINDOW_BLOCK = 256
 def _window_sum(a, b):
     """``a @ b`` for stacks ``(nets, m, per)`` and ``(nets, per, k)``: the
     sum over the ``per`` windows, one block of windows after another."""
+    if b.shape[1] == 1:
+        # numpy's matmul runs an inner dimension of 1 in its own scalar
+        # loop; einsum forms the same single-term products, bit for bit,
+        # in half the time
+        return np.einsum("nip,npj->nij", a, b)
     total = a[..., :_WINDOW_BLOCK] @ b[:, :_WINDOW_BLOCK]
     for lo in range(_WINDOW_BLOCK, b.shape[1], _WINDOW_BLOCK):
         total += a[..., lo:lo + _WINDOW_BLOCK] @ b[:, lo:lo + _WINDOW_BLOCK]
@@ -369,35 +410,49 @@ def _backward_from_head(params, steps, h_final, dout) -> dict:
     At each step the windows' terms go into their network's totals as one
     ``(4H, per) @ (per, D)`` and one ``(4H, per) @ (per, H)`` product per
     network, summed in BLAS order (in blocks of :data:`_WINDOW_BLOCK`
-    windows); the head gradients are one product per network. With one
-    window per network every such product has a single term and is exact,
-    so the sweep is bit for bit the per-window one.
+    windows); the head gradients are one product per network. With more
+    than one window per network, which only :func:`train_mse` sweeps, the
+    windows' ``dh`` of a step is one ``(per, 4H) @ (4H, H)`` GEMM per
+    network too. With one window per network every weight-gradient
+    product has a single term and is exact, and ``dh`` keeps the
+    per-window products, so the sweep is bit for bit the per-window one.
     """
     nets, per, _ = dout.shape
-    rows = params.b.shape[-2] * params.b.shape[-1]    # 4H, gate by gate
+    gates, hidden = params.b.shape[-2:]
+    rows = gates * hidden                             # 4H, gate by gate
     g_x = np.zeros((nets, rows, params.W_x.shape[-1]))
-    g_h = np.zeros((nets, rows, params.W_h.shape[-1]))
+    g_h = np.zeros((nets, rows, hidden))
     g_b = np.zeros((nets, rows))
-    W_hT = params.W_h.swapaxes(-1, -2)[:, None]
+    if per > 1:
+        W_h = params.W_h.reshape(nets, rows, hidden)
+    else:
+        W_hT = params.W_h.swapaxes(-1, -2)[:, None]
     dh = (params.W_out.swapaxes(-1, -2)[:, None] @ dout[..., None])[..., 0]
     dc = np.zeros_like(dh)
+    da = np.empty((nets, per, gates, hidden))
+    dA = da.reshape(nets, per, rows)
+    dAT = dA.swapaxes(1, 2)
     for x, z, c_prev, tc, h_prev in reversed(steps):
         f, i, o, g = z.transpose(2, 0, 1, 3)
         dc = dc + dh * o * (1.0 - tc * tc)
         # gradient at the gate outputs, then through sigmoid' = s (1 - s)
         # for forget, input and output and tanh' = 1 - g^2 for the candidate
-        da = np.stack([dc * c_prev, dc * g, dh * tc, dc * i], axis=2)
+        np.multiply(dc, c_prev, out=da[:, :, 0])
+        np.multiply(dc, g, out=da[:, :, 1])
+        np.multiply(dh, tc, out=da[:, :, 2])
+        np.multiply(dc, i, out=da[:, :, 3])
         da[:, :, :3] *= z[:, :, :3]
         da[:, :, :3] *= 1.0 - z[:, :, :3]
         da[:, :, 3] *= 1.0 - g * g
-        dA = da.reshape(nets, per, rows)
-        dAT = dA.swapaxes(1, 2)
         g_x += _window_sum(dAT, x)
         g_h += _window_sum(dAT, h_prev)
         g_b += dA.sum(axis=1)
-        # one product per gate, summed in gate order: a single 4H-term
-        # product would reorder the sum and move the last bits
-        dh = (W_hT @ da[..., None])[..., 0].sum(axis=2)
+        if per > 1:
+            dh = dA @ W_h
+        else:
+            # one product per gate, summed in gate order: a single 4H-term
+            # product would reorder the sum and move the last bits
+            dh = (W_hT @ da[..., None])[..., 0].sum(axis=2)
         dc = dc * f
     return {"W_x": g_x.reshape(params.W_x.shape),
             "W_h": g_h.reshape(params.W_h.shape),
@@ -555,10 +610,13 @@ def _mse_gradient(params, windows: np.ndarray, targets: np.ndarray) -> tuple:
     gradient.
 
     Each network's loss is one reduction over its errors, and its gradients
-    come summed over its windows from the backward sweep. The batch's step
-    values die on return, before the next epoch unrolls.
+    come summed over its windows from the backward sweep. With more than
+    one window per network both sweeps run their products as GEMMs over
+    the windows. The batch's step values die on return, before the next
+    epoch unrolls.
     """
-    steps, h_final, out = _unroll(params, windows)
+    steps, h_final, out = _unroll(params, windows,
+                                  windows.shape[1] > 1)
     err = out - targets
     denom = float(err[0].size)
     grads = _backward_from_head(params, steps, h_final, 2.0 * err / denom)
@@ -572,16 +630,20 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
 
     `loads` is (days, S, 24) in kW, one column per sector as a
     :class:`mesval.data.DayDataset` holds them, and `seed` a sequence of
-    S seeds; day d is forecast from day d-1's window. The S networks train
-    as one stack, and the result is the list of S models and the (S,
-    epochs) per-epoch loss traces; each is what the call on its column
-    alone returns, bit for bit. `loads` (days, 24) with one int `seed` is
-    the stack of one, and returns its model and its trace.
+    S seeds, each a non-negative int; day d is forecast from day d-1's
+    window. The S networks train as one stack, and the result is the list
+    of S models and the (S, epochs) per-epoch loss traces; each is what
+    the call on its column alone returns, bit for bit. `loads` (days, 24)
+    with one int `seed` is the stack of one, and returns its model and its
+    trace.
 
-    Each epoch sums a network's window gradients in BLAS order (see
-    :func:`_backward_from_head`), so the weights are those of a
-    one-window-at-a-time loop up to the order of those sums, and bit for
-    bit with one window (two days).
+    With more than one window per network (three days or more), every
+    epoch runs each network's products as GEMMs over its windows, forward
+    and backward (see :func:`_unroll` and :func:`_backward_from_head`), so
+    the weights are those of a one-window-at-a-time loop up to the order
+    of those products' sums. With one window (two days) every product
+    keeps its per-window shape, and the weights are the loop's bit for
+    bit.
     """
     loads = np.asarray(loads, dtype=float)
     dows = np.asarray(day_of_week, dtype=int)
@@ -590,10 +652,19 @@ def train_mse(loads: np.ndarray, day_of_week: np.ndarray,
         raise ForecastError(f"loads must be (days, {HORIZON}) or "
                             f"(days, sectors, {HORIZON})")
     columns = loads if stacked else loads[:, None, :]
-    seeds = tuple(seed) if stacked else (seed,)
+    try:
+        seeds = tuple(seed) if stacked else (seed,)
+    except TypeError:
+        raise ForecastError(f"{columns.shape[1]} load columns need a "
+                            f"sequence of seeds, got {seed!r}") from None
     if len(seeds) != columns.shape[1]:
         raise ForecastError(f"{columns.shape[1]} load columns need as many "
                             f"seeds, got {len(seeds)}")
+    for sd in seeds:
+        # bool is an int subclass, and a sequence would seed numpy too
+        if (isinstance(sd, bool) or not isinstance(sd, (int, np.integer))
+                or sd < 0):
+            raise ForecastError(f"seed {sd!r} is not a non-negative integer")
     if not np.all(np.isfinite(loads)):
         raise ForecastError("loads must be finite")
     if dows.shape != (loads.shape[0],):

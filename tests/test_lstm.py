@@ -447,6 +447,27 @@ def test_train_mse_empty_dataset_raises():
         train_mse(np.zeros((1, 24)), np.zeros(1, dtype=int), cfg, seed=1)
 
 
+def test_train_mse_seeds_must_be_non_negative_integers():
+    # numpy would train from a sequence or a bool and the model would
+    # store it as its seed; a float's or a negative seed's error would
+    # escape as numpy's own
+    rng = np.random.default_rng(RNG_SEED + 8)
+    loads = synthetic_loads(rng, 3)
+    dows = np.arange(3) % 7
+    cfg = TrainingConfig(hidden_size=2, mse_epochs=1)
+    for bad in ((1, 2, 3), [4], True, np.bool_(True), 1.5, -1, "7", None):
+        with pytest.raises(ForecastError, match="seed"):
+            train_mse(loads, dows, cfg, seed=bad)
+    stacked = np.stack([loads, loads], axis=1)
+    for bad in ((1, -2), (1, False), (1, 2.0), ((1,), 2), 5):
+        with pytest.raises(ForecastError, match="seed"):
+            train_mse(stacked, dows, cfg, seed=bad)
+    model, _ = train_mse(loads, dows, cfg, seed=np.uint32(9))
+    assert model.seed == 9
+    models, _ = train_mse(stacked, dows, cfg, seed=np.array([0, 3]))
+    assert [m.seed for m in models] == [0, 3]
+
+
 # ---------------------------------------------------------------------------
 # batched passes vs the one-window-at-a-time loop
 # ---------------------------------------------------------------------------
@@ -565,9 +586,11 @@ def test_day_passes_match_per_window_reference_bitwise():
 
 def train_cases():
     # a single training window, the smallest window and hidden size, zero
-    # epochs, the default split's 29 windows, then random shapes
+    # epochs, the default split's 29 windows, two windows (the smallest
+    # batch whose products run as GEMMs) at three shapes, then random
+    # shapes
     cases = [(2, 24, 3, 4), (6, 1, 2, 3), (5, 9, 1, 3), (4, 5, 3, 0),
-             (30, 24, 32, 2)]
+             (30, 24, 32, 2), (3, 24, 3, 4), (3, 7, 12, 3), (3, 1, 32, 2)]
     rng = np.random.default_rng(RNG_SEED + 10)
     for _ in range(4):
         cases.append((int(rng.integers(2, 17)), int(rng.integers(1, 25)),
@@ -586,8 +609,11 @@ def sum_order_tolerance(windows, epochs):
     (n - 1) u sum|terms| of the exact one, u = eps / 2 (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., 2002, section 4.2), so
     two orders differ by at most (n - 1) eps sum|terms|: about 1.5e-13 of
-    the terms' scale per epoch at the default split's 29 windows. The
-    worst seen in this file's training cases was 1.6e-16 relative on
+    the terms' scale per epoch at the default split's 29 windows. With
+    more than one window, train_mse's forward products and backward dh
+    run as GEMMs too, which reorder each window's sums of D, H or 4H
+    terms; the bound is not derived for those. The worst seen in this
+    file's training cases, GEMMs included, was 1.6e-16 relative on
     weights and 2.8e-16 on traces, under 3% of this bound.
     """
     return max(epochs, 1) * (windows * 24 - 1) * np.finfo(float).eps
@@ -690,16 +716,19 @@ def test_one_window_training_matches_per_window_loop_bitwise(window, hidden,
         assert traces[j].tobytes() == alone_trace.tobytes()
 
 
-# Trains a three-sector stack on loads read from argv[1] and prints a hash
-# of every weight's and trace's bytes. With 420 windows per sector the
-# weight gradients' products are large enough for OpenBLAS to use two
-# threads, and long enough that it would cut their sums by thread count.
+# Trains a three-sector stack of hidden size argv[2] on loads read from
+# argv[1] and prints a hash of every weight's and trace's bytes. With 420
+# windows per sector the weight gradients' products are large enough for
+# OpenBLAS to use two threads, and long enough that it would cut their sums
+# by thread count; at hidden size 128 so is the backward dh product's sum
+# over 4H = 512 gate rows.
 _THREADED_TRAINING = """
 import hashlib, sys
 import numpy as np
 from mesval.lstm import LstmParams, TrainingConfig, train_mse
 loads = np.load(sys.argv[1])
-cfg = TrainingConfig(window=4, hidden_size=32, mse_epochs=2, lr=0.05)
+cfg = TrainingConfig(window=4, hidden_size=int(sys.argv[2]), mse_epochs=2,
+                     lr=0.05)
 models, traces = train_mse(loads, np.arange(len(loads)) % 7, cfg,
                            seed=(7, 8, 9))
 digest = hashlib.sha256(traces.tobytes())
@@ -715,17 +744,18 @@ def test_stacked_train_mse_is_byte_identical_at_one_and_two_blas_threads(
     path = tmp_path / "loads.npy"
     np.save(path, _sector_loads(np.random.default_rng(RNG_SEED + 16), 421))
     package_root = str(Path(mesval.__file__).resolve().parent.parent)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", _THREADED_TRAINING, str(path)],
-            capture_output=True, text=True, env=env, check=True)
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+    for hidden in ("32", "128"):
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (package_root, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREADED_TRAINING, str(path), hidden],
+                capture_output=True, text=True, env=env, check=True)
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1], hidden
 
 
 def _three_models(rng, hidden, window):
@@ -863,9 +893,9 @@ def test_one_tape_unrolls_once(monkeypatch):
     calls = []
     real = lstm._unroll
 
-    def counting(params, windows):
-        calls.append(windows.shape)
-        return real(params, windows)
+    def counting(params, windows, gemm):
+        calls.append((windows.shape, gemm))
+        return real(params, windows, gemm)
 
     monkeypatch.setattr(lstm, "_unroll", counting)
     rng = np.random.default_rng(RNG_SEED + 20)
@@ -874,7 +904,7 @@ def test_one_tape_unrolls_once(monkeypatch):
     dloss = rng.normal(size=(3, 24))
     grads = backward_day(tape, dloss, [0, 2])
     stepped = apply_external_gradient(tape, dloss, [0, 2], 1e-3)
-    assert calls == [(3, 1, 5, 5)]
+    assert calls == [((3, 1, 5, 5), False)]
     for k in (0, 2):
         assert _bytes(stepped[k].params) == _bytes({
             name: getattr(models[k].params, name) - 1e-3 * getattr(
