@@ -25,11 +25,12 @@ Three builders share one variable/row vocabulary:
     optimal cost differentiable with respect to the forecast.
 
 Templates: loads enter a problem only through its parameter vector, so
-each stage is compiled once per hub (``LinearProgram`` ->
-``to_standard_form``, constraint matrices stored as CSR) on the first build
-and reused for every later day. A build only checks the loads and sets
-``M0``; an intra-day build also appends the day's committed flows to it
-and writes the committed cost into ``c0``. The ``id.link``,
+each stage is compiled once per hub (``LinearProgram`` -> the canonical
+form, its constraint matrices built as CSR straight from the row triplets,
+with no dense rows x columns matrix) on the first build and reused for
+every later day. A build only checks the loads and sets ``M0``; an
+intra-day build also appends the day's committed flows to it and writes
+the committed cost into ``c0``. The ``id.link``,
 ``id.cres_up`` and ``id.cres_dn`` rows are written once, in the joint form
 with their ``da.flow`` terms; the intra-day stage has no day-ahead
 columns, so there each such term is a parameter slot instead. Templates
@@ -48,11 +49,12 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .bnb import MILPProblem
 from .hub import HORIZON, SECTORS, HubConfig, HubMatrices, build_hub_matrices
-from .lp import LinearProgram, to_standard_form
+from .lp import LinearProgram, _csr_standard_form
+# not called here; kept importable for tools that wrap mesval.dispatch
+from .lp import to_standard_form  # noqa: F401
 
 __all__ = [
     "DispatchBuildError",
@@ -367,9 +369,7 @@ def _add_intra_links(prog: LinearProgram, config: HubConfig,
 
 def _finish(prog: LinearProgram, stage: str, config: HubConfig,
             integers: list, cost_class: dict) -> DispatchProblem:
-    sf = to_standard_form(prog)
-    sf = replace(sf, A_f=sparse.csr_array(sf.A_f),
-                 A_h=sparse.csr_array(sf.A_h))
+    sf = _csr_standard_form(prog)
     var_index = {n: i for i, n in enumerate(sf.var_names)}
     milp = MILPProblem(lp=sf, integer_vars=tuple(var_index[n]
                                                  for n in integers))
@@ -397,7 +397,7 @@ def _add_params(prog: LinearProgram, prefix: str) -> None:
 
 
 def _compile(config: HubConfig, stage: str) -> DispatchProblem:
-    """One stage through ``LinearProgram`` -> ``to_standard_form``.
+    """One stage through ``LinearProgram`` -> its CSR canonical form.
 
     The problem holds for any day: loads, and on the intra-day stage the
     committed flows, enter only through ``M``, and ``M0`` is left at zero.

@@ -12,8 +12,11 @@ The right-hand sides are affine in a parameter vector M:
 ``B_f = d b_f / d M`` and ``B_h = d b_h / d M`` are constant and dense. The
 matrices ``A_f``/``A_h`` never depend on M, and neither does the objective.
 They are dense arrays as :func:`to_standard_form` returns them, or scipy
-sparse matrices where a caller stores them that way (the dispatch problems
-keep theirs in CSR).
+sparse matrices where a caller stores them that way. Canonicalization reads
+each row's coefficients once into COO triplets and negates the ``>=`` rows
+after assembly; the dense matrices are written from those triplets, and
+the dispatch problems take CSR matrices built from the same triplets, byte
+for byte ``csr_array`` of the dense ones, with no dense matrix in between.
 
 Dual convention
 ---------------
@@ -321,47 +324,104 @@ def _dense(a):
     return a.toarray() if sparse.issparse(a) else a
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """One block of canonical rows, the inequality or the equality rows in
+    declaration order. ``terms`` and ``params`` are the COO triplets
+    ``(row, column, coefficient)`` and ``(row, slot, coefficient)`` of
+    every declared entry, with the sign it was declared with; ``neg``
+    marks the ``>=`` rows, which each matrix negates after assembly, and
+    ``rhs`` is already signed."""
+
+    names: tuple
+    rhs: np.ndarray
+    neg: np.ndarray
+    terms: tuple
+    params: tuple
+
+
+def _triplets(dicts: list, index: dict) -> tuple:
+    """``(row, position, coefficient)`` of every entry of ``dicts``, one
+    dict per row, ``index`` giving each key its position."""
+    counts = np.array([len(d) for d in dicts], dtype=np.intp)
+    total = int(counts.sum())
+    at = np.fromiter((index[key] for d in dicts for key in d), np.intp, total)
+    val = np.fromiter((coef for d in dicts for coef in d.values()), float,
+                      total)
+    return np.repeat(np.arange(len(dicts)), counts), at, val
+
+
+def _canonical_rows(prog: LinearProgram) -> tuple[_Rows, _Rows]:
+    """The inequality and the equality rows of ``prog``, each row's
+    coefficients read once into triplets."""
+    blocks = {"<=": [], "==": []}
+    for row in prog._rows:
+        blocks["==" if row[2] == "==" else "<="].append(row)
+    out = []
+    for rows in blocks.values():
+        neg = np.array([row[2] == ">=" for row in rows], dtype=bool)
+        rhs = np.array([row[3] for row in rows], dtype=float)
+        np.negative(rhs, out=rhs, where=neg)
+        out.append(_Rows(
+            names=tuple(row[0] for row in rows), rhs=rhs, neg=neg,
+            terms=_triplets([row[1] for row in rows], prog._var_index),
+            params=_triplets([row[4] for row in rows], prog._param_index)))
+    return tuple(out)
+
+
+def _dense_rows(triplets: tuple, neg: np.ndarray, width: int) -> np.ndarray:
+    """The ``(rows, width)`` matrix of ``triplets``: one allocation, a
+    scatter and the row negation, so a negated row holds ``-0.0`` wherever
+    it declares nothing or ``+0.0``."""
+    out = np.zeros((neg.size, width))
+    out[triplets[0], triplets[1]] = triplets[2]
+    np.negative(out, out=out, where=neg[:, None])
+    return out
+
+
+def _csr_rows(triplets: tuple, neg: np.ndarray,
+              width: int) -> sparse.csr_array:
+    """What ``csr_array`` makes of :func:`_dense_rows`'s matrix, byte for
+    byte (no stored zeros, int32 sorted indices), made without it."""
+    row, col, val = triplets
+    val = np.where(neg[row], -val, val)
+    keep = val != 0.0
+    row, col, val = row[keep], col[keep], val[keep]
+    order = np.lexsort((col, row))
+    indptr = np.zeros(neg.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=neg.size), out=indptr[1:])
+    return sparse.csr_array((val[order], col[order].astype(np.int32), indptr),
+                            shape=(neg.size, width))
+
+
+def _standard_form(prog: LinearProgram, rows_of) -> LPStandardForm:
+    """The canonical form of ``prog``, its ``A_f``/``A_h`` assembled by
+    ``rows_of`` and every other array by :func:`_dense_rows`."""
+    n, p = prog.n_vars, prog.param_dim
+    ineq, eq = _canonical_rows(prog)
+    return LPStandardForm(
+        c=np.array([v[3] for v in prog._vars], dtype=float), c0=0.0,
+        A_f=rows_of(ineq.terms, ineq.neg, n), b_f0=ineq.rhs,
+        B_f=_dense_rows(ineq.params, ineq.neg, p),
+        A_h=rows_of(eq.terms, eq.neg, n), b_h0=eq.rhs,
+        B_h=_dense_rows(eq.params, eq.neg, p),
+        lb=np.array([v[1] for v in prog._vars], dtype=float),
+        ub=np.array([v[2] for v in prog._vars], dtype=float),
+        var_names=tuple(name for name, *_ in prog._vars),
+        ineq_names=ineq.names, eq_names=eq.names,
+        param_names=tuple(prog._params))
+
+
 def to_standard_form(prog: LinearProgram) -> LPStandardForm:
     """Canonicalize a structured description (deterministic ordering)."""
-    n = prog.n_vars
-    p = prog.param_dim
-    var_names = tuple(name for name, *_ in prog._vars)
-    lb = np.array([v[1] for v in prog._vars], dtype=float)
-    ub = np.array([v[2] for v in prog._vars], dtype=float)
-    c = np.array([v[3] for v in prog._vars], dtype=float)
-    ineq_rows, ineq_rhs, ineq_par, ineq_names = [], [], [], []
-    eq_rows, eq_rhs, eq_par, eq_names = [], [], [], []
-    for name, coeffs, sense, rhs, params in prog._rows:
-        a = np.zeros(n)
-        for var, coef in coeffs.items():
-            a[prog._var_index[var]] = coef
-        pr = np.zeros(p)
-        for slot, coef in params.items():
-            pr[prog._param_index[slot]] = coef
-        if sense == ">=":
-            a, rhs, pr = -a, -rhs, -pr
-            sense = "<="
-        if sense == "<=":
-            ineq_rows.append(a)
-            ineq_rhs.append(rhs)
-            ineq_par.append(pr)
-            ineq_names.append(name)
-        else:
-            eq_rows.append(a)
-            eq_rhs.append(rhs)
-            eq_par.append(pr)
-            eq_names.append(name)
-    A_f = np.array(ineq_rows, dtype=float).reshape(len(ineq_rows), n)
-    A_h = np.array(eq_rows, dtype=float).reshape(len(eq_rows), n)
-    return LPStandardForm(
-        c=c, c0=0.0,
-        A_f=A_f, b_f0=np.array(ineq_rhs, dtype=float),
-        B_f=np.array(ineq_par, dtype=float).reshape(len(ineq_rows), p),
-        A_h=A_h, b_h0=np.array(eq_rhs, dtype=float),
-        B_h=np.array(eq_par, dtype=float).reshape(len(eq_rows), p),
-        lb=lb, ub=ub, var_names=var_names,
-        ineq_names=tuple(ineq_names), eq_names=tuple(eq_names),
-        param_names=tuple(prog._params))
+    return _standard_form(prog, _dense_rows)
+
+
+def _csr_standard_form(prog: LinearProgram) -> LPStandardForm:
+    """:func:`to_standard_form` with ``A_f``/``A_h`` as CSR, built from the
+    row triplets without a dense constraint matrix: ``csr_array`` of its
+    dense matrices, byte for byte, and every other field bit for bit."""
+    return _standard_form(prog, _csr_rows)
 
 
 # ---------------------------------------------------------------------------

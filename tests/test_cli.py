@@ -394,6 +394,48 @@ def test_valuate_is_byte_reproducible(workdir):
     assert (led.read_bytes(), alloc.read_bytes()) == first
 
 
+# SHA-256 of the seed-0 valuate CSVs on the workdir config, on its own
+# flat hub and on the shipped experiment hub. The flat hub has no integer
+# columns and its optima do not tie, so only the experiment hub's ledger
+# moves when a tied commitment does (warm day-ahead roots, for one). They
+# were computed with Python 3.11.7, numpy 2.4.6, scipy 1.17.1 (HiGHS
+# 1.12.0) and scipy-openblas 0.3.31 (OpenBLAS, DYNAMIC_ARCH) on x86-64;
+# another BLAS build or CPU kernel may move the LSTM's last bits and so
+# the pins. A change that moves them on purpose says so. To regenerate,
+# run `mesval valuate --config <config.yaml> --seed 0` on the workdir
+# config (with `hub: experiment` for the second) and take `sha256sum` of
+# the two CSVs in its output directory.
+VALUATE_SEED0_SHA256 = {
+    "workdir": {
+        "valuation_ledger.csv": "5d639060e414f5ae7f4b96135b21a892"
+                                "62f977969ed02219b64dbe903635f9f0",
+        "valuation_allocation.csv": "0501a5ef31120a13dfe916d639de0e24"
+                                    "b393b5e8831657d4419614e4ad90273a",
+    },
+    "experiment": {
+        "valuation_ledger.csv": "4561cf2abbdffb885d784a436c60242c"
+                                "e1dd4afe907affefd4f9e3b78e7a1f20",
+        "valuation_allocation.csv": "1791f0a11a53a0dde8a02210d9b285ca"
+                                    "4efd090ee2a06ee0229604876484c656",
+    },
+}
+
+
+@pytest.mark.parametrize("hub", sorted(VALUATE_SEED0_SHA256))
+def test_valuate_seed0_csvs_match_their_pinned_digests(workdir, hub):
+    import hashlib
+
+    tmp, config = workdir
+    if hub != "workdir":
+        raw = yaml.safe_load(config.read_text())
+        config.write_text(yaml.safe_dump({**raw, "hub": hub}))
+    assert main(["valuate", "--config", str(config), "--seed", "0"]) == 0
+    pins = VALUATE_SEED0_SHA256[hub]
+    got = {name: hashlib.sha256((tmp / "out" / name).read_bytes()).hexdigest()
+           for name in pins}
+    assert got == pins
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

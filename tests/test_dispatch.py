@@ -868,13 +868,13 @@ def test_intra_day_days_share_the_template():
 
 def test_repeated_builds_compile_each_stage_once(monkeypatch):
     compiled = []
-    real = dispatch.to_standard_form
+    real = dispatch._csr_standard_form
 
     def counting(prog):
         compiled.append(prog)
         return real(prog)
 
-    monkeypatch.setattr(dispatch, "to_standard_form", counting)
+    monkeypatch.setattr(dispatch, "_csr_standard_form", counting)
     cfg = tri_toy(storage=True, grid_ru=60.0, grid_rd=60.0)
     rng = np.random.default_rng(RNG_SEED + 19)
     for day in range(4):
@@ -883,6 +883,66 @@ def test_repeated_builds_compile_each_stage_once(monkeypatch):
         build_intra_day(da, solve(da), act)
         build_joint(fc, act, cfg)
     assert len(compiled) == 3
+
+
+@pytest.mark.parametrize("fname", ["hub_experiment.yaml",
+                                   "hub_showcase.yaml"])
+def test_templates_are_csr_of_the_dense_canonical_form(fname, monkeypatch):
+    # each stage's matrices go straight from the row triplets to CSR: the
+    # bytes csr_array makes of to_standard_form's dense rows, and every
+    # other field of that form bit for bit, signed zeros included
+    from scipy import sparse
+
+    from mesval.lp import to_standard_form
+
+    compiled = []
+    real = dispatch._csr_standard_form
+
+    def kept(prog):
+        compiled.append((prog, real(prog)))
+        return compiled[-1][1]
+
+    monkeypatch.setattr(dispatch, "_csr_standard_form", kept)
+    cfg = load_hub_config(_shipped(fname))
+    for stage in ("day_ahead", "intra_day", "joint"):
+        dispatch._template(cfg, stage)
+    assert len(compiled) == 3
+    for prog, got in compiled:
+        want = to_standard_form(prog)
+        for field in ("A_f", "A_h"):
+            csr, ref = getattr(got, field), sparse.csr_array(getattr(want,
+                                                                     field))
+            assert csr.indices.dtype == csr.indptr.dtype == np.int32
+            assert csr.shape == ref.shape
+            for part in ("data", "indices", "indptr"):
+                assert _bits(getattr(csr, part)) == _bits(getattr(ref, part))
+        for field in ("c", "b_f0", "B_f", "b_h0", "B_h", "lb", "ub"):
+            assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+        for field in ("var_names", "ineq_names", "eq_names", "param_names"):
+            assert getattr(got, field) == getattr(want, field), field
+    # the negated rows' unset jacobian entries are -0.0 on both sides
+    assert any(np.signbit(got.B_f[got.B_f == 0.0]).any()
+               for _, got in compiled)
+
+
+def test_compiling_a_template_peaks_below_twice_what_it_keeps():
+    # the triplets go to CSR without a dense rows x columns matrix, so the
+    # largest shipped template's compile holds little beyond its result
+    # (through a dense matrix it peaked at about 18 times what it keeps)
+    import tracemalloc
+
+    dispatch._template(load_hub_config(_shipped("hub_showcase.yaml")),
+                       "joint")    # import what compiling imports lazily
+    cfg = load_hub_config(_shipped("hub_showcase.yaml"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dispatch._template(cfg, "joint")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept > 1e6
+    assert peak < 2 * kept
 
 
 def test_templates_belong_to_one_config_object():

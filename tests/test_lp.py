@@ -119,6 +119,44 @@ def test_round_trip_through_canonical_form():
     np.testing.assert_array_equal(lp.ub, lp2.ub)
 
 
+def test_canonical_form_keeps_the_signed_zeros_of_negated_rows():
+    # a >= row is negated whole: what it leaves unset, and an explicit 0.0,
+    # read -0.0; an explicit -0.0 reads +0.0, and on a <= row it stays
+    # -0.0. The CSR form built from the same triplets stores none of them
+    from mesval.lp import _csr_standard_form
+
+    prog = LinearProgram()
+    for k in range(2):
+        prog.add_param(f"m{k}")
+    for name in "xyz":
+        prog.add_var(name, lb=0.0, ub=1.0, cost=1.0)
+    prog.add_constraint({"x": 1.0, "y": 0.0}, "<=", 2.0, params={"m0": -0.0})
+    prog.add_constraint({"z": 2.0, "x": -0.0}, ">=", 0.0, params={"m1": 1.0})
+    prog.add_constraint({"y": 0.0}, ">=", -1.0)
+    lp = to_standard_form(prog)
+    np.testing.assert_array_equal(lp.A_f, [[1.0, 0.0, 0.0], [0.0, 0.0, -2.0],
+                                           [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(np.signbit(lp.A_f), [[0, 0, 0], [0, 1, 1],
+                                                       [1, 1, 1]])
+    np.testing.assert_array_equal(lp.B_f, [[0.0, 0.0], [0.0, -1.0],
+                                           [0.0, 0.0]])
+    np.testing.assert_array_equal(np.signbit(lp.B_f), [[1, 0], [1, 1],
+                                                       [1, 1]])
+    np.testing.assert_array_equal(lp.b_f0, [2.0, 0.0, 1.0])
+    np.testing.assert_array_equal(np.signbit(lp.b_f0), [0, 1, 0])
+    for field, shape in (("A_h", (0, 3)), ("B_h", (0, 2)), ("b_h0", (0,))):
+        assert getattr(lp, field).shape == shape, field
+    csr = _csr_standard_form(prog)
+    for field in ("A_f", "A_h"):
+        got, want = getattr(csr, field), sparse.csr_array(getattr(lp, field))
+        for part in ("data", "indices", "indptr"):
+            assert _bits(getattr(got, part)) == _bits(getattr(want, part))
+    assert _bits(csr.A_f.data) == _bits(np.array([1.0, -2.0]))
+    assert _bits(csr.A_f.indices) == _bits(np.array([0, 2], dtype=np.int32))
+    for field in ("c", "b_f0", "B_f", "b_h0", "B_h", "lb", "ub"):
+        assert _bits(getattr(csr, field)) == _bits(getattr(lp, field)), field
+
+
 def test_fold_bounds_appends_rows_in_documented_order():
     prog = LinearProgram()
     prog.add_var("x", lb=0.0, ub=2.0, cost=1.0)

@@ -808,8 +808,13 @@ def test_stacked_split_forecasts_match_each_model_bitwise():
                for _ in models]
     got = forward_days(models, windows)
     assert got.shape == (3, 4, 24)
+    # each window against the per-step reference cell, not against
+    # forward_days itself, so the way its products are formed shows
     for k, m in enumerate(models):
-        assert got[k].tobytes() == forecast_days_one(m, windows[k]).tobytes()
+        for b, window in enumerate(windows[k]):
+            _, _, out = ref_unroll(m.params, window)
+            want = np.maximum(m.norm.unscale(out), 0.0)
+            assert got[k, b].tobytes() == want.tobytes()
 
 
 def test_stacked_passes_check_their_inputs():
